@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -88,8 +87,8 @@ def _parse_psi(text: str) -> qcore.StateVector:
         raise ValueError("data state needs two comma-separated amplitudes")
     amps = np.array([complex(p.strip()) for p in parts])
     norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise ValueError("data state must be nonzero")
+    if not 0 < norm < np.inf:
+        raise ValueError("data state must be nonzero and finite")
     return qcore.StateVector(1, amps / norm)
 
 
@@ -101,15 +100,8 @@ def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
     if name == "standard" and len(parts) == 2:
         return oaa.standard_compose(circuit, int(parts[1]))
     if name == "deterministic" and len(parts) == 1:
-        lam0 = rus.success_probability(circuit, qcore.basis_state(1))
-        plan = oaa.plan_deterministic(lam0)
-        pairs = [(math.pi, math.pi)] * plan.j
-        if plan.chi != 0.0:
-            pairs.append((plan.phi, plan.varphi))
-        total = oaa._compose(circuit, pairs)
-        return rus.circuit_from_matrix(
-            qcore.UnitaryMatrix(total), circuit.spec.m, seed=circuit.spec.seed
-        )
+        plan = oaa.plan_deterministic(circuit.spec.lambda0)
+        return oaa.deterministic_compose(circuit, plan)
     if name == "pi3" and len(parts) in (2, 3):
         sign = 1
         if len(parts) == 3:
@@ -119,16 +111,15 @@ def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
         return oaa.pi3_compose(circuit, oaa.Pi3Plan(k=int(parts[1]), sign=sign))
     if name == "fp" and len(parts) in (2, 3):
         delta = float(parts[1])
-        if len(parts) == 3:
-            bound = float(parts[2])
-        else:
-            bound = rus.success_probability(circuit, qcore.basis_state(1))
+        bound = float(parts[2]) if len(parts) == 3 else circuit.spec.lambda0
         plan = oaa.fp_plan(oaa.fp_length_for(bound, delta), delta)
         return oaa.fp_compose(circuit, plan)
     raise ValueError(f"cannot parse protocol {text!r}")
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1 or args.max_attempts < 1:
+        raise ValueError("--trials and --max-attempts must be at least 1")
     spec = rus.load_spec(args.spec)
     circuit = rus.build_rus_unitary(spec)
     composed = _compose_protocol(circuit, args.protocol)

@@ -1,23 +1,20 @@
 """Oblivious amplitude amplification protocols over repeat-until-success circuits.
 
-All four protocols share one iterate shape,
+On inputs ``|0^m>|psi>`` a circuit A with success probability lambda0 = s^2
+maps the input plane of ``|0^m>|psi>`` and ``V psi = A^dag (c |0^m> W_0 psi -
+s Phi psi)`` onto the output plane of the success state ``|0^m> W_0 psi`` and
+its normalized complement ``Phi psi``, acting there as a = [[s, c], [c, -s]].
+An ancilla reflection (phase e^{i phi} on the all-zero block) acts on either
+plane as D_phi = diag(e^{i phi}, 1), so each protocol is a 2x2 unitary t:
 
-    G(phi, varphi) = -A S_phi A^dag S_varphi,
+* standard:      t = G(pi, pi)^j a, G(phi, varphi) = -a D_phi a D_varphi;
+* deterministic: one more G(phi, varphi) whose solved phases reach |t00| = 1;
+* cube-law:      a_k = -a_{k-1} S a_{k-1}^dag S a_{k-1}, S = D_{+-pi/3};
+* fixed-point:   a Chebyshev phase schedule, success >= 1 - delta above w.
 
-where S_phi multiplies the all-zero ancilla block by e^{i phi} and acts as
-the identity elsewhere.  Applied after A, the iterate preserves the
-two-dimensional subspace spanned by the success state and its orthogonal
-complement, which is what makes the composed operator another
-repeat-until-success circuit:
-
-* standard:       G(pi, pi)^j A amplifies sqrt(lambda0) = sin(theta) to
-                  sin((2j+1) theta);
-* deterministic:  one trailing G(phi, varphi) with solved phases rotates the
-                  residual angle chi = pi/2 - (2j+1) theta away exactly;
-* cube-law:       A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1} with phase pi/3
-                  cubes the failure probability at every level;
-* fixed-point:    a Chebyshev phase schedule guarantees success >= 1 - delta
-                  for every lambda0 above a length-dependent threshold.
+The composed spec is lambda'_0 = |t00|^2, lambda'_i = |t10|^2 lambda_i /
+(1 - lambda0), W'_0 = (t00/|t00|) W_0, W'_i = (t10/|t10|) W_i; the matrix is
+A X, with X = (a t) (x) I on the input plane and the identity elsewhere.
 """
 
 from __future__ import annotations
@@ -27,37 +24,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore, rus
 from .qcore import StateVector, UnitaryMatrix
-from .rus import RusCircuit
+from .rus import RusCircuit, RusSpec
 
 # Residual angles below this count as an exact pi/2 hit; the trailing
 # generalized iterate is then skipped rather than solved near a 0/0.
 CHI_SKIP_ATOL = 1e-9
 
-
-def reflection(m: int, phi: float) -> UnitaryMatrix:
-    """Phase e^{i phi} on the all-zero block of m ancillas, tensored with I."""
-    if m < 1:
-        raise ValueError("need at least one ancilla qubit")
-    diag = np.ones(2 ** (m + 1), dtype=np.complex128)
-    diag[:2] = np.exp(1j * phi)
-    return UnitaryMatrix(np.diag(diag))
+# Longest fixed-point schedule that fp_length_for sizes.
+FP_MAX_LENGTH = 10**6
 
 
-def _iterate_matrix(a: np.ndarray, m: int, phi: float, varphi: float) -> np.ndarray:
-    """-A S_phi A^dag S_varphi as a dense matrix (S_varphi applied first)."""
-    outer = reflection(m, phi).mat
-    inner = reflection(m, varphi).mat
-    return -(a @ outer @ a.conj().T @ inner)
+def _plane(spec: RusSpec) -> np.ndarray:
+    """The circuit on the OAA planes: a = [[s, c], [c, -s]], s^2 = lambda0."""
+    lambdas = spec.lambdas / spec.lambdas.sum()
+    s, c = math.sqrt(lambdas[0]), math.sqrt(lambdas[1:].sum())
+    return np.array([[s, c], [c, -s]], dtype=np.complex128)
 
 
-def _compose(c: RusCircuit, phase_pairs: list[tuple[float, float]]) -> np.ndarray:
-    """Iterates applied in list order after A; returns the composed matrix."""
-    total = c.a_matrix.mat
-    for phi, varphi in phase_pairs:
-        total = _iterate_matrix(c.a_matrix.mat, c.spec.m, phi, varphi) @ total
-    return total
+def _phase_schedule(c: RusCircuit, pairs: list[tuple[float, float]]) -> RusCircuit:
+    """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in list order after A."""
+    a = t = _plane(c.spec)
+    # d[n] holds the diagonals of D_phi and D_varphi of pair n as rows.
+    d = np.ones((len(pairs), 2, 2), dtype=np.complex128)
+    d[:, :, 0] = np.exp(1j * np.reshape(pairs, (-1, 2)))
+    for g in -(a * d[:, :1]) @ (a * d[:, 1:]):
+        t = g @ t
+    return _composed(c, t)
+
+
+def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
+    """The circuit acting as the 2x2 unitary t on the OAA planes of c."""
+    # Rounding over a long schedule may leave t up to UNITARY_ATOL from
+    # unitary; its nearest unitary keeps the composed matrix, and the states
+    # it produces, within the state-norm tolerance.
+    u, _, vh = np.linalg.svd(UnitaryMatrix(t).mat)
+    t = u @ vh
+    spec, a_mat, a = c.spec, c.a_matrix.mat, _plane(c.spec)
+    gates = np.array([g.mat for g in spec.branch_gates()])
+    rest = spec.lambdas[1:].sum()
+    # Without failure weight any unit failure block spans Phi; t10 is then 0.
+    share = spec.lambdas[1:] / rest if rest > 0 else np.eye(len(gates) - 1)[0]
+    # c |0^m> W_0 - s Phi block by block; A^dag takes it to V.
+    pulled = -a[0, 0] * np.sqrt(np.concatenate([[0.0], share]))[:, None, None] * gates
+    pulled[0] = a[1, 0] * gates[0]
+    basis = np.stack([np.eye(len(a_mat), 2), a_mat.conj().T @ pulled.reshape(-1, 2)], 1)
+    # X = I + B (y (x) I_2) B^dag on the input-plane isometry B = [U0, V].
+    y = a @ t - np.eye(2)
+    x = np.eye(len(a_mat)) + np.einsum("pq,ipk,jqk->ij", y, basis, basis.conj())
+    lambdas = np.concatenate([[abs(t[0, 0]) ** 2], abs(t[1, 0]) ** 2 * share])
+    phases = np.exp(1j * np.angle(t[:, 0]))
+    branch = [UnitaryMatrix(phases[min(i, 1)] * g) for i, g in enumerate(gates)]
+    composed = RusSpec(
+        spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
+    )
+    return RusCircuit(composed, UnitaryMatrix(a_mat @ x))
 
 
 @dataclass(frozen=True)
@@ -108,25 +129,15 @@ class FixedPointPlan:
 
 def standard_oaa_state(c: RusCircuit, j: int, psi: StateVector) -> StateVector:
     """State after j standard iterates following A on ``|0^m>|psi>``."""
-    if j < 0:
-        raise ValueError("iteration count must be non-negative")
-    total = _compose(c, [(math.pi, math.pi)] * j)
-    joint = np.kron(qcore.basis_state(c.spec.m).amps, psi.amps)
-    return StateVector(c.spec.m + 1, total @ joint)
+    composed = standard_compose(c, j).a_matrix.mat
+    return StateVector(c.spec.m + 1, composed[:, :2] @ psi.amps)
 
 
 def standard_compose(c: RusCircuit, j: int) -> RusCircuit:
     """The j-iterate standard protocol as a circuit in its own right."""
     if j < 0:
         raise ValueError("iteration count must be non-negative")
-    total = UnitaryMatrix(_compose(c, [(math.pi, math.pi)] * j))
-    return rus.circuit_from_matrix(total, c.spec.m, seed=c.spec.seed)
-
-
-def _iteration_count(theta: float) -> int:
-    # Largest j with (2j+1) theta <= pi/2; the epsilon guard keeps exact
-    # boundary cases (e.g. lambda0 = 0.25) from rounding down.
-    return max(int(math.floor((math.pi / (2.0 * theta) - 1.0) / 2.0 + 1e-9)), 0)
+    return _phase_schedule(c, [(math.pi, math.pi)] * j)
 
 
 def plan_deterministic(lambda0: float) -> DeterministicPlan:
@@ -141,7 +152,9 @@ def plan_deterministic(lambda0: float) -> DeterministicPlan:
     if not 0.0 < lambda0 <= 1.0:
         raise ValueError("success probability must lie in (0, 1]")
     theta = math.asin(math.sqrt(lambda0))
-    j = _iteration_count(theta)
+    # Largest j with (2j+1) theta <= pi/2; the epsilon guard keeps exact
+    # boundary cases (e.g. lambda0 = 0.25) from rounding down.
+    j = max(int(math.floor((math.pi / (2.0 * theta) - 1.0) / 2.0 + 1e-9)), 0)
     chi = math.pi / 2.0 - (2 * j + 1) * theta
     if chi < CHI_SKIP_ATOL:
         return DeterministicPlan(j=j, chi=0.0, phi=0.0, varphi=0.0)
@@ -162,36 +175,32 @@ def plan_deterministic(lambda0: float) -> DeterministicPlan:
     return DeterministicPlan(j=j, chi=chi, phi=phi, varphi=varphi)
 
 
+def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
+    """The deterministic protocol as a circuit; it succeeds with probability 1."""
+    lambda_plan = math.sin((math.pi / 2.0 - plan.chi) / (2 * plan.j + 1)) ** 2
+    if not abs(c.spec.lambda0 - lambda_plan) <= 1e-9:
+        raise ValueError(
+            f"plan is for lambda0={lambda_plan:.12g}, not {c.spec.lambda0:.12g}"
+        )
+    trailing = [(plan.phi, plan.varphi)] if plan.chi != 0.0 else []
+    return _phase_schedule(c, [(math.pi, math.pi)] * plan.j + trailing)
+
+
 def apply_deterministic(
     c: RusCircuit, plan: DeterministicPlan, psi: StateVector
 ) -> StateVector:
     """Run the deterministic protocol; the result succeeds with probability 1."""
-    theta_plan = (math.pi / 2.0 - plan.chi) / (2 * plan.j + 1)
-    lambda_plan = math.sin(theta_plan) ** 2
-    measured = rus.success_probability(c, qcore.basis_state(1))
-    if abs(measured - lambda_plan) > 1e-9:
-        raise ValueError(
-            f"plan solved for lambda0={lambda_plan:.12g} but circuit has "
-            f"lambda0={measured:.12g}"
-        )
-    pairs = [(math.pi, math.pi)] * plan.j
-    if plan.chi != 0.0:
-        pairs.append((plan.phi, plan.varphi))
-    total = _compose(c, pairs)
-    joint = np.kron(qcore.basis_state(c.spec.m).amps, psi.amps)
-    return StateVector(c.spec.m + 1, total @ joint)
+    composed = deterministic_compose(c, plan).a_matrix.mat
+    return StateVector(c.spec.m + 1, composed[:, :2] @ psi.amps)
 
 
 def pi3_compose(c: RusCircuit, plan: Pi3Plan) -> RusCircuit:
     """Level-k cube-law composition A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
-    phase = plan.sign * math.pi / 3.0
-    refl = reflection(c.spec.m, phase).mat
-    current = c.a_matrix.mat
+    refl = np.array([np.exp(1j * plan.sign * math.pi / 3.0), 1.0])
+    t = _plane(c.spec)
     for _ in range(plan.k):
-        current = -(current @ refl @ current.conj().T @ refl @ current)
-    return rus.circuit_from_matrix(
-        UnitaryMatrix(current), c.spec.m, seed=c.spec.seed
-    )
+        t = -(t * refl) @ (t.conj().T * refl) @ t
+    return _composed(c, t)
 
 
 def pi3_level_for(epsilon: float, delta: float) -> int:
@@ -223,16 +232,30 @@ def _threshold(L: int, delta: float) -> tuple[float, float]:
     return gamma, 1.0 - gamma**2
 
 
-def fp_length_for(w_bound: float, delta: float, max_length: int = 10**6) -> int:
-    """Smallest schedule length whose threshold w falls at or below w_bound."""
+def fp_length_for(w_bound: float, delta: float) -> int:
+    """Smallest schedule length whose threshold w falls at or below w_bound.
+
+    w(L) <= w_bound exactly when
+    2L+1 >= acosh(1/sqrt(delta)) / acosh(1/sqrt(1 - w_bound)); the
+    denominator equals atanh(sqrt(w_bound)), which keeps full precision for
+    small bounds.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("failure tolerance must lie in (0, 1)")
     if not 0.0 < w_bound <= 1.0:
         raise ValueError("threshold bound must lie in (0, 1]")
-    for L in range(1, max_length + 1):
-        if _threshold(L, delta)[1] <= w_bound:
-            return L
-    raise RuntimeError(f"no schedule length up to {max_length} reaches the bound")
+    if w_bound == 1.0:
+        return 1
+    ratio = math.acosh(1.0 / math.sqrt(delta)) / math.atanh(math.sqrt(w_bound))
+    if not ratio <= 2 * FP_MAX_LENGTH + 1:
+        raise ValueError(f"w_bound {w_bound:g} needs more than {FP_MAX_LENGTH} steps")
+    L = max(1, math.ceil((ratio - 1.0) / 2.0))
+    # One step either way absorbs the rounding of the ratio and of _threshold.
+    if _threshold(L, delta)[1] > w_bound:
+        L += 1
+    elif L > 1 and _threshold(L - 1, delta)[1] <= w_bound:
+        L -= 1
+    return L
 
 
 def fp_plan(L: int, delta: float) -> FixedPointPlan:
@@ -258,9 +281,7 @@ def fp_compose(c: RusCircuit, plan: FixedPointPlan) -> RusCircuit:
     If the circuit's lambda0 is at least plan.w, the composed circuit's
     success probability is at least 1 - plan.delta.
     """
-    pairs = list(zip(plan.phis, plan.varphis))
-    total = UnitaryMatrix(_compose(c, pairs))
-    return rus.circuit_from_matrix(total, c.spec.m, seed=c.spec.seed)
+    return _phase_schedule(c, list(zip(plan.phis, plan.varphis)))
 
 
 def plan_to_dict(plan) -> dict:

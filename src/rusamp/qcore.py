@@ -54,7 +54,8 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        # Written so that a NaN norm fails the check as well.
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amps", amps)
 
@@ -72,8 +73,8 @@ class UnitaryMatrix:
         dim = mat.shape[0]
         if dim & (dim - 1) or dim == 0:
             raise ValueError(f"dimension {dim} is not a power of two")
-        residual = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if residual > UNITARY_ATOL:
+        residual = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
+        if not residual <= UNITARY_ATOL:
             raise ValueError(f"unitarity residual {residual} exceeds {UNITARY_ATOL}")
         object.__setattr__(self, "mat", mat)
 

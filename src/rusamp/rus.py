@@ -24,11 +24,11 @@ from .qcore import RngStream, StateVector, UnitaryMatrix
 DEFAULT_MAX_ATTEMPTS = 10_000
 
 # Residual threshold for recognizing the exact block structure above when
-# deriving specs from composed or inverted matrices.
+# deriving specs from inverted matrices.
 STRUCTURE_ATOL = 1e-8
 
 # Outcome weights below this are treated as exactly zero during extraction.
-# Deep amplification compositions leave residual blocks this small, where
+# Adjoints of amplified circuits leave residual blocks this small, where
 # rounding noise would otherwise dominate the proportionality check.
 ZERO_WEIGHT_ATOL = 1e-12
 
@@ -60,9 +60,10 @@ class RusSpec:
         lambdas.setflags(write=False)
         if lambdas.shape != (2**self.m,):
             raise ValueError(f"expected {2**self.m} outcome probabilities")
-        if np.any(lambdas < 0):
+        # Both checks are written so that NaN entries fail them.
+        if not np.all(lambdas >= 0):
             raise ValueError("outcome probabilities must be non-negative")
-        if abs(lambdas.sum() - 1.0) > qcore.NORM_ATOL:
+        if not abs(lambdas.sum() - 1.0) <= qcore.NORM_ATOL:
             raise ValueError("outcome probabilities must sum to 1")
         if self.target.dim != 2:
             raise ValueError("target must be a single-qubit gate")
@@ -169,8 +170,8 @@ def circuit_from_matrix(
 
     Valid whenever the matrix carries exact block structure, i.e. each
     outcome block of its action on |0^m>|psi> is proportional to a unitary;
-    this holds for synthesized circuits, their adjoints, and amplification
-    compositions.  Branch phases are kept on the extracted gates.
+    this holds for synthesized and amplified circuits and for their
+    adjoints.  Branch phases are kept on the extracted gates.
     """
     if matrix.dim != 2 ** (m + 1):
         raise ValueError("matrix dimension does not match ancilla count")

@@ -102,14 +102,12 @@ def ct_standard_oaa(q: CostQuery) -> CostResult:
     Ancilla reflections with phase pi are priced at zero (they are Clifford
     for the register sizes this model targets).
     """
-    theta = math.asin(math.sqrt(q.lambda0))
-    j = oaa._iteration_count(theta)
-    chi = math.pi / 2.0 - (2 * j + 1) * theta
-    reps = _repetitions(math.sin(chi) ** 2, q.delta)
+    plan = oaa.plan_deterministic(q.lambda0)
+    reps = _repetitions(math.sin(plan.chi) ** 2, q.delta)
     return CostResult(
         "standard",
-        (2 * j + 1) * q.ct_a * reps,
-        {"j": j, "repetitions": reps},
+        (2 * plan.j + 1) * q.ct_a * reps,
+        {"j": plan.j, "repetitions": reps},
     )
 
 

@@ -61,6 +61,50 @@ def two_level_amplitudes(
     return complex(total[0, 0]), complex(total[1, 0])
 
 
+def deterministic_pairs(plan) -> list[tuple[float, float]]:
+    """Phase pairs of the deterministic protocol: j plain iterates, then the
+    solved trailing iterate unless the plan skips it."""
+    pairs = [(math.pi, math.pi)] * plan.j
+    if plan.chi != 0.0:
+        pairs.append((plan.phi, plan.varphi))
+    return pairs
+
+
+def dense_reflection(m: int, phi: float) -> np.ndarray:
+    """Phase e^{i phi} on the all-zero block of m ancillas, tensored with I."""
+    diag = np.ones(2 ** (m + 1), dtype=complex)
+    diag[:2] = np.exp(1j * phi)
+    return np.diag(diag)
+
+
+def dense_phase_schedule(
+    c: rus.RusCircuit, phase_pairs: list[tuple[float, float]]
+) -> np.ndarray:
+    """Iterates -A S_phi A^dag S_varphi applied in list order after A, as one
+    dense product over the whole register.
+
+    This is the composition the protocols reduce to 2x2 algebra; it never
+    uses the invariant subspace, which makes it an independent reference for
+    the standard, deterministic and fixed-point compositions.
+    """
+    a = c.a_matrix.mat
+    total = a
+    for phi, varphi in phase_pairs:
+        outer = dense_reflection(c.spec.m, phi)
+        inner = dense_reflection(c.spec.m, varphi)
+        total = -(a @ outer @ a.conj().T @ inner) @ total
+    return total
+
+
+def dense_pi3(c: rus.RusCircuit, k: int, sign: int = 1) -> np.ndarray:
+    """Dense cube-law recursion A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
+    refl = dense_reflection(c.spec.m, sign * math.pi / 3.0)
+    current = c.a_matrix.mat
+    for _ in range(k):
+        current = -(current @ refl @ current.conj().T @ refl @ current)
+    return current
+
+
 def success_block(state_amps: np.ndarray) -> np.ndarray:
     """All-zero-ancilla (data) component of a joint register state."""
     return state_amps[:2]

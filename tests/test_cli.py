@@ -119,6 +119,18 @@ class TestSimulate:
             1.0, abs=1e-9
         )
 
+    def test_deep_fixed_point_schedule(self, tmp_path):
+        # w = 1e-9 needs L = 120,181; the dense path ran out of precision.
+        spec = _write_spec(tmp_path, lambda0=0.1)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", "fp:1e-6:1e-9",
+             "--trials", "2", "--out", str(out)]
+        )
+        assert code == 0
+        summary = _read_summary(out)
+        assert float(summary["success_probability_composed"]) >= 1.0 - 1e-6
+
     def test_normalizes_psi(self, tmp_path):
         spec = _write_spec(tmp_path)
         out = tmp_path / "out"
@@ -161,6 +173,45 @@ class TestConfigErrors:
             ["simulate", "--spec", str(spec), "--protocol", "warp:1",
              "--out", str(tmp_path / "out")]
         ) == 2
+
+    @pytest.mark.parametrize("psi", ["nan,1", "inf,1"])
+    def test_non_finite_psi(self, tmp_path, psi):
+        spec = _write_spec(tmp_path)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), f"--psi={psi}", "--trials", "2",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+
+    @pytest.mark.parametrize("flag", ["--trials", "--max-attempts"])
+    def test_counts_below_one(self, tmp_path, capsys, flag):
+        spec = _write_spec(tmp_path)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), flag, "0",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreachable_fixed_point_bound(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", "fp:1e-3:1e-300",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        assert "more than" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_drifting_cube_law_depth(self, tmp_path, capsys):
+        # The dense recursion reached NaN and failed in an SVD here.
+        spec = _write_spec(tmp_path, m=3)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", "pi3:40",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "unitarity residual" in err
+        assert "SVD" not in err
 
     def test_invalid_tcost_query(self):
         assert cli.main(["tcost", "--lambda0", "2.0"]) == 2

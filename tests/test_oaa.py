@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from rusamp import oaa, qcore, rus
@@ -13,19 +15,6 @@ def _success_block_ratio(grown: rus.RusCircuit, base: rus.RusCircuit) -> complex
     """Scalar amp with (grown success block) == amp * (base target)."""
     block = grown.a_matrix.mat[:2, :2]
     return complex(np.trace(base.spec.target.mat.conj().T @ block) / 2.0)
-
-
-class TestReflection:
-    def test_pi_reflection_diagonal(self):
-        s = oaa.reflection(1, math.pi)
-        np.testing.assert_allclose(s.mat, np.diag([-1, -1, 1, 1]), atol=1e-15)
-
-    def test_general_phase(self):
-        s = oaa.reflection(2, math.pi / 3)
-        diag = np.diag(s.mat)
-        np.testing.assert_allclose(diag[:2], np.exp(1j * math.pi / 3))
-        np.testing.assert_allclose(diag[2:], 1.0)
-        assert np.count_nonzero(s.mat - np.diag(diag)) == 0
 
 
 class TestStandard:
@@ -106,9 +95,7 @@ class TestDeterministic:
     def test_plan_oracle_agreement(self):
         for lambda0 in (0.1, 0.3, 0.6, 0.9):
             plan = oaa.plan_deterministic(lambda0)
-            pairs = [(math.pi, math.pi)] * plan.j
-            if plan.chi != 0.0:
-                pairs.append((plan.phi, plan.varphi))
+            pairs = conftest.deterministic_pairs(plan)
             amp, _ = conftest.two_level_amplitudes(lambda0, pairs)
             assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-9)
 
@@ -163,6 +150,22 @@ class TestPiOverThree:
             assert eps ** (3**k) <= delta
             if k > 0:
                 assert eps ** (3 ** (k - 1)) > delta
+
+    def test_deep_level_stays_normalized(self):
+        # The dense recursion returned success probability 1 + 6.4e-11 here.
+        circ = conftest.make_circuit(0.1, m=1)
+        grown = oaa.pi3_compose(circ, oaa.Pi3Plan(k=12))
+        assert grown.spec.lambdas[0] <= 1.0
+        assert rus.success_probability(grown, PROBE) <= 1.0 + 1e-14
+
+    @pytest.mark.parametrize("k", [20, 40])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_drifting_recursion_rejected(self, k):
+        # Rounding grows threefold per level; by k = 40 it overflows to NaN.
+        circ = conftest.make_circuit(0.1, m=1)
+        with pytest.raises(ValueError, match="unitarity residual"):
+            oaa.pi3_compose(circ, oaa.Pi3Plan(k=k))
 
 
 class TestChebyshev:
@@ -245,6 +248,81 @@ class TestFixedPoint:
             assert rus.success_probability(grown, PROBE) == pytest.approx(
                 abs(amp) ** 2, abs=1e-10
             )
+
+
+    def test_near_root_failure_weight(self):
+        # lambda0 sits near a root of T_{2L+1}: the composed failure weight
+        # is 1.4e-10, where rounding in a dense product broke the extracted
+        # block structure.
+        plan = oaa.fp_plan(800, 1e-6)
+        circ = conftest.make_circuit(3.116e-5, m=1)
+        grown = oaa.fp_compose(circ, plan)
+        _, fail = conftest.two_level_amplitudes(
+            3.116e-5, list(zip(plan.phis, plan.varphis))
+        )
+        assert grown.spec.lambdas[0] >= 1.0 - 1e-6
+        assert grown.spec.lambdas[1] == pytest.approx(abs(fail) ** 2, rel=1e-6)
+
+    def test_length_limit(self):
+        with pytest.raises(ValueError, match="more than"):
+            oaa.fp_length_for(1e-300, 1e-3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        w_bound=st.floats(1e-9, 1.0),
+        delta=st.floats(1e-12, 0.5),
+    )
+    def test_length_is_minimal(self, w_bound, delta):
+        L = oaa.fp_length_for(w_bound, delta)
+        assert oaa.fp_plan(L, delta).w <= w_bound
+        if L > 1:
+            assert oaa.fp_plan(L - 1, delta).w > w_bound
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 4),
+    lambda0=st.floats(0.02, 0.98),
+    kind=st.sampled_from(["standard", "deterministic", "pi3", "fp"]),
+    size=st.integers(0, 3),
+    inverse_base=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_two_level_path_matches_dense_reference(
+    m, lambda0, kind, size, inverse_base, seed
+):
+    base = conftest.make_circuit(lambda0, m=m, rng=qcore.rng_stream(seed), seed=seed)
+    if inverse_base:
+        base = rus.inverse_rus(base)
+    if kind == "standard":
+        got = oaa.standard_compose(base, size)
+        want = conftest.dense_phase_schedule(base, [(math.pi, math.pi)] * size)
+    elif kind == "deterministic":
+        plan = oaa.plan_deterministic(base.spec.lambda0)
+        got = oaa.deterministic_compose(base, plan)
+        want = conftest.dense_phase_schedule(base, conftest.deterministic_pairs(plan))
+    elif kind == "pi3":
+        sign = 1 if seed % 2 else -1
+        got = oaa.pi3_compose(base, oaa.Pi3Plan(k=size, sign=sign))
+        want = conftest.dense_pi3(base, size, sign)
+    else:
+        plan = oaa.fp_plan(size + 1, 10.0 ** -(seed % 6 + 1))
+        got = oaa.fp_compose(base, plan)
+        want = conftest.dense_phase_schedule(base, list(zip(plan.phis, plan.varphis)))
+    np.testing.assert_allclose(got.a_matrix.mat[:, :2], want[:, :2], atol=1e-12)
+    blocks = want[:, :2].reshape(2**m, 2, 2)
+    np.testing.assert_allclose(
+        got.spec.lambdas, np.sum(np.abs(blocks) ** 2, axis=(1, 2)) / 2.0, atol=1e-12
+    )
+    # Each gate carries its branch phase: sqrt(lambda'_i) W'_i is block i.
+    for weight, gate, block in zip(got.spec.lambdas, got.spec.branch_gates(), blocks):
+        np.testing.assert_allclose(np.sqrt(weight) * gate.mat, block, atol=1e-12)
+    inverse_blocks = want.conj().T[:, :2].reshape(2**m, 2, 2)
+    np.testing.assert_allclose(
+        rus.inverse_rus(got).spec.lambdas,
+        np.sum(np.abs(inverse_blocks) ** 2, axis=(1, 2)) / 2.0,
+        atol=1e-12,
+    )
 
 
 class TestPlanSerialization:

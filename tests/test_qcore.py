@@ -9,6 +9,9 @@ def test_state_validation():
         qcore.StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         qcore.StateVector(2, np.array([1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            qcore.StateVector(1, np.array([bad, 1.0]))
     s = qcore.basis_state(2, 3)
     assert s.amps.shape == (4,)
     assert s.amps[3] == 1.0
@@ -20,11 +23,15 @@ def test_state_amps_read_only():
         s.amps[0] = 0.0
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_unitary_validation():
     with pytest.raises(ValueError):
         qcore.UnitaryMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         qcore.UnitaryMatrix(np.eye(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            qcore.UnitaryMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
     u = qcore.UnitaryMatrix(np.eye(4))
     assert u.num_qubits == 2
     np.testing.assert_allclose(u.dagger().mat, np.eye(4))

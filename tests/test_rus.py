@@ -27,6 +27,9 @@ class TestSpecValidation:
             _spec(1, [-0.1, 1.1])
         with pytest.raises(ValueError):
             _spec(2, [0.5, 0.5])  # wrong length for m=2
+        for bad in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, -np.inf]):
+            with pytest.raises(ValueError):
+                _spec(1, bad)
 
     def test_recovery_count(self):
         rng = qcore.rng_stream(1)
