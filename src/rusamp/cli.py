@@ -71,16 +71,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RUSAMP_THREADS")
-    if raw is None:
-        return 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("RUSAMP_THREADS must be a positive integer")
-    return cap
-
-
 def _parse_psi(text: str) -> qcore.StateVector:
     parts = text.split(",")
     if len(parts) != 2:
@@ -126,24 +116,23 @@ def cmd_simulate(args) -> int:
     psi = _parse_psi(args.psi)
     target = composed.spec.target.mat @ psi.amps
 
-    rng = qcore.rng_stream(args.seed)
-    rows = []
-    attempts_seen = []
-    fidelities = []
-    exhausted = 0
-    for trial in range(args.trials):
-        try:
-            record = rus.run_rus(composed, psi, rng, max_attempts=args.max_attempts)
-        except rus.MaxAttemptsExceeded:
-            exhausted += 1
-            rows.append([trial, args.max_attempts, 0, "", None])
-            continue
-        fid = float(min(abs(np.vdot(target, record.final_state.amps)) ** 2, 1.0))
-        attempts_seen.append(record.attempts)
-        fidelities.append(fid)
-        rows.append(
-            [trial, record.attempts, 1, ";".join(map(str, record.outcomes)), fid]
+    start = np.repeat(psi.amps[:, None], args.trials, axis=1)
+    batch = rus.run_batch(
+        composed.a_matrix.mat[:, :2], rus.undo_gates(composed.spec), start,
+        qcore.rng_stream(args.seed), args.max_attempts,
+    )
+    done = ~batch.exhausted
+    fids = np.minimum(np.abs(target.conj() @ batch.finals) ** 2, 1.0)
+    rows = [
+        [trial, attempts, 1, ";".join(map(str, outcomes)), fid] if ok
+        else [trial, attempts, 0, "", None]
+        for trial, ok, attempts, outcomes, fid in zip(
+            range(args.trials), done.tolist(), batch.attempts.tolist(),
+            batch.sequences(), fids.tolist(),
         )
+    ]
+    finished = int(done.sum())
+    exhausted = args.trials - finished
 
     os.makedirs(args.out, exist_ok=True)
     config = {
@@ -165,9 +154,9 @@ def cmd_simulate(args) -> int:
         ["trials", args.trials],
         ["success_probability_input", rus.success_probability(circuit, basis)],
         ["success_probability_composed", rus.success_probability(composed, basis)],
-        ["mean_attempts", float(np.mean(attempts_seen)) if attempts_seen else None],
-        ["mean_fidelity", float(np.mean(fidelities)) if fidelities else None],
-        ["min_fidelity", float(np.min(fidelities)) if fidelities else None],
+        ["mean_attempts", float(np.mean(batch.attempts[done])) if finished else None],
+        ["mean_fidelity", float(np.mean(fids[done])) if finished else None],
+        ["min_fidelity", float(np.min(fids[done])) if finished else None],
         ["exhausted", exhausted],
         ["exhaustion_rate", exhaustion_rate],
     ]
@@ -315,7 +304,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

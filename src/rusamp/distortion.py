@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qcore, rus
 from .qcore import RngStream, StateVector, UnitaryMatrix
-from .rus import MaxAttemptsExceeded, RunRecord, RusCircuit
+from .rus import RunRecord, RusCircuit
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -166,14 +166,10 @@ def average_fidelity_m1(
     alpha: complex, beta: complex, gamma0: float, lambda0: float
 ) -> float:
     """Single-ancilla reduction of the averaged fidelity."""
-    a2 = abs(alpha) ** 2
-    b2 = abs(beta) ** 2
-    if abs(a2 + b2 - 1.0) > qcore.NORM_ATOL:
-        raise ValueError("control amplitudes must be normalized")
-    if gamma0 * lambda0 == 0.0:
-        return a2**2 + b2**2
-    denom = 1.0 - math.sqrt((1.0 - gamma0) * (1.0 - lambda0))
-    return a2**2 + 2.0 * a2 * b2 * math.sqrt(gamma0 * lambda0) / denom + b2**2
+    return average_fidelity_closed(
+        alpha, beta, np.array([gamma0, 1.0 - gamma0]),
+        np.array([lambda0, 1.0 - lambda0]),
+    )
 
 
 def _initial_pair(cfg: DistortionConfig) -> np.ndarray:
@@ -188,8 +184,7 @@ def ideal_conditional_state(
     cc: ConditionalCircuit, cfg: DistortionConfig
 ) -> StateVector:
     """Distortion-free reference: the target applied on the control-|1> branch."""
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0::2] = cfg.alpha * cfg.psi0.amps
+    amps = _initial_pair(cfg)
     amps[1::2] = cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps)
     return StateVector(2, amps)
 
@@ -203,9 +198,15 @@ def control_branch_phase(state: StateVector, cc: ConditionalCircuit,
     return float(np.angle(np.vdot(reference, state.amps[1::2])))
 
 
-def _controlled_recovery(cc: ConditionalCircuit, outcome: int) -> np.ndarray:
-    undo = cc.base.spec.recoveries[outcome - 1].mat.conj().T
-    return np.kron(np.eye(2), _P0) + np.kron(undo, _P1)
+def _run_conditional(
+    cc: ConditionalCircuit, cfg: DistortionConfig, trials: int, rng: RngStream
+) -> rus.BatchRun:
+    # Failure outcomes undo the recovery on the control-|1> branch only.
+    undo_data = rus.undo_gates(cc.base.spec)
+    undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
+    undo[:, 1::2, 1::2] = undo_data
+    start = np.repeat(_initial_pair(cfg)[:, None], trials, axis=1)
+    return rus.run_batch(cc.b_matrix.mat[:, :4], undo, start, rng, cfg.max_attempts)
 
 
 def simulate_conditional_rus(
@@ -216,20 +217,8 @@ def simulate_conditional_rus(
     Failure outcomes apply the controlled recovery inverse; the run ends on
     the all-zero outcome and returns the surviving (data, control) state.
     """
-    m = cc.base.spec.m
-    ancilla = qcore.basis_state(m).amps
-    current = StateVector(2, _initial_pair(cfg))
-    outcomes: list[int] = []
-    for _ in range(cfg.max_attempts):
-        joint = StateVector(m + 2, cc.b_matrix.mat @ np.kron(ancilla, current.amps))
-        outcome, collapsed, _ = qcore.measure_ancillas(joint, m, rng)
-        outcomes.append(outcome)
-        pair = collapsed.amps.reshape(2**m, 4)[outcome]
-        if outcome == 0:
-            final = StateVector(2, pair)
-            return RunRecord(tuple(outcomes), len(outcomes), final), final
-        current = StateVector(2, _controlled_recovery(cc, outcome) @ pair)
-    raise MaxAttemptsExceeded(f"no success outcome within {cfg.max_attempts} attempts")
+    record = _run_conditional(cc, cfg, 1, rng).first_record()
+    return record, record.final_state
 
 
 def monte_carlo_fidelity(
@@ -241,47 +230,16 @@ def monte_carlo_fidelity(
     shared draw order); runs that exhaust the attempt cap are excluded from
     the mean and reported in ``exhausted``.
     """
-    m = cc.base.spec.m
-    n_outcomes = 2**m
-    bcols = cc.b_matrix.mat[:, :4]  # inputs restricted to the |0^m> block
-    ideal = ideal_conditional_state(cc, cfg).amps
-    recoveries = [_controlled_recovery(cc, i) for i in range(1, n_outcomes)]
-    rng = qcore.rng_stream(cfg.seed)
-    states = np.tile(_initial_pair(cfg)[:, None], (1, cfg.trials))
-    fids = np.full(cfg.trials, np.nan)
-    alive = np.arange(cfg.trials)
-    for _ in range(cfg.max_attempts):
-        if alive.size == 0:
-            break
-        blocks = (bcols @ states).reshape(n_outcomes, 4, alive.size)
-        probs = np.sum(np.abs(blocks) ** 2, axis=1)
-        cdf = np.cumsum(probs, axis=0)
-        u = rng.random(alive.size) * cdf[-1]
-        outcome = np.minimum((cdf <= u[None, :]).sum(axis=0), n_outcomes - 1)
-        col = np.arange(alive.size)
-        picked = blocks[outcome, :, col] / np.sqrt(probs[outcome, col])[:, None]
-        done = outcome == 0
-        if done.any():
-            fids[alive[done]] = np.abs(picked[done] @ ideal.conj()) ** 2
-        keep = ~done
-        if not keep.any():
-            alive = alive[:0]
-            break
-        survivors = picked[keep]
-        failed_outcome = outcome[keep]
-        for i in np.unique(failed_outcome):
-            rows = failed_outcome == i
-            survivors[rows] = survivors[rows] @ recoveries[i - 1].T
-        states = survivors.T
-        alive = alive[keep]
-    finished = ~np.isnan(fids)
-    count = int(finished.sum())
+    batch = _run_conditional(cc, cfg, cfg.trials, qcore.rng_stream(cfg.seed))
+    exhausted = int(batch.exhausted.sum())
+    count = cfg.trials - exhausted
     if count == 0:
-        return FidelityEstimate(math.nan, math.nan, 0, int(alive.size))
-    sample = fids[finished]
+        return FidelityEstimate(math.nan, math.nan, 0, exhausted)
+    ideal = ideal_conditional_state(cc, cfg).amps
+    sample = np.abs(ideal.conj() @ batch.finals[:, ~batch.exhausted]) ** 2
     mean = float(sample.mean())
     std_error = float(sample.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    return FidelityEstimate(mean, std_error, count, int(alive.size))
+    return FidelityEstimate(mean, std_error, count, exhausted)
 
 
 @dataclass(frozen=True)
@@ -331,6 +289,13 @@ def _sampled_fidelities(
     return a2**2 + 2.0 * a2 * b2 * math.sqrt(cross) / denom + b2**2
 
 
+def _sampled_row(x: float, curve_id: str, gamma0: float, lambda0: float,
+                 rng: RngStream, seed: int) -> FigureRow:
+    fids = _sampled_fidelities(gamma0, lambda0, 15, rng, DRAWS_PER_POINT)
+    return FigureRow(x, curve_id, float(fids.mean()), float(fids.std(ddof=1)),
+                     DRAWS_PER_POINT, seed)
+
+
 def figure1_data(panel: str, seed: int) -> list[FigureRow]:
     """Averaged fidelity vs lambda0 for four gamma_0 relations.
 
@@ -352,19 +317,8 @@ def figure1_data(panel: str, seed: int) -> list[FigureRow]:
                 value = average_fidelity_m1(_BALANCED, _BALANCED, gamma0, lam0)
                 rows.append(FigureRow(lam0, curve_id, value, 0.0, 1, seed))
             else:
-                fids = _sampled_fidelities(
-                    gamma0, lam0, 15, streams[ci * GRID_POINTS + pi], DRAWS_PER_POINT
-                )
-                rows.append(
-                    FigureRow(
-                        lam0,
-                        curve_id,
-                        float(fids.mean()),
-                        float(fids.std(ddof=1)),
-                        DRAWS_PER_POINT,
-                        seed,
-                    )
-                )
+                rows.append(_sampled_row(lam0, curve_id, gamma0, lam0,
+                                         streams[ci * GRID_POINTS + pi], seed))
     return rows
 
 
@@ -376,28 +330,13 @@ def figure3_data(seed: int) -> list[FigureRow]:
     failure distributions drawn at random per point.
     """
     eps_grid = np.geomspace(1e-6, 1e-1, GRID_POINTS)
-    curves = {
-        "gamma_one": lambda lam0: 1.0,
-        "gamma_under": lambda lam0: lam0 * (1.0 - DETUNING),
-        "gamma_matched": lambda lam0: lam0,
-    }
+    curves = _gamma0_curves(DETUNING)
+    del curves["gamma_over"]
     rows: list[FigureRow] = []
     streams = qcore.substreams(seed, len(curves) * GRID_POINTS)
     for ci, (curve_id, gamma0_of) in enumerate(curves.items()):
         for pi, eps in enumerate(eps_grid):
             lam0 = 1.0 - float(eps)
-            gamma0 = gamma0_of(lam0)
-            fids = _sampled_fidelities(
-                gamma0, lam0, 15, streams[ci * GRID_POINTS + pi], DRAWS_PER_POINT
-            )
-            rows.append(
-                FigureRow(
-                    float(eps),
-                    curve_id,
-                    float(fids.mean()),
-                    float(fids.std(ddof=1)),
-                    DRAWS_PER_POINT,
-                    seed,
-                )
-            )
+            rows.append(_sampled_row(float(eps), curve_id, gamma0_of(lam0), lam0,
+                                     streams[ci * GRID_POINTS + pi], seed))
     return rows

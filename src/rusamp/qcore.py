@@ -34,6 +34,13 @@ def substreams(seed: int, count: int) -> list[RngStream]:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+def check_norm(norm: float) -> None:
+    """Raise unless a state norm is 1 to within ``NORM_ATOL``."""
+    # Written so that a NaN norm fails the check as well.
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+
+
 def _frozen_complex(values, shape_check=None) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     arr.setflags(write=False)
@@ -53,10 +60,7 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
-        # Written so that a NaN norm fails the check as well.
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+        check_norm(np.linalg.norm(amps))
         object.__setattr__(self, "amps", amps)
 
 
@@ -132,6 +136,20 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
 
 
+def draw_outcomes(probs: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Draw one outcome per column of ``probs`` (outcomes x columns).
+
+    Each column takes one uniform from ``rng``, in column order, scaled by
+    that column's realized total mass, so zero-probability outcomes are
+    unreachable even when rounding makes the masses sum slightly below 1.
+    The outcome is the number of cumulative masses at or below the scaled
+    uniform, clamped to the last outcome.
+    """
+    cdf = np.cumsum(probs, axis=0)
+    u = rng.random(probs.shape[1]) * cdf[-1]
+    return np.minimum((cdf <= u).sum(axis=0), probs.shape[0] - 1)
+
+
 def measure_ancillas(
     s: StateVector, m: int, rng: RngStream
 ) -> tuple[int, StateVector, float]:
@@ -145,12 +163,7 @@ def measure_ancillas(
     rest = 2 ** (s.num_qubits - m)
     blocks = s.amps.reshape(2**m, rest)
     probs = np.sum(np.abs(blocks) ** 2, axis=1)
-    cum = np.cumsum(probs)
-    # Draw within the realized total mass so zero-probability blocks are
-    # unreachable even when rounding makes the masses sum slightly below 1.
-    u = rng.random() * cum[-1]
-    outcome = int(np.searchsorted(cum, u, side="right"))
-    outcome = min(outcome, 2**m - 1)
+    outcome = int(draw_outcomes(probs[:, None], rng)[0])
     prob = float(probs[outcome])
     collapsed = np.zeros_like(s.amps).reshape(2**m, rest)
     collapsed[outcome] = blocks[outcome] / np.sqrt(prob)

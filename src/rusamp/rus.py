@@ -107,6 +107,38 @@ class RunRecord:
     final_state: StateVector
 
 
+@dataclass(frozen=True, eq=False)
+class BatchRun:
+    """Per-trial results of :func:`run_batch`.
+
+    ``attempts`` counts each trial's attempts (the cap where ``exhausted``);
+    ``finals`` holds each successful trial's output state as a column (NaN
+    where ``exhausted``); ``trial_log`` and ``outcome_log`` list every
+    attempt's trial and outcome in draw order.
+    """
+
+    attempts: np.ndarray
+    exhausted: np.ndarray
+    finals: np.ndarray
+    trial_log: np.ndarray
+    outcome_log: np.ndarray
+
+    def sequences(self) -> list[tuple[int, ...]]:
+        """Outcome sequence of every trial, in attempt order."""
+        order = np.argsort(self.trial_log, kind="stable")
+        flat = self.outcome_log[order].tolist()
+        ends = np.cumsum(self.attempts).tolist()
+        return [tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+
+    def first_record(self) -> RunRecord:
+        """Record of the first trial; raises if that trial was exhausted."""
+        attempts = int(self.attempts[0])
+        if self.exhausted[0]:
+            raise MaxAttemptsExceeded(f"no success outcome within {attempts} attempts")
+        final = StateVector(self.finals.shape[0].bit_length() - 1, self.finals[:, 0])
+        return RunRecord(self.sequences()[0], attempts, final)
+
+
 def build_rus_unitary(spec: RusSpec) -> RusCircuit:
     """Synthesize a unitary with the prescribed block action.
 
@@ -138,6 +170,67 @@ def success_probability(c: RusCircuit, psi: StateVector) -> float:
     return float(np.sum(np.abs(full[:2]) ** 2))
 
 
+def undo_gates(spec: RusSpec) -> np.ndarray:
+    """Inverse recovery gates stacked in failure-outcome order."""
+    return np.stack([r.mat for r in spec.recoveries]).conj().transpose(0, 2, 1)
+
+
+def run_batch(
+    columns: np.ndarray,
+    undo: np.ndarray,
+    states: np.ndarray,
+    rng: RngStream,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> BatchRun:
+    """Repeat until success for every column of ``states`` at once.
+
+    ``columns`` is the circuit restricted to the all-zero ancilla input, one
+    block of ``register`` rows per outcome; ``undo[i - 1]`` undoes failure
+    outcome i on the register (stacked as ``undo_gates`` returns them);
+    ``states`` is (register x trials).  Each attempt measures every live
+    trial with one uniform from ``rng``, in trial order, so a single trial
+    draws exactly as a per-trial loop would.
+    """
+    register, trials = states.shape
+    n_outcomes = len(undo) + 1
+    if columns.shape != (n_outcomes * register, register):
+        raise ValueError("columns must hold one register block per outcome")
+    # A unitary undo keeps its outcome's mass, so each failure block can be
+    # undone before the measurement picks it.
+    undone = np.array(columns, dtype=np.complex128)
+    undone = undone.reshape(n_outcomes, register, register)
+    undone[1:] = undo @ undone[1:]
+    undone = undone.reshape(-1, register)
+    current = np.array(states, dtype=np.complex128)
+    finals = np.full((trials, register), np.nan, dtype=np.complex128)
+    alive = np.arange(trials)
+    trial_log, outcome_log = [alive[:0]], [alive[:0]]
+    for _ in range(max_attempts):
+        if alive.size == 0:
+            break
+        blocks = (undone @ current).reshape(n_outcomes, register, alive.size)
+        probs = np.sum(np.abs(blocks) ** 2, axis=1)
+        norms = np.sqrt(probs.sum(axis=0))
+        qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
+        outcome = qcore.draw_outcomes(probs, rng)
+        col = np.arange(alive.size)
+        picked = blocks[outcome, :, col] / np.sqrt(probs[outcome, col])[:, None]
+        trial_log.append(alive)
+        outcome_log.append(outcome)
+        done = outcome == 0
+        finals[alive[done]] = picked[done]
+        alive = alive[~done]
+        current = picked[~done].T
+    trial_log = np.concatenate(trial_log)
+    return BatchRun(
+        attempts=np.bincount(trial_log, minlength=trials),
+        exhausted=np.isin(np.arange(trials), alive),
+        finals=finals.T,
+        trial_log=trial_log,
+        outcome_log=np.concatenate(outcome_log),
+    )
+
+
 def run_rus(
     c: RusCircuit,
     psi: StateVector,
@@ -147,20 +240,11 @@ def run_rus(
     """Repeat until the success outcome; undo failures with recovery inverses."""
     if psi.num_qubits != 1:
         raise ValueError("data register is a single qubit")
-    m = c.spec.m
-    ancilla = qcore.basis_state(m).amps
-    current = psi
-    outcomes: list[int] = []
-    for _ in range(max_attempts):
-        joint = StateVector(m + 1, c.a_matrix.mat @ np.kron(ancilla, current.amps))
-        outcome, collapsed, _ = qcore.measure_ancillas(joint, m, rng)
-        outcomes.append(outcome)
-        data = collapsed.amps.reshape(2**m, 2)[outcome]
-        if outcome == 0:
-            return RunRecord(tuple(outcomes), len(outcomes), StateVector(1, data))
-        undo = c.spec.recoveries[outcome - 1].mat.conj().T
-        current = StateVector(1, undo @ data)
-    raise MaxAttemptsExceeded(f"no success outcome within {max_attempts} attempts")
+    batch = run_batch(
+        c.a_matrix.mat[:, :2], undo_gates(c.spec), psi.amps[:, None], rng,
+        max_attempts,
+    )
+    return batch.first_record()
 
 
 def circuit_from_matrix(

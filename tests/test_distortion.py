@@ -167,11 +167,8 @@ class TestSimulate:
         cfg = _config(trials=1, seed=0)
         rng = qcore.rng_stream(10)
         n = 10_000
-        hits = 0
-        for _ in range(n):
-            record, _ = distortion.simulate_conditional_rus(cc, cfg, rng)
-            if record.outcomes == (1, 0):
-                hits += 1
+        batch = distortion._run_conditional(cc, cfg, n, rng)
+        hits = batch.sequences().count((1, 0))
         # p = |alpha|^2 gamma_1 gamma_0 + |beta|^2 lambda_1 lambda_0
         p = 0.5 * (0.5 * 0.5) + 0.5 * (0.75 * 0.25)
         sigma = math.sqrt(p * (1.0 - p) / n)

@@ -121,9 +121,12 @@ class TestRun:
         circ = conftest.make_circuit(0.5, m=1, trivial_recoveries=True)
         rng = qcore.rng_stream(404)
         n = 40_000
-        attempts = np.array(
-            [rus.run_rus(circ, qcore.basis_state(1, 0), rng).attempts for _ in range(n)]
+        start = np.tile(qcore.basis_state(1, 0).amps[:, None], n)
+        batch = rus.run_batch(
+            circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec), start, rng
         )
+        assert not batch.exhausted.any()
+        attempts = batch.attempts
         mean = attempts.mean()
         # geometric(1/2): mean 2, variance 2
         assert abs(mean - 2.0) < 4.0 * np.sqrt(2.0 / n)
@@ -141,6 +144,28 @@ class TestRun:
         with pytest.raises(rus.MaxAttemptsExceeded):
             for _ in range(200):
                 rus.run_rus(circ, qcore.basis_state(1, 0), rng, max_attempts=1)
+
+
+class TestBatch:
+    def test_exhausted_trials_report_the_cap(self):
+        circ = conftest.make_circuit(0.1, m=2)
+        psi = qcore.random_state(1, qcore.rng_stream(3))
+        start = np.tile(psi.amps[:, None], 200)
+        batch = rus.run_batch(
+            circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec), start,
+            qcore.rng_stream(4), max_attempts=3,
+        )
+        assert 0 < batch.exhausted.sum() < 200
+        assert np.all(batch.attempts[batch.exhausted] == 3)
+        assert np.all(np.isnan(batch.finals[:, batch.exhausted]))
+        expect = circ.spec.target.mat @ psi.amps
+        for seq, attempts, exhausted, final in zip(
+            batch.sequences(), batch.attempts, batch.exhausted, batch.finals.T
+        ):
+            assert len(seq) == attempts
+            assert (0 not in seq) if exhausted else seq.index(0) == attempts - 1
+            if not exhausted:
+                assert abs(np.vdot(expect, final)) ** 2 > 1.0 - 1e-12
 
 
 class TestExtraction:
