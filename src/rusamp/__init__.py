@@ -1,85 +1,7 @@
-"""Repeat-until-success circuit simulation, amplification, and cost analysis."""
+"""Repeat-until-success circuit simulation, amplification, and cost analysis.
+
+The package is used by module: ``from rusamp import qcore, rus, oaa,
+distortion, tcost``.
+"""
 
 __version__ = "0.1.0"
-
-from .qcore import (  # noqa: F401
-    HADAMARD,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    RngStream,
-    StateVector,
-    UnitaryMatrix,
-    apply,
-    basis_state,
-    complete_isometry,
-    draw_outcomes,
-    fidelity,
-    identity,
-    measure_ancillas,
-    random_state,
-    random_unitary,
-    rng_stream,
-    substreams,
-    tensor,
-    tensor_state,
-)
-from .rus import (  # noqa: F401
-    BatchRun,
-    MaxAttemptsExceeded,
-    RunRecord,
-    RusCircuit,
-    RusSpec,
-    build_rus_unitary,
-    circuit_from_matrix,
-    inverse_rus,
-    load_spec,
-    run_batch,
-    run_rus,
-    save_spec,
-    success_probability,
-    undo_gates,
-)
-from .oaa import (  # noqa: F401
-    DeterministicPlan,
-    FixedPointPlan,
-    Pi3Plan,
-    StandardPlan,
-    apply_deterministic,
-    chebyshev_first_kind,
-    deterministic_compose,
-    fp_compose,
-    fp_length_for,
-    fp_plan,
-    pi3_compose,
-    pi3_level_for,
-    plan_deterministic,
-    standard_compose,
-    standard_oaa_state,
-)
-from .distortion import (  # noqa: F401
-    ConditionalCircuit,
-    DistortionConfig,
-    FidelityEstimate,
-    average_fidelity_closed,
-    average_fidelity_m1,
-    build_conditional,
-    build_distorter,
-    figure1_data,
-    figure3_data,
-    monte_carlo_fidelity,
-    simulate_conditional_rus,
-    single_shot_overlap,
-)
-from .tcost import (  # noqa: F401
-    CostQuery,
-    CostResult,
-    ReflectionPolicy,
-    ct_classical,
-    ct_deterministic_oaa,
-    ct_fixed_point,
-    ct_pi3,
-    ct_reflection,
-    ct_standard_oaa,
-    figure2_data,
-)

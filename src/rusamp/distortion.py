@@ -38,13 +38,17 @@ class ConditionalCircuit:
     distorter: UnitaryMatrix | None
     b_matrix: UnitaryMatrix
 
-    def effective_gammas(self) -> np.ndarray:
-        """Outcome weights seen by the control-|0> branch."""
-        if self.gammas is not None:
-            return self.gammas
-        point = np.zeros(2**self.base.spec.m)
-        point[0] = 1.0
-        return point
+
+def _check_control(alpha: complex, beta: complex) -> None:
+    # Written so that NaN amplitudes fail the check.
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= qcore.NORM_ATOL:
+        raise ValueError("control amplitudes must be normalized")
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    # Written so that NaN weights fail both checks.
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= qcore.NORM_ATOL):
+        raise ValueError("weights must be non-negative and sum to 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +64,11 @@ class DistortionConfig:
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self) -> None:
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > qcore.NORM_ATOL:
-            raise ValueError("control amplitudes must be normalized")
+        _check_control(self.alpha, self.beta)
         if self.psi0.num_qubits != 1 or self.psi1.num_qubits != 1:
             raise ValueError("branch states are single-qubit")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        if self.trials < 1 or self.max_attempts < 1:
+            raise ValueError("need at least one trial and one attempt per trial")
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,7 @@ def build_distorter(gammas: np.ndarray, seed: int) -> UnitaryMatrix:
     dim = gammas.shape[0]
     if dim & (dim - 1) or dim < 2:
         raise ValueError("weight vector length must be a power of two, >= 2")
-    if np.any(gammas < 0) or abs(gammas.sum() - 1.0) > qcore.NORM_ATOL:
-        raise ValueError("weights must be non-negative and sum to 1")
+    _check_weights(gammas)
     column = np.sqrt(gammas)
     if dim == 2:
         angle = math.pi / 2.0 - math.asin(column[0])
@@ -149,10 +151,11 @@ def average_fidelity_closed(
     lambdas = np.asarray(lambdas, dtype=float)
     if gammas.shape != lambdas.shape:
         raise ValueError("weight vectors must have matching length")
+    _check_weights(gammas)
+    _check_weights(lambdas)
+    _check_control(alpha, beta)
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
-    if abs(a2 + b2 - 1.0) > qcore.NORM_ATOL:
-        raise ValueError("control amplitudes must be normalized")
     cross = gammas[0] * lambdas[0]
     if cross == 0.0:
         # One branch can never reach the success outcome; only the diagonal
@@ -187,15 +190,6 @@ def ideal_conditional_state(
     amps = _initial_pair(cfg)
     amps[1::2] = cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps)
     return StateVector(2, amps)
-
-
-def control_branch_phase(state: StateVector, cc: ConditionalCircuit,
-                         cfg: DistortionConfig) -> float:
-    """Relative phase picked up by the control-|1> branch of a final state."""
-    if state.num_qubits != 2:
-        raise ValueError("expected a (data, control) state")
-    reference = cc.base.spec.target.mat @ cfg.psi1.amps
-    return float(np.angle(np.vdot(reference, state.amps[1::2])))
 
 
 def _run_conditional(

@@ -82,12 +82,6 @@ def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
 
 
 @dataclass(frozen=True)
-class StandardPlan:
-    j: int
-    theta: float
-
-
-@dataclass(frozen=True)
 class DeterministicPlan:
     """Iteration count and trailing phases; chi == 0 means the trailing
     generalized iterate is skipped entirely."""
@@ -283,53 +277,3 @@ def fp_compose(c: RusCircuit, plan: FixedPointPlan) -> RusCircuit:
     """
     return _phase_schedule(c, list(zip(plan.phis, plan.varphis)))
 
-
-def plan_to_dict(plan) -> dict:
-    if isinstance(plan, StandardPlan):
-        return {"protocol": "standard", "j": plan.j, "theta": plan.theta}
-    if isinstance(plan, DeterministicPlan):
-        return {
-            "protocol": "deterministic",
-            "j": plan.j,
-            "chi": plan.chi,
-            "phi": plan.phi,
-            "varphi": plan.varphi,
-        }
-    if isinstance(plan, Pi3Plan):
-        return {"protocol": "pi3", "k": plan.k, "sign": plan.sign}
-    if isinstance(plan, FixedPointPlan):
-        return {
-            "protocol": "fp",
-            "L": plan.L,
-            "delta": plan.delta,
-            "gamma": plan.gamma,
-            "w": plan.w,
-            "phis": list(plan.phis),
-            "varphis": list(plan.varphis),
-        }
-    raise TypeError(f"not a plan: {plan!r}")
-
-
-def plan_from_dict(data: dict):
-    kind = data["protocol"]
-    if kind == "standard":
-        return StandardPlan(j=int(data["j"]), theta=float(data["theta"]))
-    if kind == "deterministic":
-        return DeterministicPlan(
-            j=int(data["j"]),
-            chi=float(data["chi"]),
-            phi=float(data["phi"]),
-            varphi=float(data["varphi"]),
-        )
-    if kind == "pi3":
-        return Pi3Plan(k=int(data["k"]), sign=int(data["sign"]))
-    if kind == "fp":
-        return FixedPointPlan(
-            L=int(data["L"]),
-            delta=float(data["delta"]),
-            gamma=float(data["gamma"]),
-            w=float(data["w"]),
-            phis=tuple(data["phis"]),
-            varphis=tuple(data["varphis"]),
-        )
-    raise ValueError(f"unknown protocol {kind!r}")

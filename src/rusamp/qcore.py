@@ -41,7 +41,7 @@ def check_norm(norm: float) -> None:
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
 
 
-def _frozen_complex(values, shape_check=None) -> np.ndarray:
+def _frozen_complex(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     arr.setflags(write=False)
     return arr
@@ -98,9 +98,6 @@ def identity(num_qubits: int) -> UnitaryMatrix:
     return UnitaryMatrix(np.eye(2**num_qubits))
 
 
-PAULI_X = UnitaryMatrix(np.array([[0, 1], [1, 0]]))
-PAULI_Y = UnitaryMatrix(np.array([[0, -1j], [1j, 0]]))
-PAULI_Z = UnitaryMatrix(np.array([[1, 0], [0, -1]]))
 HADAMARD = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
@@ -127,11 +124,6 @@ def apply(u: UnitaryMatrix, s: StateVector) -> StateVector:
     return StateVector(s.num_qubits, u.mat @ s.amps)
 
 
-def tensor(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    """Kronecker product; the left factor acts on the more significant qubits."""
-    return UnitaryMatrix(np.kron(a.mat, b.mat))
-
-
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
 
@@ -148,26 +140,6 @@ def draw_outcomes(probs: np.ndarray, rng: RngStream) -> np.ndarray:
     cdf = np.cumsum(probs, axis=0)
     u = rng.random(probs.shape[1]) * cdf[-1]
     return np.minimum((cdf <= u).sum(axis=0), probs.shape[0] - 1)
-
-
-def measure_ancillas(
-    s: StateVector, m: int, rng: RngStream
-) -> tuple[int, StateVector, float]:
-    """Projectively measure the leading ``m`` qubits in the computational basis.
-
-    Returns ``(outcome, collapsed, prob)`` where ``collapsed`` is the full
-    renormalized post-measurement state (ancillas left in ``|outcome>``).
-    """
-    if not 0 < m <= s.num_qubits:
-        raise ValueError(f"cannot measure {m} ancillas of a {s.num_qubits}-qubit state")
-    rest = 2 ** (s.num_qubits - m)
-    blocks = s.amps.reshape(2**m, rest)
-    probs = np.sum(np.abs(blocks) ** 2, axis=1)
-    outcome = int(draw_outcomes(probs[:, None], rng)[0])
-    prob = float(probs[outcome])
-    collapsed = np.zeros_like(s.amps).reshape(2**m, rest)
-    collapsed[outcome] = blocks[outcome] / np.sqrt(prob)
-    return outcome, StateVector(s.num_qubits, collapsed.reshape(-1)), prob
 
 
 def complete_isometry(

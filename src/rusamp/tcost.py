@@ -31,8 +31,9 @@ class ReflectionPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("kmm", "zero", "fixed"):
             raise ValueError(f"unknown reflection policy {self.kind!r}")
-        if self.kind == "fixed" and self.value < 0:
-            raise ValueError("fixed reflection cost must be non-negative")
+        # Written so that NaN and inf fail the check.
+        if self.kind == "fixed" and not 0.0 <= self.value < math.inf:
+            raise ValueError("fixed reflection cost must be non-negative and finite")
 
     def cost(self, epsilon: float | None) -> float:
         if self.kind == "zero":
@@ -64,8 +65,8 @@ class CostQuery:
             raise ValueError("success probability must lie in (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("failure tolerance must lie in (0, 1)")
-        if self.ct_a < 0:
-            raise ValueError("per-attempt cost must be non-negative")
+        if not 0.0 <= self.ct_a < math.inf:
+            raise ValueError("per-attempt cost must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ def _repetitions(failure: float, delta: float) -> int:
     """Attempts needed to push repeated-failure probability below delta."""
     if failure <= 0.0:
         return 1
+    # A success probability below the rounding of 1 - lambda0 leaves failure 1.
+    if failure >= 1.0:
+        raise ValueError("failure probability 1 cannot be amplified away")
     # Epsilon guard keeps exact integer ratios from rounding up a step.
     return max(1, math.ceil(math.log(delta) / math.log(failure) - 1.0 - 1e-9))
 

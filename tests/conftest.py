@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from rusamp import qcore, rus
+from rusamp import distortion, qcore, rus
 
 
 def make_circuit(
@@ -116,3 +116,54 @@ def success_mass(state_amps: np.ndarray) -> float:
 
 def failure_mass(state_amps: np.ndarray) -> float:
     return float(np.sum(np.abs(state_amps[2:]) ** 2))
+
+
+def measure_ancillas(
+    s: qcore.StateVector, m: int, rng: qcore.RngStream
+) -> tuple[int, qcore.StateVector, float]:
+    """Projectively measure the leading ``m`` qubits in the computational basis.
+
+    Returns ``(outcome, collapsed, prob)`` where ``collapsed`` is the full
+    renormalized post-measurement state (ancillas left in ``|outcome>``).
+    """
+    if not 0 < m <= s.num_qubits:
+        raise ValueError(f"cannot measure {m} ancillas of a {s.num_qubits}-qubit state")
+    rest = 2 ** (s.num_qubits - m)
+    blocks = s.amps.reshape(2**m, rest)
+    probs = np.sum(np.abs(blocks) ** 2, axis=1)
+    outcome = int(qcore.draw_outcomes(probs[:, None], rng)[0])
+    prob = float(probs[outcome])
+    collapsed = np.zeros_like(s.amps).reshape(2**m, rest)
+    collapsed[outcome] = blocks[outcome] / np.sqrt(prob)
+    return outcome, qcore.StateVector(s.num_qubits, collapsed.reshape(-1)), prob
+
+
+def dense_conditional_run(
+    cc: distortion.ConditionalCircuit,
+    cfg: distortion.DistortionConfig,
+    rng: qcore.RngStream,
+) -> tuple[tuple[int, ...], qcore.StateVector]:
+    """One conditional run on the full (ancillas, data, control) register.
+
+    Each attempt applies the whole controlled matrix to fresh ancillas,
+    measures them with ``measure_ancillas`` and, on failure outcome i, undoes
+    W_i on the control-|1> amplitudes. Apart from the draw rule
+    ``qcore.draw_outcomes`` it shares no code with the batched engine, which
+    makes it an independent reference for conditional runs.
+    """
+    m = cc.base.spec.m
+    undo = [r.mat.conj().T for r in cc.base.spec.recoveries]
+    pair = np.zeros(4, dtype=complex)
+    pair[0::2] = cfg.alpha * cfg.psi0.amps
+    pair[1::2] = cfg.beta * cfg.psi1.amps
+    outcomes = []
+    for _ in range(cfg.max_attempts):
+        joint = np.kron(qcore.basis_state(m).amps, pair)
+        state = qcore.StateVector(m + 2, cc.b_matrix.mat @ joint)
+        outcome, collapsed, _ = measure_ancillas(state, m, rng)
+        outcomes.append(outcome)
+        pair = collapsed.amps.reshape(2**m, 4)[outcome].copy()
+        if outcome == 0:
+            return tuple(outcomes), qcore.StateVector(2, pair)
+        pair[1::2] = undo[outcome - 1] @ pair[1::2]
+    raise rus.MaxAttemptsExceeded(f"no success outcome within {cfg.max_attempts} attempts")

@@ -218,6 +218,23 @@ class TestConfigErrors:
     def test_invalid_tcost_query(self):
         assert cli.main(["tcost", "--lambda0", "2.0"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--lambda0", "0.5", "--ct-a", "nan"],
+            ["--lambda0", "0.5", "--ct-a", "inf"],
+            ["--lambda0", "0.5", "--reflection-policy", "fixed:nan"],
+            ["--lambda0", "0.5", "--reflection-policy", "fixed:inf"],
+            ["--lambda0", "1e-17"],
+        ],
+        ids=["ct-a-nan", "ct-a-inf", "fixed-nan", "fixed-inf", "rounded-lambda0"],
+    )
+    def test_tcost_input_errors(self, extra, capsys):
+        assert cli.main(["tcost", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_unknown_figure_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["figure", "fig9", "--out", str(tmp_path)])

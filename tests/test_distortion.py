@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
-from rusamp import distortion, qcore
+from rusamp import distortion, oaa, qcore
 
 BALANCED = complex(1.0 / math.sqrt(2.0))
 
@@ -41,6 +44,8 @@ class TestBuildDistorter:
             distortion.build_distorter(np.array([-0.1, 1.1]), seed=0)
         with pytest.raises(ValueError):
             distortion.build_distorter(np.array([0.2, 0.3, 0.5]), seed=0)
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            distortion.build_distorter(np.array([np.nan, 0.5]), seed=0)
 
 
 class TestBuildConditional:
@@ -60,10 +65,7 @@ class TestBuildConditional:
         cc = distortion.build_conditional(base)
         b = cc.b_matrix.mat
         np.testing.assert_allclose(b[0::2, 0::2], np.eye(8), atol=1e-15)
-        assert cc.distorter is None
-        np.testing.assert_allclose(
-            cc.effective_gammas(), np.array([1.0, 0.0, 0.0, 0.0])
-        )
+        assert cc.distorter is None and cc.gammas is None
 
     def test_weight_length_checked(self):
         base = conftest.make_circuit(0.3, m=2)
@@ -111,6 +113,18 @@ class TestClosedForms:
             BALANCED, BALANCED, 1.0, 0.25
         ) == pytest.approx(0.75, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "gammas",
+        [[np.nan, 0.5], [-0.2, 1.2], [1.0, 1.0], [0.5, 0.5 + 1e-9]],
+        ids=["nan", "negative", "sum-two", "sum-off"],
+    )
+    def test_rejects_bad_weights(self, gammas):
+        lambdas = np.array([0.3, 0.7])
+        with pytest.raises(ValueError):
+            distortion.average_fidelity_closed(BALANCED, BALANCED, gammas, lambdas)
+        with pytest.raises(ValueError):
+            distortion.average_fidelity_closed(BALANCED, BALANCED, lambdas, gammas)
+
     def test_trivial_control_is_exact(self):
         assert distortion.average_fidelity_m1(1.0, 0.0, 0.3, 0.7) == pytest.approx(1.0)
         assert distortion.average_fidelity_m1(0.0, 1.0, 0.3, 0.7) == pytest.approx(1.0)
@@ -118,12 +132,17 @@ class TestClosedForms:
 
 class TestConfigValidation:
     def test_unnormalized_control(self):
-        with pytest.raises(ValueError):
-            _config(alpha=1.0, beta=0.5)
+        for alpha in (1.0, np.nan, complex(np.nan, 0.0), np.inf):
+            with pytest.raises(ValueError):
+                _config(alpha=alpha, beta=0.5)
 
     def test_trial_count(self):
         with pytest.raises(ValueError):
             _config(trials=0)
+
+    def test_attempt_cap(self):
+        with pytest.raises(ValueError):
+            _config(trials=10, max_attempts=0)
 
 
 class TestSimulate:
@@ -179,9 +198,10 @@ class TestSimulate:
         cc = distortion.build_conditional(base, np.array([0.6, 0.4]))
         cfg = _config(trials=1, seed=0)
         rng = qcore.rng_stream(11)
+        target = base.spec.target.mat @ cfg.psi1.amps
         for _ in range(20):
             _, final = distortion.simulate_conditional_rus(cc, cfg, rng)
-            assert abs(distortion.control_branch_phase(final, cc, cfg)) < 1e-9
+            assert abs(np.angle(np.vdot(target, final.amps[1::2]))) < 1e-9
 
 
 class TestMonteCarlo:
@@ -204,24 +224,28 @@ class TestMonteCarlo:
         est = distortion.monte_carlo_fidelity(cc, _config(trials=20_000, seed=23))
         assert abs(est.mean - closed) < 4.0 * est.std_error
 
-    def test_agrees_with_per_run_simulator(self):
-        base = conftest.make_circuit(0.3, m=1)
-        gammas = np.array([0.7, 0.3])
-        cc = distortion.build_conditional(base, gammas)
-        cfg = _config(trials=5_000, seed=31)
-        batch = distortion.monte_carlo_fidelity(cc, cfg)
-        ideal = distortion.ideal_conditional_state(cc, cfg)
-        rng = qcore.rng_stream(32)
-        fids = np.array(
-            [
-                qcore.fidelity(
-                    distortion.simulate_conditional_rus(cc, cfg, rng)[1], ideal
-                )
-                for _ in range(5_000)
-            ]
-        )
-        joint_sigma = math.sqrt(batch.std_error**2 + fids.var() / fids.size)
-        assert abs(batch.mean - fids.mean()) < 4.0 * joint_sigma
+    def test_agrees_with_dense_reference(self):
+        # The engine and the dense per-run reference draw one uniform per
+        # attempt from equal streams, so runs agree outcome for outcome.
+        for m, distorted in itertools.product(range(1, 5), (False, True)):
+            rng = qcore.rng_stream(30 + m)
+            base = conftest.make_circuit(float(rng.uniform(0.2, 0.6)), m=m, rng=rng)
+            gammas = None
+            if distorted:
+                gammas = rng.random(2**m)
+                gammas[0] += 1.0
+                gammas /= gammas.sum()
+            cc = distortion.build_conditional(base, gammas, seed=m)
+            cfg = distortion.DistortionConfig(
+                alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
+                psi1=qcore.random_state(1, rng), trials=1, seed=0,
+            )
+            engine_rng, dense_rng = qcore.rng_stream(m), qcore.rng_stream(m)
+            for _ in range(25):
+                record, final = distortion.simulate_conditional_rus(cc, cfg, engine_rng)
+                outcomes, want = conftest.dense_conditional_run(cc, cfg, dense_rng)
+                assert record.outcomes == outcomes
+                np.testing.assert_allclose(final.amps, want.amps, rtol=0, atol=1e-12)
 
     def test_exhaustion_is_counted(self):
         base = conftest.make_circuit(0.2, m=1)
@@ -240,6 +264,41 @@ class TestMonteCarlo:
         a = distortion.monte_carlo_fidelity(cc, _config(trials=500, seed=5))
         b = distortion.monte_carlo_fidelity(cc, _config(trials=500, seed=5))
         assert a.mean == b.mean and a.std_error == b.std_error
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 4),
+    delta=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    a2=st.floats(0.05, 0.95),
+    w=st.floats(0.02, 0.9),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_fixed_point_bounds_conditional_distortion(m, delta, a2, w, seed, data):
+    # The paper's claim: a fixed-point schedule sized for threshold w holds the
+    # undistorted conditional gate's fidelity above a delta-dependent floor
+    # for every lambda0 >= w, without knowing lambda0.
+    plan = oaa.fp_plan(oaa.fp_length_for(w, delta), delta)
+    lambda0 = data.draw(st.floats(plan.w, 0.999, exclude_max=True))
+    base = conftest.make_circuit(lambda0, m=m, rng=qcore.rng_stream(seed))
+    composed = oaa.fp_compose(base, plan)
+    cc = distortion.build_conditional(composed)
+    alpha, beta = math.sqrt(a2), math.sqrt(1.0 - a2)
+    cfg = distortion.DistortionConfig(
+        alpha=alpha, beta=beta, psi0=qcore.basis_state(1),
+        psi1=qcore.basis_state(1), trials=20_000, seed=seed,
+    )
+    lambdas = composed.spec.lambdas
+    closed = distortion.average_fidelity_closed(
+        alpha, beta, np.eye(2**m)[0], lambdas
+    )
+    b2 = 1.0 - a2
+    assert closed >= 1.0 - 2.0 * a2 * b2 * (1.0 - math.sqrt(1.0 - delta)) - 1e-12
+    est = distortion.monte_carlo_fidelity(cc, cfg)
+    # A batch with no failed trial has std_error 0 while its mean sits up to
+    # |beta|^2 (1 - lambda'_0) above the average, so the band carries that term.
+    assert abs(est.mean - closed) <= 4.0 * est.std_error + b2 * (1.0 - lambdas[0])
 
 
 class TestFigureData:

@@ -324,24 +324,3 @@ def test_two_level_path_matches_dense_reference(
         atol=1e-12,
     )
 
-
-class TestPlanSerialization:
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            oaa.StandardPlan(j=2, theta=0.5),
-            oaa.plan_deterministic(0.3),
-            oaa.Pi3Plan(k=2, sign=-1),
-            oaa.fp_plan(3, 1e-4),
-        ],
-        ids=["standard", "deterministic", "pi3", "fixed_point"],
-    )
-    def test_round_trip(self, plan):
-        again = oaa.plan_from_dict(oaa.plan_to_dict(plan))
-        assert type(again) is type(plan)
-        for name, value in vars(plan).items():
-            got = getattr(again, name)
-            if isinstance(value, tuple):
-                np.testing.assert_allclose(got, value)
-            else:
-                assert got == value

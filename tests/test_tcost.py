@@ -50,8 +50,9 @@ class TestPolicy:
         assert fixed.cost(None) == 12.5
         with pytest.raises(ValueError):
             tcost.ReflectionPolicy.parse("banana")
-        with pytest.raises(ValueError):
-            tcost.ReflectionPolicy.parse("fixed:-1")
+        for text in ("fixed:-1", "fixed:nan", "fixed:inf"):
+            with pytest.raises(ValueError):
+                tcost.ReflectionPolicy.parse(text)
 
     def test_kmm_requires_budget(self):
         with pytest.raises(ValueError):
@@ -67,6 +68,8 @@ class TestQueryValidation:
             {"delta": 0.0},
             {"delta": 1.0},
             {"ct_a": -1.0},
+            {"ct_a": float("nan")},
+            {"ct_a": float("inf")},
         ],
     )
     def test_rejects(self, kw):
@@ -77,6 +80,11 @@ class TestQueryValidation:
 
 
 class TestClassical:
+    def test_rounded_away_success_is_rejected(self):
+        # 1 - 1e-17 rounds to 1, so no repetition count can reach delta.
+        with pytest.raises(ValueError, match="failure probability 1"):
+            tcost.ct_classical(_query(1e-17))
+
     def test_spot(self):
         r = tcost.ct_classical(_query(0.5))
         assert r.total_t == 19.0
