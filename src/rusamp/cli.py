@@ -117,10 +117,8 @@ def cmd_simulate(args) -> int:
     target = composed.spec.target.mat @ psi.amps
 
     start = np.repeat(psi.amps[:, None], args.trials, axis=1)
-    batch = rus.run_batch(
-        composed.a_matrix.mat[:, :2], rus.undo_gates(composed.spec), start,
-        qcore.rng_stream(args.seed), args.max_attempts,
-    )
+    frame = rus.retry_frame(composed.a_matrix.mat[:, :2], rus.undo_gates(composed.spec))
+    batch = rus.run_batch(frame, start, qcore.rng_stream(args.seed), args.max_attempts)
     done = ~batch.exhausted
     fids = np.minimum(np.abs(target.conj() @ batch.finals) ** 2, 1.0)
     rows = [

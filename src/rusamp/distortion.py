@@ -31,12 +31,16 @@ class ConditionalCircuit:
 
     ``gammas`` is None for the undistorted variant, whose idle branch leaves
     the ancillas alone and therefore always yields the all-zero outcome.
+    ``frame`` is the retry loop on (data, control): failures undo the
+    recovery on the control-|1> branch only, which leaves them the diagonal
+    weights ``diag(sqrt(gamma_i), sqrt(lambda_i))`` over the control.
     """
 
     base: RusCircuit
     gammas: np.ndarray | None
     distorter: UnitaryMatrix | None
     b_matrix: UnitaryMatrix
+    frame: rus.RetryFrame
 
 
 def _check_control(alpha: complex, beta: complex) -> None:
@@ -119,11 +123,15 @@ def build_conditional(
         distorter = build_distorter(gammas, seed)
         idle = np.kron(distorter.mat, np.eye(2))
     b_matrix = UnitaryMatrix(np.kron(idle, _P0) + np.kron(base.a_matrix.mat, _P1))
+    undo_data = rus.undo_gates(base.spec)
+    undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
+    undo[:, 1::2, 1::2] = undo_data
     if gammas is not None:
         gammas = gammas.copy()
         gammas.setflags(write=False)
     return ConditionalCircuit(
-        base=base, gammas=gammas, distorter=distorter, b_matrix=b_matrix
+        base=base, gammas=gammas, distorter=distorter, b_matrix=b_matrix,
+        frame=rus.retry_frame(b_matrix.mat[:, :4], undo),
     )
 
 
@@ -195,12 +203,8 @@ def ideal_conditional_state(
 def _run_conditional(
     cc: ConditionalCircuit, cfg: DistortionConfig, trials: int, rng: RngStream
 ) -> rus.BatchRun:
-    # Failure outcomes undo the recovery on the control-|1> branch only.
-    undo_data = rus.undo_gates(cc.base.spec)
-    undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
-    undo[:, 1::2, 1::2] = undo_data
     start = np.repeat(_initial_pair(cfg)[:, None], trials, axis=1)
-    return rus.run_batch(cc.b_matrix.mat[:, :4], undo, start, rng, cfg.max_attempts)
+    return rus.run_batch(cc.frame, start, rng, cfg.max_attempts)
 
 
 def simulate_conditional_rus(

@@ -31,7 +31,7 @@ from .rus import RusCircuit, RusSpec
 # generalized iterate is then skipped rather than solved near a 0/0.
 CHI_SKIP_ATOL = 1e-9
 
-# Longest fixed-point schedule that fp_length_for sizes.
+# Longest fixed-point schedule that fp_plan materializes.
 FP_MAX_LENGTH = 10**6
 
 
@@ -241,8 +241,6 @@ def fp_length_for(w_bound: float, delta: float) -> int:
     if w_bound == 1.0:
         return 1
     ratio = math.acosh(1.0 / math.sqrt(delta)) / math.atanh(math.sqrt(w_bound))
-    if not ratio <= 2 * FP_MAX_LENGTH + 1:
-        raise ValueError(f"w_bound {w_bound:g} needs more than {FP_MAX_LENGTH} steps")
     L = max(1, math.ceil((ratio - 1.0) / 2.0))
     # One step either way absorbs the rounding of the ratio and of _threshold.
     if _threshold(L, delta)[1] > w_bound:
@@ -256,6 +254,8 @@ def fp_plan(L: int, delta: float) -> FixedPointPlan:
     """Chebyshev schedule: gamma^{-1} = T_{1/(2L+1)}(1/sqrt(delta))."""
     if L < 1:
         raise ValueError("schedule length must be positive")
+    if L > FP_MAX_LENGTH:
+        raise ValueError(f"fixed-point schedule needs more than {FP_MAX_LENGTH} steps")
     if not 0.0 < delta < 1.0:
         raise ValueError("failure tolerance must lie in (0, 1)")
     gamma, w = _threshold(L, delta)

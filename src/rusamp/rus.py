@@ -175,57 +175,102 @@ def undo_gates(spec: RusSpec) -> np.ndarray:
     return np.stack([r.mat for r in spec.recoveries]).conj().transpose(0, 2, 1)
 
 
+@dataclass(frozen=True, eq=False)
+class RetryFrame:
+    """A circuit's retry loop in the diagonal frame of its failure outcomes.
+
+    Once its recovery is undone, every failure block is diagonal on the
+    register, so a failure only reweights the state: the history of a run
+    survives as per-outcome weights.  ``stacked`` is the success block over
+    the identity, ``[U_0; I]``; ``masses`` maps the squared moduli of
+    ``stacked @ state`` to the outcome masses; column ``i - 1`` of
+    ``diagonals`` is the diagonal of failure outcome i's undone block.
+    """
+
+    stacked: np.ndarray
+    masses: np.ndarray
+    diagonals: np.ndarray
+
+
+def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
+    """Fold each inverse recovery into its failure block; keep the diagonals.
+
+    ``columns`` is the circuit restricted to the all-zero ancilla input, one
+    block of ``register`` rows per outcome; ``undo[i - 1]`` undoes failure
+    outcome i on the register (stacked as ``undo_gates`` returns them).
+    Raises ``ValueError`` unless every undone block is diagonal.
+    """
+    register = columns.shape[-1]
+    n_outcomes = len(undo) + 1
+    if columns.shape != (n_outcomes * register, register):
+        raise ValueError("columns must hold one register block per outcome")
+    blocks = np.asarray(columns, dtype=np.complex128).reshape(
+        n_outcomes, register, register
+    )
+    undone = undo @ blocks[1:]
+    diagonals = np.diagonal(undone, axis1=1, axis2=2)
+    eye = np.eye(register)
+    residual = np.abs(undone - diagonals[:, :, None] * eye).max()
+    # Written so that NaN entries fail the check.
+    if not residual <= qcore.NORM_ATOL:
+        raise ValueError(
+            f"undone failure blocks are not diagonal: off-diagonal residual "
+            f"{residual} exceeds {qcore.NORM_ATOL}"
+        )
+    masses = np.zeros((n_outcomes, 2 * register))
+    masses[0, :register] = 1.0
+    masses[1:, register:] = np.abs(diagonals) ** 2
+    return RetryFrame(
+        stacked=np.concatenate((blocks[0], eye)),
+        masses=masses,
+        diagonals=diagonals.T.copy(),
+    )
+
+
 def run_batch(
-    columns: np.ndarray,
-    undo: np.ndarray,
+    frame: RetryFrame,
     states: np.ndarray,
     rng: RngStream,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> BatchRun:
     """Repeat until success for every column of ``states`` at once.
 
-    ``columns`` is the circuit restricted to the all-zero ancilla input, one
-    block of ``register`` rows per outcome; ``undo[i - 1]`` undoes failure
-    outcome i on the register (stacked as ``undo_gates`` returns them);
     ``states`` is (register x trials).  Each attempt measures every live
     trial with one uniform from ``rng``, in trial order, so a single trial
-    draws exactly as a per-trial loop would.
+    draws exactly as a per-trial loop would.  A success ends a trial with
+    ``U_0 psi / sqrt(p_0)``; failure i rescales it to
+    ``diag_i * psi / sqrt(p_i)``.
     """
     register, trials = states.shape
-    n_outcomes = len(undo) + 1
-    if columns.shape != (n_outcomes * register, register):
-        raise ValueError("columns must hold one register block per outcome")
-    # A unitary undo keeps its outcome's mass, so each failure block can be
-    # undone before the measurement picks it.
-    undone = np.array(columns, dtype=np.complex128)
-    undone = undone.reshape(n_outcomes, register, register)
-    undone[1:] = undo @ undone[1:]
-    undone = undone.reshape(-1, register)
+    if frame.stacked.shape[1] != register:
+        raise ValueError("states do not match the frame's register")
     current = np.array(states, dtype=np.complex128)
-    finals = np.full((trials, register), np.nan, dtype=np.complex128)
+    finals = np.full((register, trials), np.nan, dtype=np.complex128)
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
     for _ in range(max_attempts):
         if alive.size == 0:
             break
-        blocks = (undone @ current).reshape(n_outcomes, register, alive.size)
-        probs = np.sum(np.abs(blocks) ** 2, axis=1)
+        # Success amplitudes over the state itself, then every outcome's mass.
+        both = frame.stacked @ current
+        probs = frame.masses @ np.abs(both) ** 2
         norms = np.sqrt(probs.sum(axis=0))
         qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
         outcome = qcore.draw_outcomes(probs, rng)
-        col = np.arange(alive.size)
-        picked = blocks[outcome, :, col] / np.sqrt(probs[outcome, col])[:, None]
+        root = np.sqrt(probs[outcome, np.arange(alive.size)])
         trial_log.append(alive)
         outcome_log.append(outcome)
         done = outcome == 0
-        finals[alive[done]] = picked[done]
-        alive = alive[~done]
-        current = picked[~done].T
+        finals[:, alive[done]] = both[:register, done] / root[done]
+        failed = ~done
+        alive = alive[failed]
+        # A success (outcome 0) reads column -1 here; [:, failed] drops it.
+        current = (frame.diagonals[:, outcome - 1] * current / root)[:, failed]
     trial_log = np.concatenate(trial_log)
     return BatchRun(
         attempts=np.bincount(trial_log, minlength=trials),
         exhausted=np.isin(np.arange(trials), alive),
-        finals=finals.T,
+        finals=finals,
         trial_log=trial_log,
         outcome_log=np.concatenate(outcome_log),
     )
@@ -240,10 +285,8 @@ def run_rus(
     """Repeat until the success outcome; undo failures with recovery inverses."""
     if psi.num_qubits != 1:
         raise ValueError("data register is a single qubit")
-    batch = run_batch(
-        c.a_matrix.mat[:, :2], undo_gates(c.spec), psi.amps[:, None], rng,
-        max_attempts,
-    )
+    frame = retry_frame(c.a_matrix.mat[:, :2], undo_gates(c.spec))
+    batch = run_batch(frame, psi.amps[:, None], rng, max_attempts)
     return batch.first_record()
 
 
@@ -267,8 +310,12 @@ def circuit_from_matrix(
         weight = float(np.sum(np.abs(block) ** 2)) / 2.0
         lambdas[i] = weight
         if weight < ZERO_WEIGHT_ATOL:
+            # Too small to test for structure, so it counts as zero; its
+            # polar factor still undoes it, which keeps the retry frame's
+            # undone block diagonal.
             lambdas[i] = 0.0
-            gates.append(qcore.identity(1))
+            u, _, vh = np.linalg.svd(block)
+            gates.append(UnitaryMatrix(u @ vh))
             continue
         gram = block.conj().T @ block
         if np.max(np.abs(gram / weight - np.eye(2))) > STRUCTURE_ATOL:

@@ -138,6 +138,34 @@ def measure_ancillas(
     return outcome, qcore.StateVector(s.num_qubits, collapsed.reshape(-1)), prob
 
 
+def dense_rus_run(
+    c: rus.RusCircuit, psi: qcore.StateVector, rng: qcore.RngStream,
+    max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
+) -> tuple[tuple[int, ...], qcore.StateVector]:
+    """One plain run on the full (ancillas, data) register.
+
+    Each attempt applies the whole circuit matrix to |0^m>|psi>, measures
+    the ancillas with ``measure_ancillas`` and, on failure outcome i, applies
+    W_i^dag to the data. Apart from the draw rule ``qcore.draw_outcomes`` it
+    shares no code with the batched engine, which makes it an independent
+    reference for ``rus.run_rus``.
+    """
+    m = c.spec.m
+    undo = [r.mat.conj().T for r in c.spec.recoveries]
+    amps = psi.amps
+    outcomes = []
+    for _ in range(max_attempts):
+        joint = np.kron(qcore.basis_state(m).amps, amps)
+        state = qcore.StateVector(m + 1, c.a_matrix.mat @ joint)
+        outcome, collapsed, _ = measure_ancillas(state, m, rng)
+        outcomes.append(outcome)
+        amps = collapsed.amps.reshape(2**m, 2)[outcome]
+        if outcome == 0:
+            return tuple(outcomes), qcore.StateVector(1, amps)
+        amps = undo[outcome - 1] @ amps
+    raise rus.MaxAttemptsExceeded(f"no success outcome within {max_attempts} attempts")
+
+
 def dense_conditional_run(
     cc: distortion.ConditionalCircuit,
     cfg: distortion.DistortionConfig,

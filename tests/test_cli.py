@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rusamp import cli, qcore, rus
+from rusamp import cli, qcore, rus, tcost
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -294,6 +294,13 @@ class TestTcost:
         assert names == list(
             ("classical", "standard", "deterministic", "pi3", "fixed_point")
         )
+
+    def test_schedule_longer_than_plan_limit_is_still_costed(self, capsys):
+        # fixed_point needs L = 3.8e6 > FP_MAX_LENGTH here; costing it builds
+        # no schedule, so the table keeps all five rows.
+        assert cli.main(["tcost", "--lambda0", "1e-12"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[0] for line in lines] == list(tcost.STRATEGIES)
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "costs.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -98,6 +98,16 @@ class TestDeterministic:
             pairs = conftest.deterministic_pairs(plan)
             amp, _ = conftest.two_level_amplitudes(lambda0, pairs)
             assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lambda0=st.floats(1e-6, 1.0), m=st.integers(1, 3))
+    @example(lambda0=0.25, m=1)
+    @example(lambda0=1.0, m=2)
+    def test_composed_success_is_one(self, lambda0, m):
+        circ = conftest.make_circuit(lambda0, m=m)
+        plan = oaa.plan_deterministic(circ.spec.lambda0)
+        composed = oaa.deterministic_compose(circ, plan)
+        assert composed.spec.lambda0 == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_mismatched_circuit(self):
         plan = oaa.plan_deterministic(0.5)
@@ -265,7 +275,14 @@ class TestFixedPoint:
 
     def test_length_limit(self):
         with pytest.raises(ValueError, match="more than"):
-            oaa.fp_length_for(1e-300, 1e-3)
+            oaa.fp_plan(oaa.FP_MAX_LENGTH + 1, 1e-3)
+
+    def test_sizing_has_no_length_limit(self):
+        # Sizing is closed form; only materializing the phases is capped.
+        L = oaa.fp_length_for(1e-12, 1e-6)
+        assert L > oaa.FP_MAX_LENGTH
+        with pytest.raises(ValueError, match="more than"):
+            oaa.fp_plan(L, 1e-6)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
-from rusamp import qcore, rus
+from rusamp import oaa, qcore, rus
 
 
 def _spec(m, lambdas, seed=0, rng_seed=100, trivial=False):
@@ -122,9 +126,8 @@ class TestRun:
         rng = qcore.rng_stream(404)
         n = 40_000
         start = np.tile(qcore.basis_state(1, 0).amps[:, None], n)
-        batch = rus.run_batch(
-            circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec), start, rng
-        )
+        frame = rus.retry_frame(circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec))
+        batch = rus.run_batch(frame, start, rng)
         assert not batch.exhausted.any()
         attempts = batch.attempts
         mean = attempts.mean()
@@ -146,15 +149,82 @@ class TestRun:
                 rus.run_rus(circ, qcore.basis_state(1, 0), rng, max_attempts=1)
 
 
+# Each protocol kind of ``rusamp simulate``, plus the inverse circuit.
+PROTOCOLS = {
+    "none": lambda c: c,
+    "standard:2": lambda c: oaa.standard_compose(c, 2),
+    "deterministic": lambda c: oaa.deterministic_compose(
+        c, oaa.plan_deterministic(c.spec.lambda0)
+    ),
+    "pi3:3": lambda c: oaa.pi3_compose(c, oaa.Pi3Plan(k=3)),
+    "fp": lambda c: oaa.fp_compose(c, oaa.fp_plan(6, 1e-3)),
+    "inverse_rus": rus.inverse_rus,
+}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_agrees_with_dense_reference(protocol, m):
+    rng = qcore.rng_stream(900 + m)
+    circ = PROTOCOLS[protocol](conftest.make_circuit(0.04, m=m, rng=rng))
+    saw_failure = protocol == "deterministic"  # success 1: never fails
+    for run in range(25):
+        psi = qcore.random_state(1, rng)
+        record = rus.run_rus(circ, psi, qcore.rng_stream(run))
+        outcomes, final = conftest.dense_rus_run(circ, psi, qcore.rng_stream(run))
+        assert record.outcomes == outcomes
+        np.testing.assert_allclose(record.final_state.amps, final.amps, rtol=0, atol=1e-12)
+        saw_failure = saw_failure or len(outcomes) > 1
+    assert saw_failure
+
+
+class TestRetryFrame:
+    def test_undone_failures_are_outcome_weights(self):
+        circ = conftest.make_circuit(0.3, m=2)
+        frame = rus.retry_frame(circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec))
+        np.testing.assert_allclose(frame.stacked[:2], circ.a_matrix.mat[:2, :2])
+        np.testing.assert_allclose(
+            np.abs(frame.diagonals) ** 2,
+            np.tile(circ.spec.lambdas[1:], (2, 1)), rtol=0, atol=1e-12,
+        )
+
+    def test_rejects_non_diagonal_undone_block(self):
+        # Haar recoveries left in place by identity undos.
+        circ = conftest.make_circuit(0.3, m=2)
+        undo = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        with pytest.raises(ValueError, match="not diagonal"):
+            rus.retry_frame(circ.a_matrix.mat[:, :2], undo)
+
+    def test_rejects_nan_columns(self):
+        circ = conftest.make_circuit(0.3, m=1)
+        undo = rus.undo_gates(circ.spec)
+        one = circ.a_matrix.mat[:, :2].copy()
+        one[3, 0] = np.nan
+        for columns in (one, np.full((4, 2), np.nan)):
+            with pytest.raises(ValueError, match="not diagonal"):
+                rus.retry_frame(columns, undo)
+
+    def test_inverse_with_vanishing_failure_weight_runs(self):
+        # Composed failure weights fall below ZERO_WEIGHT_ATOL; the inverse
+        # still undoes those blocks, so its frame stays diagonal.
+        rng = qcore.rng_stream(8)
+        circ = conftest.make_circuit(1e-4, m=1, rng=rng)
+        fp = oaa.fp_compose(circ, oaa.fp_plan(oaa.fp_length_for(1e-4, 1e-12), 1e-12))
+        inv = rus.inverse_rus(fp)
+        assert inv.spec.lambdas[1] == 0.0
+        psi = qcore.random_state(1, rng)
+        record = rus.run_rus(inv, psi, rng)
+        expect = inv.spec.target.mat @ psi.amps
+        assert abs(np.vdot(expect, record.final_state.amps)) ** 2 > 1.0 - 1e-12
+
+
 class TestBatch:
     def test_exhausted_trials_report_the_cap(self):
         circ = conftest.make_circuit(0.1, m=2)
         psi = qcore.random_state(1, qcore.rng_stream(3))
         start = np.tile(psi.amps[:, None], 200)
-        batch = rus.run_batch(
-            circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec), start,
-            qcore.rng_stream(4), max_attempts=3,
-        )
+        frame = rus.retry_frame(circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec))
+        batch = rus.run_batch(frame, start, qcore.rng_stream(4), max_attempts=3)
         assert 0 < batch.exhausted.sum() < 200
         assert np.all(batch.attempts[batch.exhausted] == 3)
         assert np.all(np.isnan(batch.finals[:, batch.exhausted]))
@@ -223,6 +293,20 @@ class TestSerialization:
         a = rus.build_rus_unitary(spec)
         b = rus.build_rus_unitary(loaded)
         assert np.array_equal(a.a_matrix.mat, b.a_matrix.mat)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), seed=st.integers(0, 2**31), identity=st.booleans())
+    def test_dict_round_trip_is_exact(self, m, seed, identity):
+        rng = qcore.rng_stream(seed)
+        spec = conftest.make_circuit(
+            float(rng.uniform(0.01, 1.0)), m=m, rng=rng, seed=seed,
+            trivial_recoveries=identity,
+        ).spec
+        again = rus.spec_from_dict(json.loads(json.dumps(rus.spec_to_dict(spec))))
+        assert (again.m, again.seed) == (spec.m, spec.seed)
+        assert np.array_equal(again.lambdas, spec.lambdas)
+        for got, want in zip(again.branch_gates(), spec.branch_gates()):
+            assert np.array_equal(got.mat, want.mat)
 
     def test_dict_round_trip(self):
         spec = _spec(1, [0.7, 0.3], seed=5)
