@@ -183,11 +183,12 @@ def _figure_rows(rows: list[distortion.FigureRow]) -> list[list]:
     ]
 
 
-def _cost_rows(rows: list[tcost.CostRow]) -> list[list]:
+def _cost_rows(rows: list[tuple[float, tcost.CostResult]]) -> list[list]:
+    # Strategies leave out the columns they have no value for.
     return [
-        [r.lambda0, r.strategy, r.total_t, r.j, r.k, r.L, r.n_s,
-         r.epsilon_reflection]
-        for r in rows
+        [lam0, r.strategy, r.total_t,
+         *(r.params.get(key) for key in ("j", "k", "L", "n_s", "epsilon_reflection"))]
+        for lam0, r in rows
     ]
 
 

@@ -21,9 +21,6 @@ from . import qcore, rus
 from .qcore import RngStream, StateVector, UnitaryMatrix
 from .rus import RunRecord, RusCircuit
 
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-
 
 @dataclass(frozen=True, eq=False)
 class ConditionalCircuit:
@@ -39,7 +36,6 @@ class ConditionalCircuit:
     base: RusCircuit
     gammas: np.ndarray | None
     distorter: UnitaryMatrix | None
-    b_matrix: UnitaryMatrix
     frame: rus.RetryFrame
 
 
@@ -111,27 +107,35 @@ def build_distorter(gammas: np.ndarray, seed: int) -> UnitaryMatrix:
 def build_conditional(
     base: RusCircuit, gammas: np.ndarray | None = None, seed: int = 0
 ) -> ConditionalCircuit:
-    """Assemble the controlled operator on (ancillas, data, control)."""
+    """The controlled operator on (ancillas, data, control) as a retry loop.
+
+    Every attempt starts on fresh all-zero ancillas, so the frame needs only
+    the operator's columns on that input: the distorter's first column (or
+    ``|0^m>``) times the data identity on control |0>, and A's first two
+    columns on control |1>.
+    """
     m = base.spec.m
     if gammas is None:
-        idle = np.eye(2 ** (m + 1))
+        idle = np.eye(2**m, 1)
         distorter = None
     else:
         gammas = np.asarray(gammas, dtype=float)
         if gammas.shape != (2**m,):
             raise ValueError(f"expected {2**m} distorter weights")
         distorter = build_distorter(gammas, seed)
-        idle = np.kron(distorter.mat, np.eye(2))
-    b_matrix = UnitaryMatrix(np.kron(idle, _P0) + np.kron(base.a_matrix.mat, _P1))
+        idle = distorter.mat[:, :1]
+        gammas = gammas.copy()
+        gammas.setflags(write=False)
+    # Indexed (ancillas and data out, control out, data in, control in).
+    columns = np.zeros((2 ** (m + 1), 2, 2, 2), dtype=np.complex128)
+    columns[:, 0, :, 0] = np.kron(idle, np.eye(2))
+    columns[:, 1, :, 1] = base.a_matrix.mat[:, :2]
     undo_data = rus.undo_gates(base.spec)
     undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
     undo[:, 1::2, 1::2] = undo_data
-    if gammas is not None:
-        gammas = gammas.copy()
-        gammas.setflags(write=False)
     return ConditionalCircuit(
-        base=base, gammas=gammas, distorter=distorter, b_matrix=b_matrix,
-        frame=rus.retry_frame(b_matrix.mat[:, :4], undo),
+        base=base, gammas=gammas, distorter=distorter,
+        frame=rus.retry_frame(columns.reshape(-1, 4), undo),
     )
 
 

@@ -212,18 +212,11 @@ def pi3_level_for(epsilon: float, delta: float) -> int:
     return k
 
 
-def chebyshev_first_kind(order: float, x: float) -> float:
-    """T_order(x) for real (possibly fractional) order on x >= -1."""
-    if x < -1.0:
-        raise ValueError("argument below -1 is outside the supported domain")
-    if x <= 1.0:
-        return math.cos(order * math.acos(x))
-    return math.cosh(order * math.acosh(x))
-
-
 def _threshold(L: int, delta: float) -> tuple[float, float]:
-    gamma = 1.0 / chebyshev_first_kind(1.0 / (2 * L + 1), 1.0 / math.sqrt(delta))
-    return gamma, 1.0 - gamma**2
+    # gamma^{-1} = T_{1/(2L+1)}(1/sqrt(delta)) = cosh(a); w = 1 - gamma^2 is
+    # taken as tanh(a)^2, which does not cancel when w is small.
+    a = math.acosh(1.0 / math.sqrt(delta)) / (2 * L + 1)
+    return 1.0 / math.cosh(a), math.tanh(a) ** 2
 
 
 def fp_length_for(w_bound: float, delta: float) -> int:
@@ -259,7 +252,7 @@ def fp_plan(L: int, delta: float) -> FixedPointPlan:
     if not 0.0 < delta < 1.0:
         raise ValueError("failure tolerance must lie in (0, 1)")
     gamma, w = _threshold(L, delta)
-    spread = math.sqrt(1.0 - gamma**2)
+    spread = math.sqrt(w)
     phis = tuple(
         -2.0 * math.atan2(1.0, math.tan(2.0 * math.pi * j / (2 * L + 1)) * spread)
         for j in range(1, L + 1)

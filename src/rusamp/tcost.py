@@ -35,14 +35,18 @@ class ReflectionPolicy:
         if self.kind == "fixed" and not 0.0 <= self.value < math.inf:
             raise ValueError("fixed reflection cost must be non-negative and finite")
 
-    def cost(self, epsilon: float | None) -> float:
-        if self.kind == "zero":
-            return 0.0
+    def budget(self, delta: float, n_s: int) -> tuple[float | None, float]:
+        """Accuracy and T cost of each of n_s reflections sharing delta.
+
+        Only the kmm policy synthesizes to an accuracy, delta / n_s; without
+        reflections there is neither an accuracy nor a cost.
+        """
+        if n_s == 0 or self.kind == "zero":
+            return None, 0.0
         if self.kind == "fixed":
-            return self.value
-        if epsilon is None:
-            raise ValueError("accuracy budget required for the kmm policy")
-        return ct_reflection(epsilon)
+            return None, self.value
+        epsilon = delta / n_s
+        return epsilon, ct_reflection(epsilon)
 
     @staticmethod
     def parse(text: str) -> "ReflectionPolicy":
@@ -116,22 +120,17 @@ def ct_standard_oaa(q: CostQuery) -> CostResult:
 
 
 def ct_deterministic_oaa(q: CostQuery) -> CostResult:
-    """One run with solved trailing phases; succeeds with certainty."""
+    """One run with solved trailing phases; succeeds with certainty.
+
+    The trailing generalized iterate, and its two reflections, is skipped
+    when the plain iterates already reach success exactly (chi == 0).
+    """
     plan = oaa.plan_deterministic(q.lambda0)
-    if plan.chi == 0.0:
-        total = (2 * plan.j + 1) * q.ct_a
-        return CostResult(
-            "deterministic",
-            total,
-            {"j": plan.j, "n_s": 0, "epsilon_reflection": None},
-        )
-    n_s = 2
-    eps = q.delta / n_s if q.reflection_policy.kind == "kmm" else None
-    total = 2 * (plan.j + 1) * q.ct_a + n_s * q.reflection_policy.cost(eps)
+    n_s = 0 if plan.chi == 0.0 else 2
+    eps, refl = q.reflection_policy.budget(q.delta, n_s)
+    total = (2 * plan.j + 1 + n_s // 2) * q.ct_a + n_s * refl
     return CostResult(
-        "deterministic",
-        total,
-        {"j": plan.j, "n_s": n_s, "epsilon_reflection": eps},
+        "deterministic", total, {"j": plan.j, "n_s": n_s, "epsilon_reflection": eps}
     )
 
 
@@ -143,24 +142,17 @@ def ct_pi3(q: CostQuery) -> CostResult:
     """
     k = oaa.pi3_level_for(1.0 - q.lambda0, q.delta)
     n_s = 3**k - 1
-    if n_s == 0:
-        return CostResult(
-            "pi3", q.ct_a, {"k": 0, "n_s": 0, "epsilon_reflection": None}
-        )
-    eps = q.delta / n_s if q.reflection_policy.kind == "kmm" else None
-    refl = q.reflection_policy.cost(eps)
+    eps, refl = q.reflection_policy.budget(q.delta, n_s)
     total = (q.ct_a + refl) * 3**k - refl
-    return CostResult(
-        "pi3", total, {"k": k, "n_s": n_s, "epsilon_reflection": eps}
-    )
+    return CostResult("pi3", total, {"k": k, "n_s": n_s, "epsilon_reflection": eps})
 
 
 def ct_fixed_point(q: CostQuery) -> CostResult:
     """Shortest Chebyshev schedule covering lambda0, run once."""
     L = oaa.fp_length_for(q.lambda0, q.delta)
     n_s = 2 * L
-    eps = q.delta / n_s if q.reflection_policy.kind == "kmm" else None
-    total = (2 * L + 1) * q.ct_a + n_s * q.reflection_policy.cost(eps)
+    eps, refl = q.reflection_policy.budget(q.delta, n_s)
+    total = (2 * L + 1) * q.ct_a + n_s * refl
     return CostResult(
         "fixed_point",
         total,
@@ -197,36 +189,11 @@ def expected_cost_standard_j1(lambda0: float, ct_a: float) -> float:
     return 3.0 * ct_a / math.sin(3.0 * theta) ** 2
 
 
-@dataclass(frozen=True)
-class CostRow:
-    lambda0: float
-    strategy: str
-    total_t: float
-    j: int | None
-    k: int | None
-    L: int | None
-    n_s: int | None
-    epsilon_reflection: float | None
-
-
-def figure2_data(ct_a: float, delta: float) -> list[CostRow]:
-    """Total cost of every strategy across the lambda0 grid, kmm reflections."""
-    grid = np.linspace(0.02, 0.98, 50)
-    rows: list[CostRow] = []
-    for lam0 in grid:
+def figure2_data(ct_a: float, delta: float) -> list[tuple[float, CostResult]]:
+    """Every strategy's cost across the lambda0 grid, kmm reflections, as
+    (lambda0, result) pairs."""
+    rows: list[tuple[float, CostResult]] = []
+    for lam0 in np.linspace(0.02, 0.98, 50):
         q = CostQuery(lambda0=float(lam0), delta=delta, ct_a=ct_a)
-        for result in all_strategies(q):
-            p = result.params
-            rows.append(
-                CostRow(
-                    lambda0=float(lam0),
-                    strategy=result.strategy,
-                    total_t=result.total_t,
-                    j=p.get("j"),
-                    k=p.get("k"),
-                    L=p.get("L"),
-                    n_s=p.get("n_s"),
-                    epsilon_reflection=p.get("epsilon_reflection"),
-                )
-            )
+        rows.extend((q.lambda0, result) for result in all_strategies(q))
     return rows

@@ -166,6 +166,18 @@ def dense_rus_run(
     raise rus.MaxAttemptsExceeded(f"no success outcome within {max_attempts} attempts")
 
 
+def dense_b_matrix(cc: distortion.ConditionalCircuit) -> qcore.UnitaryMatrix:
+    """The whole controlled operator on (ancillas, data, control), control
+    least significant: the distorter (or the identity) on the ancillas under
+    control |0>, the circuit A under control |1>."""
+    m = cc.base.spec.m
+    idle = np.eye(2**m) if cc.distorter is None else cc.distorter.mat
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return qcore.UnitaryMatrix(
+        np.kron(np.kron(idle, np.eye(2)), p0) + np.kron(cc.base.a_matrix.mat, p1)
+    )
+
+
 def dense_conditional_run(
     cc: distortion.ConditionalCircuit,
     cfg: distortion.DistortionConfig,
@@ -173,13 +185,14 @@ def dense_conditional_run(
 ) -> tuple[tuple[int, ...], qcore.StateVector]:
     """One conditional run on the full (ancillas, data, control) register.
 
-    Each attempt applies the whole controlled matrix to fresh ancillas,
+    Each attempt applies ``dense_b_matrix`` to fresh ancillas,
     measures them with ``measure_ancillas`` and, on failure outcome i, undoes
     W_i on the control-|1> amplitudes. Apart from the draw rule
     ``qcore.draw_outcomes`` it shares no code with the batched engine, which
     makes it an independent reference for conditional runs.
     """
     m = cc.base.spec.m
+    b_matrix = dense_b_matrix(cc).mat
     undo = [r.mat.conj().T for r in cc.base.spec.recoveries]
     pair = np.zeros(4, dtype=complex)
     pair[0::2] = cfg.alpha * cfg.psi0.amps
@@ -187,7 +200,7 @@ def dense_conditional_run(
     outcomes = []
     for _ in range(cfg.max_attempts):
         joint = np.kron(qcore.basis_state(m).amps, pair)
-        state = qcore.StateVector(m + 2, cc.b_matrix.mat @ joint)
+        state = qcore.StateVector(m + 2, b_matrix @ joint)
         outcome, collapsed, _ = measure_ancillas(state, m, rng)
         outcomes.append(outcome)
         pair = collapsed.amps.reshape(2**m, 4)[outcome].copy()

@@ -48,23 +48,40 @@ class TestBuildDistorter:
             distortion.build_distorter(np.array([np.nan, 0.5]), seed=0)
 
 
+def _assert_frame(cc, gammas):
+    # Success block: sqrt(gamma_0) I on control |0>, A's success block on
+    # control |1>; failure i reweights the branches by (sqrt(gamma_i),
+    # sqrt(lambda_i)), interleaved over the control.
+    success = cc.frame.stacked[:4]
+    np.testing.assert_allclose(
+        success[0::2, 0::2], math.sqrt(gammas[0]) * np.eye(2), atol=1e-12
+    )
+    np.testing.assert_array_equal(success[1::2, 1::2], cc.base.a_matrix.mat[:2, :2])
+    np.testing.assert_array_equal(success[0::2, 1::2], 0.0)
+    np.testing.assert_array_equal(success[1::2, 0::2], 0.0)
+    np.testing.assert_array_equal(cc.frame.stacked[4:], np.eye(4))
+    lambdas = cc.base.spec.lambdas
+    for row in (0, 2):
+        np.testing.assert_allclose(
+            cc.frame.diagonals[row], np.sqrt(gammas[1:]), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            cc.frame.diagonals[row + 1], np.sqrt(lambdas[1:]), atol=1e-12
+        )
+
+
 class TestBuildConditional:
     def test_control_blocks(self):
-        base = conftest.make_circuit(0.3, m=1)
-        gammas = np.array([0.5, 0.5])
-        cc = distortion.build_conditional(base, gammas, seed=1)
-        b = cc.b_matrix.mat
-        idle = np.kron(cc.distorter.mat, np.eye(2))
-        np.testing.assert_allclose(b[0::2, 0::2], idle, atol=1e-12)
-        np.testing.assert_allclose(b[1::2, 1::2], base.a_matrix.mat, atol=1e-12)
-        np.testing.assert_allclose(b[0::2, 1::2], 0.0, atol=1e-15)
-        np.testing.assert_allclose(b[1::2, 0::2], 0.0, atol=1e-15)
+        for m, gammas in ((1, [0.36, 0.64]), (2, [0.4, 0.3, 0.2, 0.1])):
+            base = conftest.make_circuit(0.3, m=m)
+            cc = distortion.build_conditional(base, np.array(gammas), seed=1)
+            _assert_frame(cc, gammas)
 
     def test_undistorted_idle_is_identity(self):
         base = conftest.make_circuit(0.3, m=2)
         cc = distortion.build_conditional(base)
-        b = cc.b_matrix.mat
-        np.testing.assert_allclose(b[0::2, 0::2], np.eye(8), atol=1e-15)
+        _assert_frame(cc, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(cc.frame.stacked[:4][0::2, 0::2], np.eye(2))
         assert cc.distorter is None and cc.gammas is None
 
     def test_weight_length_checked(self):

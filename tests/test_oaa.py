@@ -178,35 +178,16 @@ class TestPiOverThree:
             oaa.pi3_compose(circ, oaa.Pi3Plan(k=k))
 
 
-class TestChebyshev:
-    def test_integer_orders(self):
-        xs = np.linspace(-1.0, 1.0, 41)
-        np.testing.assert_allclose(
-            [oaa.chebyshev_first_kind(2, x) for x in xs],
-            2.0 * xs**2 - 1.0,
-            atol=1e-12,
-        )
-        assert oaa.chebyshev_first_kind(0, 0.3) == pytest.approx(1.0)
-
-    def test_outside_interval_uses_cosh(self):
-        x = 1000.0
-        got = oaa.chebyshev_first_kind(1.0 / 11.0, x)
-        assert got == pytest.approx(math.cosh(math.acosh(x) / 11.0), abs=1e-12)
-        assert got == pytest.approx(1.24839, abs=1e-4)
-
-    def test_matches_cos_definition_inside(self):
-        for order in (0.5, 1.0 / 7.0, 3.0):
-            for x in (0.1, 0.5, 0.99):
-                assert oaa.chebyshev_first_kind(order, x) == pytest.approx(
-                    math.cos(order * math.acos(x)), abs=1e-12
-                )
-
-
 class TestFixedPoint:
     def test_length_thresholds(self):
         assert oaa.fp_length_for(0.36, 1e-6) == 5
         assert oaa.fp_length_for(0.4, 1e-6) == 5
         assert oaa.fp_length_for(0.5, 1e-6) == 4
+
+    def test_deep_length_is_minimal(self):
+        # At 50 digits, w(3,800,450) = 1.0000003182622e-12 lies above the
+        # bound and w(3,800,451) = 9.9999979200879e-13 below it.
+        assert oaa.fp_length_for(1e-12, 1e-6) == 3_800_451
 
     def test_threshold_asymptotics(self):
         # w(L) ~ (ln(2/sqrt(delta)) / (2L))^2 for large L

@@ -45,18 +45,31 @@ class TestReflectionCost:
 class TestPolicy:
     def test_parse(self):
         assert tcost.ReflectionPolicy.parse("kmm").kind == "kmm"
-        assert tcost.ReflectionPolicy.parse("zero").cost(1e-9) == 0.0
+        assert tcost.ReflectionPolicy.parse("zero").budget(1e-6, 2) == (None, 0.0)
         fixed = tcost.ReflectionPolicy.parse("fixed:12.5")
-        assert fixed.cost(None) == 12.5
+        assert fixed.budget(1e-6, 2) == (None, 12.5)
         with pytest.raises(ValueError):
             tcost.ReflectionPolicy.parse("banana")
         for text in ("fixed:-1", "fixed:nan", "fixed:inf"):
             with pytest.raises(ValueError):
                 tcost.ReflectionPolicy.parse(text)
 
-    def test_kmm_requires_budget(self):
-        with pytest.raises(ValueError):
-            tcost.ReflectionPolicy(kind="kmm").cost(None)
+    @pytest.mark.parametrize("n_s", [0, 2, 26])
+    @pytest.mark.parametrize("text", ["kmm", "zero", "fixed:0.1"])
+    def test_budget(self, text, n_s):
+        policy = tcost.ReflectionPolicy.parse(text)
+        eps, refl = policy.budget(1e-6, n_s)
+        if n_s == 0:
+            assert (eps, refl) == (None, 0.0)
+            # Level 0 prices no reflection, so its total is ct_a to the bit;
+            # 0.1 added and subtracted back would leave 0.30000000000000004.
+            r = tcost.ct_pi3(_query(0.5, delta=0.9, ct_a=0.3, policy=policy))
+            assert r.params["k"] == 0 and r.total_t == 0.3
+        elif text == "kmm":
+            assert eps == 1e-6 / n_s
+            assert refl == tcost.ct_reflection(1e-6 / n_s)
+        else:
+            assert (eps, refl) == (None, 0.1 if text == "fixed:0.1" else 0.0)
 
 
 class TestQueryValidation:
@@ -260,21 +273,22 @@ class TestFigureTwo:
     def test_row_shape(self):
         rows = tcost.figure2_data(ct_a=1.0, delta=1e-6)
         assert len(rows) == 250
-        per = {s: [r for r in rows if r.strategy == s] for s in tcost.STRATEGIES}
+        per = {s: [r for _, r in rows if r.strategy == s] for s in tcost.STRATEGIES}
         assert all(len(v) == 50 for v in per.values())
 
     def test_rows_recompute(self):
         rows = tcost.figure2_data(ct_a=100.0, delta=1e-6)
-        for row in rows[::17]:
-            q = _query(row.lambda0, ct_a=100.0)
+        for lambda0, row in rows[::17]:
+            q = _query(lambda0, ct_a=100.0)
             expect = {
                 r.strategy: r.total_t for r in tcost.all_strategies(q)
             }[row.strategy]
             assert row.total_t == expect
 
     def test_epsilon_only_with_reflections(self):
-        for row in tcost.figure2_data(ct_a=1.0, delta=1e-6):
-            if row.n_s in (0, None):
-                assert row.epsilon_reflection is None
+        for _, row in tcost.figure2_data(ct_a=1.0, delta=1e-6):
+            n_s = row.params.get("n_s")
+            if n_s in (0, None):
+                assert row.params.get("epsilon_reflection") is None
             else:
-                assert row.epsilon_reflection == pytest.approx(1e-6 / row.n_s)
+                assert row.params["epsilon_reflection"] == pytest.approx(1e-6 / n_s)
