@@ -12,9 +12,13 @@ runs first. Each row holds the run's end-to-end metrics,
 git commit, seed and seconds. The file also records the NumPy and Python
 versions and ``os.cpu_count()``. Rows are appended when the file exists.
 
-At the end it prints, per workload and metric, each label's median and
-interquartile range over all rows of the file, and how many seeds the
-last label wins against the first (direction from ``BENCHMARK.json``).
+At the end it prints, per workload and label, how many runs are not
+``correct`` and the share of failed among attempted operations; then, per
+workload and metric, each label's median and interquartile range over all
+rows of the file, and how many seeds the last label wins against the first
+(direction from ``BENCHMARK.json``). It exits 1 if any recorded run is not
+``correct``, or if the last label's failed share of a workload exceeds the
+first label's.
 """
 
 from __future__ import annotations
@@ -104,17 +108,30 @@ def main(argv=None) -> int:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     json.dump(record, fh, indent=1)
                     fh.write("\n")
-    summarize(record["rows"], [label for label, _ in args.checkout])
-    return 0
+    return summarize(record["rows"], [label for label, _ in args.checkout])
 
 
-def summarize(rows: list[dict], labels: list[str]) -> None:
+def summarize(rows: list[dict], labels: list[str]) -> int:
+    """Print the summary; return 1 on an incorrect run or a larger failed share."""
     bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
     with open(bench, encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     first, last = labels[0], labels[-1]
+    status = int(not all(r["correct"] for r in rows))
     for workload in sorted({r["workload"] for r in rows}):
         mine = [r for r in rows if r["workload"] == workload]
+        share = {}
+        for label in labels:
+            runs = [r for r in mine if r["label"] == label]
+            failed = sum(r["failed"] for r in runs)
+            attempted = sum(r["attempted"] for r in runs)
+            share[label] = failed / attempted if attempted else 0.0
+            print(f"{workload} {label}: {sum(not r['correct'] for r in runs)}/{len(runs)} "
+                  f"runs not correct; failed {failed}/{attempted} operations "
+                  f"({share[label]:.2%})", file=sys.stderr)
+        if share[last] > share[first]:
+            print(f"{workload}: {last} fails a larger share than {first}", file=sys.stderr)
+            status = 1
         for metric, direction in better.items():
             parts = []
             for label in labels:
@@ -130,6 +147,7 @@ def summarize(rows: list[dict], labels: list[str]) -> None:
             wins = sum(sign * (v[last] - v[first]) < 0 for v in pairs)
             print(f"{workload} {metric}: {'; '.join(parts)}; "
                   f"{last} better in {wins}/{len(pairs)} seeds", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

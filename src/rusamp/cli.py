@@ -116,9 +116,8 @@ def cmd_simulate(args) -> int:
     psi = _parse_psi(args.psi)
     target = composed.spec.target.mat @ psi.amps
 
-    start = np.repeat(psi.amps[:, None], args.trials, axis=1)
-    frame = rus.retry_frame(composed.a_matrix.mat[:, :2], rus.undo_gates(composed.spec))
-    batch = rus.run_batch(frame, start, qcore.rng_stream(args.seed), args.max_attempts)
+    batch = rus.run_batch(composed.frame, psi.amps, args.trials,
+                          qcore.rng_stream(args.seed), args.max_attempts)
     done = ~batch.exhausted
     fids = np.minimum(np.abs(target.conj() @ batch.finals) ** 2, 1.0)
     rows = [

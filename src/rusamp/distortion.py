@@ -204,13 +204,6 @@ def ideal_conditional_state(
     return StateVector(2, amps)
 
 
-def _run_conditional(
-    cc: ConditionalCircuit, cfg: DistortionConfig, trials: int, rng: RngStream
-) -> rus.BatchRun:
-    start = np.repeat(_initial_pair(cfg)[:, None], trials, axis=1)
-    return rus.run_batch(cc.frame, start, rng, cfg.max_attempts)
-
-
 def simulate_conditional_rus(
     cc: ConditionalCircuit, cfg: DistortionConfig, rng: RngStream
 ) -> tuple[RunRecord, StateVector]:
@@ -219,7 +212,9 @@ def simulate_conditional_rus(
     Failure outcomes apply the controlled recovery inverse; the run ends on
     the all-zero outcome and returns the surviving (data, control) state.
     """
-    record = _run_conditional(cc, cfg, 1, rng).first_record()
+    record = rus.run_batch(
+        cc.frame, _initial_pair(cfg), 1, rng, cfg.max_attempts
+    ).first_record()
     return record, record.final_state
 
 
@@ -232,7 +227,8 @@ def monte_carlo_fidelity(
     shared draw order); runs that exhaust the attempt cap are excluded from
     the mean and reported in ``exhausted``.
     """
-    batch = _run_conditional(cc, cfg, cfg.trials, qcore.rng_stream(cfg.seed))
+    batch = rus.run_batch(cc.frame, _initial_pair(cfg), cfg.trials,
+                          qcore.rng_stream(cfg.seed), cfg.max_attempts)
     exhausted = int(batch.exhausted.sum())
     count = cfg.trials - exhausted
     if count == 0:

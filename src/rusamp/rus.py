@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +98,11 @@ class RusCircuit:
         if self.a_matrix.dim != 2 ** (self.spec.m + 1):
             raise ValueError("matrix dimension does not match spec")
 
+    @cached_property
+    def frame(self) -> RetryFrame:
+        """The circuit's retry loop, built on first use."""
+        return retry_frame(self.a_matrix.mat[:, :2], undo_gates(self.spec))
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -177,17 +183,18 @@ def undo_gates(spec: RusSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RetryFrame:
-    """A circuit's retry loop in the diagonal frame of its failure outcomes.
+    """A circuit's retry loop in the diagonal frame of its outcomes.
 
     Once its recovery is undone, every failure block is diagonal on the
-    register, so a failure only reweights the state: the history of a run
-    survives as per-outcome weights.  ``stacked`` is the success block over
-    the identity, ``[U_0; I]``; ``masses`` maps the squared moduli of
-    ``stacked @ state`` to the outcome masses; column ``i - 1`` of
-    ``diagonals`` is the diagonal of failure outcome i's undone block.
+    register, and so is the success block's Gram matrix ``U_0^dag U_0``.
+    Every outcome's mass is then linear in the squared moduli of the state,
+    and the history of a run survives as per-outcome weights.  ``success``
+    is ``U_0``; row 0 of ``masses`` is the diagonal of ``U_0^dag U_0`` and
+    row i is ``|d_i|^2``, where ``d_i``, column ``i - 1`` of ``diagonals``,
+    is the diagonal of failure outcome i's undone block.
     """
 
-    stacked: np.ndarray
+    success: np.ndarray
     masses: np.ndarray
     diagonals: np.ndarray
 
@@ -198,62 +205,56 @@ def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
     ``columns`` is the circuit restricted to the all-zero ancilla input, one
     block of ``register`` rows per outcome; ``undo[i - 1]`` undoes failure
     outcome i on the register (stacked as ``undo_gates`` returns them).
-    Raises ``ValueError`` unless every undone block is diagonal.
+    Raises ``ValueError`` unless the success block's Gram matrix and every
+    undone failure block are diagonal.
     """
     register = columns.shape[-1]
     n_outcomes = len(undo) + 1
     if columns.shape != (n_outcomes * register, register):
         raise ValueError("columns must hold one register block per outcome")
-    blocks = np.asarray(columns, dtype=np.complex128).reshape(
-        n_outcomes, register, register
-    )
-    undone = undo @ blocks[1:]
-    diagonals = np.diagonal(undone, axis1=1, axis2=2)
-    eye = np.eye(register)
-    residual = np.abs(undone - diagonals[:, :, None] * eye).max()
+    blocks = np.asarray(columns, np.complex128).reshape(n_outcomes, register, register)
+    gram = blocks[0].conj().T @ blocks[0]
+    checked = np.concatenate((gram[None], undo @ blocks[1:]))
+    diagonals = np.diagonal(checked, axis1=1, axis2=2)
+    residual = np.abs(checked - diagonals[:, :, None] * np.eye(register)).max()
     # Written so that NaN entries fail the check.
     if not residual <= qcore.NORM_ATOL:
         raise ValueError(
-            f"undone failure blocks are not diagonal: off-diagonal residual "
-            f"{residual} exceeds {qcore.NORM_ATOL}"
+            f"success Gram matrix or undone failure blocks are not diagonal: "
+            f"off-diagonal residual {residual} exceeds {qcore.NORM_ATOL}"
         )
-    masses = np.zeros((n_outcomes, 2 * register))
-    masses[0, :register] = 1.0
-    masses[1:, register:] = np.abs(diagonals) ** 2
-    return RetryFrame(
-        stacked=np.concatenate((blocks[0], eye)),
-        masses=masses,
-        diagonals=diagonals.T.copy(),
-    )
+    masses = np.abs(diagonals) ** 2
+    masses[0] = diagonals[0].real
+    return RetryFrame(blocks[0], masses, diagonals[1:].T.copy())
 
 
 def run_batch(
     frame: RetryFrame,
-    states: np.ndarray,
+    state: np.ndarray,
+    trials: int,
     rng: RngStream,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> BatchRun:
-    """Repeat until success for every column of ``states`` at once.
+    """Repeat until success for ``trials`` runs that all start in ``state``.
 
-    ``states`` is (register x trials).  Each attempt measures every live
-    trial with one uniform from ``rng``, in trial order, so a single trial
-    draws exactly as a per-trial loop would.  A success ends a trial with
-    ``U_0 psi / sqrt(p_0)``; failure i rescales it to
-    ``diag_i * psi / sqrt(p_i)``.
+    Each attempt measures every live trial with one uniform from ``rng``, in
+    trial order, so a single trial draws exactly as a per-trial loop would.
+    The outcome masses are ``frame.masses @ |psi|^2``; failure i rescales a
+    trial to ``d_i * psi / sqrt(p_i)``.  A success keeps ``psi / sqrt(p_0)``,
+    and ``U_0`` is applied to all of them once, after the loop.
     """
-    register, trials = states.shape
-    if frame.stacked.shape[1] != register:
-        raise ValueError("states do not match the frame's register")
-    current = np.array(states, dtype=np.complex128)
-    finals = np.full((register, trials), np.nan, dtype=np.complex128)
+    register = frame.success.shape[1]
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (register,):
+        raise ValueError("state does not match the frame's register")
+    current = np.repeat(state[:, None], trials, axis=1)
+    kept = np.full((register, trials), np.nan, dtype=np.complex128)
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
     for _ in range(max_attempts):
         if alive.size == 0:
             break
-        # Success amplitudes over the state itself, then every outcome's mass.
-        both = frame.stacked @ current
-        probs = frame.masses @ np.abs(both) ** 2
+        probs = frame.masses @ np.abs(current) ** 2
         norms = np.sqrt(probs.sum(axis=0))
         qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
         outcome = qcore.draw_outcomes(probs, rng)
@@ -261,7 +262,7 @@ def run_batch(
         trial_log.append(alive)
         outcome_log.append(outcome)
         done = outcome == 0
-        finals[:, alive[done]] = both[:register, done] / root[done]
+        kept[:, alive[done]] = current[:, done] / root[done]
         failed = ~done
         alive = alive[failed]
         # A success (outcome 0) reads column -1 here; [:, failed] drops it.
@@ -270,7 +271,7 @@ def run_batch(
     return BatchRun(
         attempts=np.bincount(trial_log, minlength=trials),
         exhausted=np.isin(np.arange(trials), alive),
-        finals=finals,
+        finals=frame.success @ kept,
         trial_log=trial_log,
         outcome_log=np.concatenate(outcome_log),
     )
@@ -285,9 +286,7 @@ def run_rus(
     """Repeat until the success outcome; undo failures with recovery inverses."""
     if psi.num_qubits != 1:
         raise ValueError("data register is a single qubit")
-    frame = retry_frame(c.a_matrix.mat[:, :2], undo_gates(c.spec))
-    batch = run_batch(frame, psi.amps[:, None], rng, max_attempts)
-    return batch.first_record()
+    return run_batch(c.frame, psi.amps, 1, rng, max_attempts).first_record()
 
 
 def circuit_from_matrix(
@@ -303,37 +302,28 @@ def circuit_from_matrix(
     if matrix.dim != 2 ** (m + 1):
         raise ValueError("matrix dimension does not match ancilla count")
     cols = matrix.mat[:, 0:2].reshape(2**m, 2, 2)  # [outcome, data-out, data-in]
-    lambdas = np.empty(2**m)
-    gates: list[UnitaryMatrix] = []
-    for i in range(2**m):
-        block = cols[i]
-        weight = float(np.sum(np.abs(block) ** 2)) / 2.0
-        lambdas[i] = weight
-        if weight < ZERO_WEIGHT_ATOL:
-            # Too small to test for structure, so it counts as zero; its
-            # polar factor still undoes it, which keeps the retry frame's
-            # undone block diagonal.
-            lambdas[i] = 0.0
-            u, _, vh = np.linalg.svd(block)
-            gates.append(UnitaryMatrix(u @ vh))
-            continue
-        gram = block.conj().T @ block
-        if np.max(np.abs(gram / weight - np.eye(2))) > STRUCTURE_ATOL:
-            raise ValueError(
-                f"outcome block {i} is not proportional to a unitary; "
-                "matrix does not realize a repeat-until-success circuit"
-            )
-        # Polar projection strips the rounding noise left by the division.
-        u, _, vh = np.linalg.svd(block / np.sqrt(weight))
-        gates.append(UnitaryMatrix(u @ vh))
-    lambdas /= lambdas.sum()
-    spec = RusSpec(
-        m=m,
-        lambdas=lambdas,
-        target=gates[0],
-        recoveries=tuple(gates[1:]),
-        seed=seed,
-    )
+    lambdas = np.sum(np.abs(cols) ** 2, axis=(1, 2)) / 2.0
+    # Blocks too small to test for structure count as zero; their polar
+    # factors still undo them, which keeps the retry frame's undone blocks
+    # diagonal.
+    small = lambdas < ZERO_WEIGHT_ATOL
+    lambdas[small] = 0.0
+    grams = cols.conj().transpose(0, 2, 1) @ cols
+    residual = np.abs(
+        grams / np.where(small, 1.0, lambdas)[:, None, None] - np.eye(2)
+    ).max(axis=(1, 2))
+    # Written so that NaN fails the check.
+    broken = np.flatnonzero(~small & ~(residual <= STRUCTURE_ATOL))
+    if broken.size:
+        raise ValueError(
+            f"outcome block {broken[0]} is not proportional to a unitary; "
+            "matrix does not realize a repeat-until-success circuit"
+        )
+    # A block's polar factor does not change when the block is scaled, so
+    # one SVD gives every outcome's gate, stripped of rounding noise.
+    u, _, vh = np.linalg.svd(cols)
+    gates = [UnitaryMatrix(gate) for gate in u @ vh]
+    spec = RusSpec(m, lambdas / lambdas.sum(), gates[0], tuple(gates[1:]), seed)
     return RusCircuit(spec, matrix)
 
 
@@ -347,10 +337,10 @@ def _matrix_to_json(mat: np.ndarray) -> list[list[float]]:
 
 
 def _matrix_from_json(pairs: list[list[float]], dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
-    if flat.shape != (dim * dim,):
-        raise ValueError(f"expected {dim * dim} matrix entries, got {flat.shape[0]}")
-    return flat.reshape(dim, dim)
+    flat = np.array(pairs, dtype=float)
+    if flat.shape != (dim * dim, 2):
+        raise ValueError(f"expected {dim * dim} [re, im] matrix entries")
+    return flat.view(np.complex128).reshape(dim, dim)
 
 
 def spec_to_dict(spec: RusSpec) -> dict:
@@ -363,15 +353,32 @@ def spec_to_dict(spec: RusSpec) -> dict:
     }
 
 
+def _integer(data: dict, key: str) -> int:
+    value = data[key]
+    # Rejects bool, and floats that int() would truncate.
+    if type(value) is not int:
+        raise ValueError(f"spec field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> RusSpec:
+    """Inverse of ``spec_to_dict``; raises ``ValueError`` on malformed input."""
+    if not isinstance(data, dict):
+        raise ValueError("spec must be a JSON object")
+    try:
+        lambdas = np.array(data["lambdas"], dtype=float)
+        gates = [
+            UnitaryMatrix(_matrix_from_json(g, 2))
+            for g in (data["target"], *data["recoveries"])
+        ]
+    except TypeError as exc:
+        raise ValueError(f"malformed spec: {exc}") from exc
     return RusSpec(
-        m=int(data["m"]),
-        lambdas=np.array(data["lambdas"], dtype=float),
-        target=UnitaryMatrix(_matrix_from_json(data["target"], 2)),
-        recoveries=tuple(
-            UnitaryMatrix(_matrix_from_json(r, 2)) for r in data["recoveries"]
-        ),
-        seed=int(data["seed"]),
+        m=_integer(data, "m"),
+        lambdas=lambdas,
+        target=gates[0],
+        recoveries=tuple(gates[1:]),
+        seed=_integer(data, "seed"),
     )
 
 

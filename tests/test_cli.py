@@ -240,12 +240,31 @@ class TestConfigErrors:
             cli.main(["figure", "fig9", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_malformed_spec_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: "{not json", id="not-json"),
+            pytest.param(lambda d: json.dumps([d]), id="top-level-list"),
+            pytest.param(lambda d: json.dumps({**d, "m": None}), id="m-null"),
+            pytest.param(
+                lambda d: json.dumps({**d, "recoveries": None}), id="recoveries-null"
+            ),
+            pytest.param(
+                lambda d: json.dumps({**d, "target": sum(d["target"], [])}),
+                id="flat-gate",
+            ),
+            pytest.param(lambda d: json.dumps({**d, "m": 1.7}), id="m-float"),
+            pytest.param(lambda d: json.dumps({**d, "seed": 0.5}), id="seed-float"),
+        ],
+    )
+    def test_malformed_spec_json(self, tmp_path, capsys, edit):
+        path = _write_spec(tmp_path)
+        path.write_text(edit(json.loads(path.read_text())))
         assert cli.main(
             ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]
         ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFigures:

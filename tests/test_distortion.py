@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from rusamp import distortion, oaa, qcore
+from rusamp import distortion, oaa, qcore, rus
 
 BALANCED = complex(1.0 / math.sqrt(2.0))
 
@@ -52,15 +52,18 @@ def _assert_frame(cc, gammas):
     # Success block: sqrt(gamma_0) I on control |0>, A's success block on
     # control |1>; failure i reweights the branches by (sqrt(gamma_i),
     # sqrt(lambda_i)), interleaved over the control.
-    success = cc.frame.stacked[:4]
+    success = cc.frame.success
     np.testing.assert_allclose(
         success[0::2, 0::2], math.sqrt(gammas[0]) * np.eye(2), atol=1e-12
     )
     np.testing.assert_array_equal(success[1::2, 1::2], cc.base.a_matrix.mat[:2, :2])
     np.testing.assert_array_equal(success[0::2, 1::2], 0.0)
     np.testing.assert_array_equal(success[1::2, 0::2], 0.0)
-    np.testing.assert_array_equal(cc.frame.stacked[4:], np.eye(4))
     lambdas = cc.base.spec.lambdas
+    masses = np.empty((len(lambdas), 4))
+    masses[:, 0::2] = np.asarray(gammas)[:, None]
+    masses[:, 1::2] = lambdas[:, None]
+    np.testing.assert_allclose(cc.frame.masses, masses, rtol=0, atol=1e-12)
     for row in (0, 2):
         np.testing.assert_allclose(
             cc.frame.diagonals[row], np.sqrt(gammas[1:]), atol=1e-12
@@ -81,7 +84,7 @@ class TestBuildConditional:
         base = conftest.make_circuit(0.3, m=2)
         cc = distortion.build_conditional(base)
         _assert_frame(cc, [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(cc.frame.stacked[:4][0::2, 0::2], np.eye(2))
+        np.testing.assert_array_equal(cc.frame.success[0::2, 0::2], np.eye(2))
         assert cc.distorter is None and cc.gammas is None
 
     def test_weight_length_checked(self):
@@ -203,7 +206,10 @@ class TestSimulate:
         cfg = _config(trials=1, seed=0)
         rng = qcore.rng_stream(10)
         n = 10_000
-        batch = distortion._run_conditional(cc, cfg, n, rng)
+        # (data, control) amplitudes, control least significant.
+        start = (np.kron(cfg.psi0.amps, [cfg.alpha, 0])
+                 + np.kron(cfg.psi1.amps, [0, cfg.beta]))
+        batch = rus.run_batch(cc.frame, start, n, rng)
         hits = batch.sequences().count((1, 0))
         # p = |alpha|^2 gamma_1 gamma_0 + |beta|^2 lambda_1 lambda_0
         p = 0.5 * (0.5 * 0.5) + 0.5 * (0.75 * 0.25)

@@ -125,9 +125,7 @@ class TestRun:
         circ = conftest.make_circuit(0.5, m=1, trivial_recoveries=True)
         rng = qcore.rng_stream(404)
         n = 40_000
-        start = np.tile(qcore.basis_state(1, 0).amps[:, None], n)
-        frame = rus.retry_frame(circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec))
-        batch = rus.run_batch(frame, start, rng)
+        batch = rus.run_batch(circ.frame, qcore.basis_state(1, 0).amps, n, rng)
         assert not batch.exhausted.any()
         attempts = batch.attempts
         mean = attempts.mean()
@@ -181,8 +179,13 @@ def test_agrees_with_dense_reference(protocol, m):
 class TestRetryFrame:
     def test_undone_failures_are_outcome_weights(self):
         circ = conftest.make_circuit(0.3, m=2)
-        frame = rus.retry_frame(circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec))
-        np.testing.assert_allclose(frame.stacked[:2], circ.a_matrix.mat[:2, :2])
+        frame = circ.frame
+        assert circ.frame is frame
+        np.testing.assert_array_equal(frame.success, circ.a_matrix.mat[:2, :2])
+        np.testing.assert_allclose(
+            frame.masses, np.tile(circ.spec.lambdas[:, None], (1, 2)),
+            rtol=0, atol=1e-12,
+        )
         np.testing.assert_allclose(
             np.abs(frame.diagonals) ** 2,
             np.tile(circ.spec.lambdas[1:], (2, 1)), rtol=0, atol=1e-12,
@@ -204,6 +207,24 @@ class TestRetryFrame:
             with pytest.raises(ValueError, match="not diagonal"):
                 rus.retry_frame(columns, undo)
 
+    def test_rejects_nan_success_block(self):
+        circ = conftest.make_circuit(0.3, m=1)
+        columns = circ.a_matrix.mat[:, :2].copy()
+        columns[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not diagonal"):
+            rus.retry_frame(columns, rus.undo_gates(circ.spec))
+
+    def test_rejects_non_diagonal_success_gram(self):
+        # Undone failures stay diagonal, but U_0 = [[1, 1], [0, 0]] / 2 has
+        # the Gram matrix [[1, 1], [1, 1]] / 4.
+        columns = np.zeros((4, 2), dtype=complex)
+        columns[0] = 0.5
+        columns[2:] = np.sqrt(0.75) * np.eye(2)
+        with pytest.raises(ValueError, match="not diagonal"):
+            rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+        columns[0, 1] = 0.0
+        rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+
     def test_inverse_with_vanishing_failure_weight_runs(self):
         # Composed failure weights fall below ZERO_WEIGHT_ATOL; the inverse
         # still undoes those blocks, so its frame stays diagonal.
@@ -219,12 +240,17 @@ class TestRetryFrame:
 
 
 class TestBatch:
+    def test_rejects_state_of_wrong_length(self):
+        circ = conftest.make_circuit(0.3, m=1)
+        for state in (np.ones(4) / 2, np.ones((2, 1)) / np.sqrt(2)):
+            with pytest.raises(ValueError, match="register"):
+                rus.run_batch(circ.frame, state, 3, qcore.rng_stream(0))
+
     def test_exhausted_trials_report_the_cap(self):
         circ = conftest.make_circuit(0.1, m=2)
         psi = qcore.random_state(1, qcore.rng_stream(3))
-        start = np.tile(psi.amps[:, None], 200)
-        frame = rus.retry_frame(circ.a_matrix.mat[:, :2], rus.undo_gates(circ.spec))
-        batch = rus.run_batch(frame, start, qcore.rng_stream(4), max_attempts=3)
+        batch = rus.run_batch(circ.frame, psi.amps, 200, qcore.rng_stream(4),
+                              max_attempts=3)
         assert 0 < batch.exhausted.sum() < 200
         assert np.all(batch.attempts[batch.exhausted] == 3)
         assert np.all(np.isnan(batch.finals[:, batch.exhausted]))
