@@ -162,6 +162,91 @@ class TestSimulate:
         assert int(summary["exhausted"]) == len(failed)
 
 
+# SHA-256 of each case's output files (name and bytes, sorted by name), with
+# every manifest's timestamp line removed.  Recorded before the output path
+# was rewritten; any change to a written byte changes a digest.
+OUTPUT_PINS = {
+    "none":
+        "8905458f0c0c9b9d8bc238b3a37a659cc9dffb06f7d2cb892f4488091512868f",
+    "standard:1":
+        "20fdf2654a55a8d9899055df2f33989263ed64f4044bd38d2f34b44f3c5c38d3",
+    "deterministic":
+        "11a913ec462668c8f3021393da6d6e3aed428c817d2477f6afbafd86153a48d9",
+    "pi3:2:neg":
+        "5b0b333498abe413011986860e262031ca58e9e7ce17d1bfaf3264034320e8dc",
+    "fp:1e-3":
+        "db0e387ab317ab9eef8054fdf5ec35572f130949812fb80ae7f85cf35c5eec29",
+    "exhausted":
+        "edfa9cc0548652b38a94643805e81f4f63024b8942f52e81eadb2692517cd39e",
+    "figure fig2":
+        "039cf41ef6f149a8333b9a8df082159ecb4cc596cc6323608a97c0c2dd11dc58",
+    "tcost":
+        "5c054d7e3fb10ccec6c4f14983adfe6b64de7b826dbd6fbebc772ef0c12bf159",
+}
+
+
+# Extra `simulate` arguments and the expected exit code of each pinned run;
+# the last one exhausts some trials, leaving blank outcomes and fidelity.
+SIMULATE_CASES = {
+    "none": (["--protocol", "none"], 0),
+    "standard:1": (["--protocol", "standard:1"], 0),
+    "deterministic": (["--protocol", "deterministic"], 0),
+    "pi3:2:neg": (["--protocol", "pi3:2:neg"], 0),
+    "fp:1e-3": (["--protocol", "fp:1e-3"], 0),
+    "exhausted": (["--protocol", "standard:2", "--max-attempts", "2"], 3),
+}
+
+
+def _output_digest(files: dict[str, bytes]) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        data = files[name]
+        if name.endswith(".manifest.json"):
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if not line.lstrip().startswith(b'"timestamp":')
+            )
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    return digest.hexdigest()
+
+
+def _dir_files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_simulate_pins(self, tmp_path, case):
+        extra, code = SIMULATE_CASES[case]
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        out = tmp_path / "out"
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--psi", "0.6,0.8j",
+             "--trials", "40", "--seed", "5", "--out", str(out), *extra]
+        ) == code
+        files = _dir_files(out)
+        assert sorted(files) == [
+            "runs.csv", "runs.csv.manifest.json",
+            "summary.csv", "summary.csv.manifest.json",
+        ]
+        if case == "exhausted":
+            assert ",0,,\n" in files["runs.csv"].decode()
+        assert _output_digest(files) == OUTPUT_PINS[case]
+
+    def test_figure_pins(self, tmp_path):
+        assert cli.main(["figure", "fig2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert _output_digest(_dir_files(tmp_path)) == OUTPUT_PINS["figure fig2"]
+
+    def test_tcost_pins(self, tmp_path, capsys):
+        out = tmp_path / "costs.json"
+        assert cli.main(
+            ["tcost", "--lambda0", "0.3", "--ct-a", "100", "--out", str(out)]
+        ) == 0
+        files = {"costs.json": out.read_bytes(),
+                 "stdout": capsys.readouterr().out.encode()}
+        assert _output_digest(files) == OUTPUT_PINS["tcost"]
+
+
 class TestConfigErrors:
     def test_missing_spec_file(self, tmp_path):
         assert cli.main(
