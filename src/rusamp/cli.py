@@ -3,7 +3,8 @@
 Every data file is CSV with a header row and 17-significant-digit reals, and
 is accompanied by a ``<name>.manifest.json`` recording the command, a hash
 of the full configuration, the seed, and the tool version.  Identical
-command, configuration, and seed reproduce identical CSV bytes.
+command, configuration, and seed reproduce identical CSV bytes.  Each output
+file is formatted in memory and written with a single ``write`` call.
 
 Exit codes: 0 on success, 2 on invalid configuration, 3 when a statistical
 acceptance bound fails (attempt-cap exhaustion above one part in a thousand).
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -44,31 +47,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _write_manifest(data_path: str, command: str, config: dict, seed) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(data_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in one call, newlines as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(text)
+
+
+def _manifest(command: str, config: dict, seed) -> str:
+    """Manifest text: the bytes of ``json.dump(manifest, indent=2,
+    sort_keys=True)`` plus a newline, with ``config`` encoded once."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    nested = json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        "{\n"
+        f'  "command": {json.dumps(command)},\n'
+        f'  "config": {nested},\n'
+        f'  "config_hash": "{hashlib.sha256(canonical.encode()).hexdigest()}",\n'
+        f'  "seed": {json.dumps(seed)},\n'
+        f'  "timestamp": "{datetime.now(timezone.utc).isoformat()}",\n'
+        f'  "tool_version": {json.dumps(__version__)}\n'
+        "}\n"
+    )
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _parse_psi(text: str) -> qcore.StateVector:
@@ -120,14 +127,16 @@ def cmd_simulate(args) -> int:
                           qcore.rng_stream(args.seed), args.max_attempts)
     done = ~batch.exhausted
     fids = np.minimum(np.abs(target.conj() @ batch.finals) ** 2, 1.0)
-    rows = [
-        [trial, attempts, 1, ";".join(map(str, outcomes)), fid] if ok
-        else [trial, attempts, 0, "", None]
+    # Every column has a known type, so rows skip _fmt and the csv module;
+    # an exhausted trial leaves outcomes and fidelity blank.
+    runs = "".join([
+        f"{trial},{attempts},1,{';'.join(map(str, outcomes))},{fid:.17g}\n" if ok
+        else f"{trial},{attempts},0,,\n"
         for trial, ok, attempts, outcomes, fid in zip(
             range(args.trials), done.tolist(), batch.attempts.tolist(),
             batch.sequences(), fids.tolist(),
         )
-    ]
+    ])
     finished = int(done.sum())
     exhausted = args.trials - finished
 
@@ -139,11 +148,11 @@ def cmd_simulate(args) -> int:
         "trials": args.trials,
         "max_attempts": args.max_attempts,
     }
+    # Both data files share one manifest text.
+    manifest = _manifest("simulate", config, args.seed)
     runs_path = os.path.join(args.out, "runs.csv")
-    _write_csv(
-        runs_path, ["trial", "attempts", "success", "outcomes", "fidelity"], rows
-    )
-    _write_manifest(runs_path, "simulate", config, args.seed)
+    _write_text(runs_path, "trial,attempts,success,outcomes,fidelity\n" + runs)
+    _write_text(runs_path + ".manifest.json", manifest)
 
     basis = qcore.basis_state(1)
     exhaustion_rate = exhausted / args.trials
@@ -158,8 +167,8 @@ def cmd_simulate(args) -> int:
         ["exhaustion_rate", exhaustion_rate],
     ]
     summary_path = os.path.join(args.out, "summary.csv")
-    _write_csv(summary_path, ["metric", "value"], summary)
-    _write_manifest(summary_path, "simulate", config, args.seed)
+    _write_text(summary_path, _csv_text(["metric", "value"], summary))
+    _write_text(summary_path + ".manifest.json", manifest)
 
     if exhaustion_rate > EXHAUSTION_BOUND:
         print(
@@ -197,8 +206,8 @@ def cmd_figure(args) -> int:
 
     def emit(stem: str, header: list[str], rows: list[list], config: dict, seed):
         path = os.path.join(args.out, stem + ".csv")
-        _write_csv(path, header, rows)
-        _write_manifest(path, f"figure {name}", config, seed)
+        _write_text(path, _csv_text(header, rows))
+        _write_text(path + ".manifest.json", _manifest(f"figure {name}", config, seed))
 
     if name == "fig1-left":
         rows = distortion.figure1_data("left", args.seed)
@@ -253,13 +262,13 @@ def cmd_tcost(args) -> int:
                 for r in results
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rusamp",
         description="Simulate repeat-until-success circuits, amplification "
@@ -279,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--max-attempts", type=int, default=rus.DEFAULT_MAX_ATTEMPTS)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.set_defaults(func=cmd_simulate)
 
     fig = sub.add_parser("figure", help="emit a figure dataset")
     fig.add_argument("name", choices=FIGURES)
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--out", required=True, help="output directory")
-    fig.set_defaults(func=cmd_figure)
 
     cost = sub.add_parser("tcost", help="evaluate all cost strategies")
     cost.add_argument("--lambda0", type=float, required=True)
@@ -294,15 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--reflection-policy", default="kmm",
                       help="kmm | zero | fixed:V")
     cost.add_argument("--out", help="also write results as JSON")
-    cost.set_defaults(func=cmd_tcost)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so that a replaced module function is the one run.
+    commands = {"simulate": cmd_simulate, "figure": cmd_figure, "tcost": cmd_tcost}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -59,8 +59,12 @@ class RusSpec:
             raise ValueError("need at least one ancilla qubit")
         lambdas = np.array(self.lambdas, dtype=float, copy=True)
         lambdas.setflags(write=False)
-        if lambdas.shape != (2**self.m,):
-            raise ValueError(f"expected {2**self.m} outcome probabilities")
+        # No array has 2**64 entries; the cap keeps a huge m from building a
+        # huge integer, and the message from printing one.
+        if lambdas.shape != (2 ** min(self.m, 64),):
+            raise ValueError(
+                f"m={self.m} needs 2**m outcome probabilities, got {lambdas.size}"
+            )
         # Both checks are written so that NaN entries fail them.
         if not np.all(lambdas >= 0):
             raise ValueError("outcome probabilities must be non-negative")
@@ -343,6 +347,9 @@ def _matrix_from_json(pairs: list[list[float]], dim: int) -> np.ndarray:
     return flat.view(np.complex128).reshape(dim, dim)
 
 
+_SPEC_FIELDS = ("m", "lambdas", "target", "recoveries", "seed")
+
+
 def spec_to_dict(spec: RusSpec) -> dict:
     return {
         "m": spec.m,
@@ -365,6 +372,9 @@ def spec_from_dict(data: dict) -> RusSpec:
     """Inverse of ``spec_to_dict``; raises ``ValueError`` on malformed input."""
     if not isinstance(data, dict):
         raise ValueError("spec must be a JSON object")
+    for key in _SPEC_FIELDS:
+        if key not in data:
+            raise ValueError(f"spec field {key!r} is missing")
     try:
         lambdas = np.array(data["lambdas"], dtype=float)
         gates = [

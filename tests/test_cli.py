@@ -340,6 +340,15 @@ class TestConfigErrors:
             ),
             pytest.param(lambda d: json.dumps({**d, "m": 1.7}), id="m-float"),
             pytest.param(lambda d: json.dumps({**d, "seed": 0.5}), id="seed-float"),
+            pytest.param(
+                lambda d: json.dumps({k: v for k, v in d.items() if k != "m"}),
+                id="missing-m",
+            ),
+            pytest.param(
+                lambda d: json.dumps({k: v for k, v in d.items() if k != "lambdas"}),
+                id="missing-lambdas",
+            ),
+            pytest.param(lambda d: json.dumps({**d, "m": 100_000}), id="huge-m"),
         ],
     )
     def test_malformed_spec_json(self, tmp_path, capsys, edit):
@@ -350,6 +359,65 @@ class TestConfigErrors:
         ) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("field", ["m", "lambdas", "target", "recoveries", "seed"])
+    def test_missing_spec_field_is_named(self, tmp_path, capsys, field):
+        path = _write_spec(tmp_path)
+        data = json.loads(path.read_text())
+        del data[field]
+        path.write_text(json.dumps(data))
+        assert cli.main(
+            ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == f"error: spec field {field!r} is missing\n"
+
+    def test_huge_ancilla_count(self, tmp_path, capsys):
+        # 2**m has more digits than int-to-str conversion allows.
+        path = _write_spec(tmp_path, m=3)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "m": 100_000}))
+        assert cli.main(
+            ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: m=100000 needs 2**m outcome probabilities, got 8\n"
+        )
+
+
+class TestParserReuse:
+    def _manifest_config(self, out) -> dict:
+        with open(out / "runs.csv.manifest.json") as fh:
+            return json.load(fh)["config"]
+
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        spec = _write_spec(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", "pi3:2",
+             "--max-attempts", "3", "--trials", "5", "--out", str(first)]
+        ) == 0
+        config = self._manifest_config(first)
+        assert (config["protocol"], config["max_attempts"]) == ("pi3:2", 3)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--trials", "5", "--out", str(second)]
+        ) == 0
+        config = self._manifest_config(second)
+        assert config["protocol"] == "none"
+        assert config["max_attempts"] == rus.DEFAULT_MAX_ATTEMPTS
+
+    def test_rejected_arguments_leave_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figure", "bogus", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["tcost", "--lambda0", "0.5"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 5
+        spec = _write_spec(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--trials", "5", "--out", str(out)]
+        ) == 0
+        assert self._manifest_config(out)["protocol"] == "none"
 
 
 class TestFigures:
