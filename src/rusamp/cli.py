@@ -57,6 +57,7 @@ def _manifest(command: str, config: dict, seed) -> str:
     """Manifest text: the bytes of ``json.dump(manifest, indent=2,
     sort_keys=True)`` plus a newline, with ``config`` encoded once."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    # JSON strings escape newlines, so every "\n" here starts a new line.
     nested = json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  ")
     return (
         "{\n"
