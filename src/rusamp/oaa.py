@@ -31,7 +31,8 @@ from .rus import RusCircuit, RusSpec
 # generalized iterate is then skipped rather than solved near a 0/0.
 CHI_SKIP_ATOL = 1e-9
 
-# Longest fixed-point schedule that fp_plan materializes.
+# Longest phase schedule that is materialized: the fixed-point length in
+# fp_plan and the iterate count of the standard and deterministic protocols.
 FP_MAX_LENGTH = 10**6
 
 
@@ -42,15 +43,24 @@ def _plane(spec: RusSpec) -> np.ndarray:
     return np.array([[s, c], [c, -s]], dtype=np.complex128)
 
 
-def _phase_schedule(c: RusCircuit, pairs: list[tuple[float, float]]) -> RusCircuit:
-    """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in list order after A."""
-    a = t = _plane(c.spec)
-    # d[n] holds the diagonals of D_phi and D_varphi of pair n as rows.
-    d = np.ones((len(pairs), 2, 2), dtype=np.complex128)
-    d[:, :, 0] = np.exp(1j * np.reshape(pairs, (-1, 2)))
-    for g in -(a * d[:, :1]) @ (a * d[:, 1:]):
-        t = g @ t
-    return _composed(c, t)
+def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
+    """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in array order after A.
+
+    The stack [A, G_1, ..., G_L] is multiplied pairwise, later factors on the
+    left, in ceil(log2(L + 1)) batched passes; an odd last factor is carried
+    to the next pass.
+    """
+    a = _plane(c.spec)
+    # Row [e^{i phi}, 1] scales the columns of a as a @ D_phi does.
+    outer = np.ones((len(phis), 1, 2), dtype=np.complex128)
+    inner = outer.copy()
+    outer[:, 0, 0] = np.exp(1j * np.asarray(phis, dtype=float))
+    inner[:, 0, 0] = np.exp(1j * np.asarray(varphis, dtype=float))
+    g = np.concatenate([a[None], -(a * outer) @ (a * inner)])
+    while len(g) > 1:
+        paired = g[1::2] @ g[:-1:2]
+        g = np.concatenate([paired, g[-1:]]) if len(g) % 2 else paired
+    return _composed(c, g[0])
 
 
 def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
@@ -131,7 +141,10 @@ def standard_compose(c: RusCircuit, j: int) -> RusCircuit:
     """The j-iterate standard protocol as a circuit in its own right."""
     if j < 0:
         raise ValueError("iteration count must be non-negative")
-    return _phase_schedule(c, [(math.pi, math.pi)] * j)
+    if j > FP_MAX_LENGTH:
+        raise ValueError(f"standard schedule needs more than {FP_MAX_LENGTH} steps")
+    pis = np.full(j, math.pi)
+    return _phase_schedule(c, pis, pis)
 
 
 def plan_deterministic(lambda0: float) -> DeterministicPlan:
@@ -176,8 +189,14 @@ def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
         raise ValueError(
             f"plan is for lambda0={lambda_plan:.12g}, not {c.spec.lambda0:.12g}"
         )
-    trailing = [(plan.phi, plan.varphi)] if plan.chi != 0.0 else []
-    return _phase_schedule(c, [(math.pi, math.pi)] * plan.j + trailing)
+    if plan.j > FP_MAX_LENGTH:
+        raise ValueError(
+            f"deterministic schedule needs more than {FP_MAX_LENGTH} steps"
+        )
+    pis = np.full(plan.j, math.pi)
+    if plan.chi == 0.0:
+        return _phase_schedule(c, pis, pis)
+    return _phase_schedule(c, np.append(pis, plan.phi), np.append(pis, plan.varphi))
 
 
 def apply_deterministic(
@@ -201,8 +220,8 @@ def pi3_level_for(epsilon: float, delta: float) -> int:
     """Smallest recursion depth driving failure epsilon below delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("failure tolerance must lie in (0, 1)")
-    if epsilon >= 1.0:
-        raise ValueError("failure probability 1 cannot be amplified away")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError("failure probability must lie in [0, 1)")
     if epsilon <= delta:
         return 0
     # Failure after level k is epsilon**(3**k); compare in the log domain.
@@ -253,9 +272,10 @@ def fp_plan(L: int, delta: float) -> FixedPointPlan:
         raise ValueError("failure tolerance must lie in (0, 1)")
     gamma, w = _threshold(L, delta)
     spread = math.sqrt(w)
+    # Loop constants bound once; each phase rounds as in the plain expression.
+    two_pi, n, atan2, tan = 2.0 * math.pi, 2 * L + 1, math.atan2, math.tan
     phis = tuple(
-        -2.0 * math.atan2(1.0, math.tan(2.0 * math.pi * j / (2 * L + 1)) * spread)
-        for j in range(1, L + 1)
+        [-2.0 * atan2(1.0, tan(two_pi * j / n) * spread) for j in range(1, L + 1)]
     )
     return FixedPointPlan(
         L=L, delta=delta, gamma=gamma, w=w, phis=phis, varphis=phis[::-1]
@@ -268,5 +288,5 @@ def fp_compose(c: RusCircuit, plan: FixedPointPlan) -> RusCircuit:
     If the circuit's lambda0 is at least plan.w, the composed circuit's
     success probability is at least 1 - plan.delta.
     """
-    return _phase_schedule(c, list(zip(plan.phis, plan.varphis)))
+    return _phase_schedule(c, plan.phis, plan.varphis)
 

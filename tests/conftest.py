@@ -61,6 +61,28 @@ def two_level_amplitudes(
     return complex(total[0, 0]), complex(total[1, 0])
 
 
+def fixed_point_success(lambda0: float, L: int, delta: float) -> float:
+    """Yoder-Low-Chuang closed form of the fixed-point success probability,
+
+        1 - delta * T_{2L+1}(T_{1/(2L+1)}(1/sqrt(delta)) * sqrt(1 - lambda0))^2,
+
+    with T_n(x) = cos(n acos x) for x <= 1 and cosh(n acosh x) above. It uses
+    no phase schedule and no rusamp code.
+    """
+    n = 2 * L + 1
+    a = math.acosh(1.0 / math.sqrt(delta)) / n
+    root = math.sqrt(1.0 - lambda0)
+    # 1 - x from cosh(a) = 1 + 2 sinh(a/2)^2 and 1 - root = lambda0 / (1 + root):
+    # near the threshold x rounds to 1, and T'_n(1) = n^2 amplifies that.
+    gap = lambda0 / (1.0 + root) - 2.0 * math.sinh(a / 2.0) ** 2 * root
+    if gap >= 0.0:
+        cheb = math.cos(n * 2.0 * math.asin(math.sqrt(gap / 2.0)))
+    else:
+        # acosh(1 + u) = log1p(u + sqrt(u (2 + u))), with u = -gap.
+        cheb = math.cosh(n * math.log1p(-gap + math.sqrt(-gap * (2.0 - gap))))
+    return 1.0 - delta * cheb**2
+
+
 def deterministic_pairs(plan) -> list[tuple[float, float]]:
     """Phase pairs of the deterministic protocol: j plain iterates, then the
     solved trailing iterate unless the plan skips it."""

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 from rusamp import cli, qcore, rus, tcost
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -129,6 +130,9 @@ class TestSimulate:
         )
         assert code == 0
         summary = _read_summary(out)
+        assert float(summary["success_probability_composed"]) == pytest.approx(
+            conftest.fixed_point_success(0.1, 120_181, 1e-6), abs=1e-12
+        )
         assert float(summary["success_probability_composed"]) >= 1.0 - 1e-6
 
     def test_normalizes_psi(self, tmp_path):
@@ -286,6 +290,16 @@ class TestConfigErrors:
              "--out", str(tmp_path / "out")]
         ) == 2
         assert "more than" in capsys.readouterr().err
+
+    def test_standard_iterate_count_limit(self, tmp_path, capsys):
+        # Rejected before the 10**8-iterate schedule is built.
+        spec = _write_spec(tmp_path)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", "standard:100000000",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        assert "more than" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -57,6 +57,15 @@ class TestStandard:
         )
 
 
+    @pytest.mark.parametrize("j", [oaa.FP_MAX_LENGTH + 1, 10**8])
+    def test_iterate_count_limit(self, j):
+        # Checked before any j-sized array exists: 10**8 iterates would
+        # need a 6.4 GB stack of 2x2 products.
+        circ = conftest.make_circuit(0.3, m=1)
+        with pytest.raises(ValueError, match="more than"):
+            oaa.standard_compose(circ, j)
+
+
 class TestDeterministic:
     def test_half_success_plan(self):
         # lambda0 = 1/2: theta = pi/4, no plain iterates fit, the trailing
@@ -109,6 +118,13 @@ class TestDeterministic:
         composed = oaa.deterministic_compose(circ, plan)
         assert composed.spec.lambda0 == pytest.approx(1.0, abs=1e-12)
 
+    def test_iterate_count_limit(self):
+        plan = oaa.plan_deterministic(1e-13)
+        assert plan.j > oaa.FP_MAX_LENGTH
+        circ = conftest.make_circuit(1e-13, m=1)
+        with pytest.raises(ValueError, match="more than"):
+            oaa.deterministic_compose(circ, plan)
+
     def test_rejects_mismatched_circuit(self):
         plan = oaa.plan_deterministic(0.5)
         circ = conftest.make_circuit(0.3, m=1)
@@ -153,6 +169,11 @@ class TestPiOverThree:
         assert oaa.pi3_level_for(0.5, 0.9) == 0
         with pytest.raises(ValueError):
             oaa.pi3_level_for(1.0, 1e-6)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, -0.5, -math.inf, 1.0, math.inf])
+    def test_level_for_rejects_invalid_failure(self, epsilon):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            oaa.pi3_level_for(epsilon, 1e-3)
 
     def test_level_for_is_minimal(self):
         for eps, delta in ((0.3, 1e-4), (0.8, 1e-8), (0.05, 1e-12)):
@@ -254,6 +275,17 @@ class TestFixedPoint:
         assert grown.spec.lambdas[0] >= 1.0 - 1e-6
         assert grown.spec.lambdas[1] == pytest.approx(abs(fail) ** 2, rel=1e-6)
 
+    @pytest.mark.parametrize("L", [2_000, 6_557, 120_181])
+    def test_matches_closed_form(self, L):
+        delta = 1e-6
+        plan = oaa.fp_plan(L, delta)
+        # Below, at and above the threshold w, where the guarantee starts.
+        for lambda0 in (plan.w / 4.0, plan.w, 0.01, 0.9):
+            grown = oaa.fp_compose(conftest.make_circuit(lambda0, m=1), plan)
+            assert grown.spec.lambdas[0] == pytest.approx(
+                conftest.fixed_point_success(lambda0, L, delta), abs=1e-12
+            )
+
     def test_length_limit(self):
         with pytest.raises(ValueError, match="more than"):
             oaa.fp_plan(oaa.FP_MAX_LENGTH + 1, 1e-3)
@@ -275,6 +307,44 @@ class TestFixedPoint:
         assert oaa.fp_plan(L, delta).w <= w_bound
         if L > 1:
             assert oaa.fp_plan(L - 1, delta).w > w_bound
+
+
+class TestPairwiseProduct:
+    """The schedule is multiplied as a tree; each length splits the stack
+    [A, G_1, ..., G_L] into its own pattern of even and odd passes."""
+
+    @staticmethod
+    def _assert_amplitudes(grown, base, pairs):
+        # Block i of the composed circuit is t_i0 times the base's gate i.
+        t00, t10 = conftest.two_level_amplitudes(base.spec.lambda0, pairs)
+        blocks = grown.a_matrix.mat[:, :2].reshape(2, 2, 2)
+        gates = base.spec.branch_gates()
+        np.testing.assert_allclose(blocks[0], t00 * gates[0].mat, atol=1e-12)
+        np.testing.assert_allclose(blocks[1], t10 * gates[1].mat, atol=1e-12)
+
+    @pytest.mark.parametrize("L", range(34))
+    def test_standard_matches_sequential_product(self, L):
+        base = conftest.make_circuit(0.03, m=1)
+        grown = oaa.standard_compose(base, L)
+        self._assert_amplitudes(grown, base, [(math.pi, math.pi)] * L)
+
+    @pytest.mark.parametrize("L", range(1, 34))
+    def test_fixed_point_matches_sequential_product(self, L):
+        base = conftest.make_circuit(0.03, m=1)
+        plan = oaa.fp_plan(L, 1e-4)
+        grown = oaa.fp_compose(base, plan)
+        self._assert_amplitudes(grown, base, list(zip(plan.phis, plan.varphis)))
+
+    @pytest.mark.parametrize("L", [5, 8, 13])
+    def test_matches_dense_reference(self, L):
+        base = conftest.make_circuit(0.2, m=2, rng=qcore.rng_stream(L))
+        plan = oaa.fp_plan(L, 1e-3)
+        for got, pairs in (
+            (oaa.standard_compose(base, L), [(math.pi, math.pi)] * L),
+            (oaa.fp_compose(base, plan), list(zip(plan.phis, plan.varphis))),
+        ):
+            want = conftest.dense_phase_schedule(base, pairs)
+            np.testing.assert_allclose(got.a_matrix.mat[:, :2], want[:, :2], atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
