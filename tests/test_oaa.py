@@ -56,7 +56,6 @@ class TestStandard:
             1.0, abs=1e-10
         )
 
-
     @pytest.mark.parametrize("j", [oaa.FP_MAX_LENGTH + 1, 10**8])
     def test_iterate_count_limit(self, j):
         # Checked before any j-sized array exists: 10**8 iterates would
@@ -170,7 +169,7 @@ class TestPiOverThree:
         with pytest.raises(ValueError):
             oaa.pi3_level_for(1.0, 1e-6)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, -0.5, -math.inf, 1.0, math.inf])
+    @pytest.mark.parametrize("epsilon", [math.nan, -0.5, -math.inf, math.inf])
     def test_level_for_rejects_invalid_failure(self, epsilon):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             oaa.pi3_level_for(epsilon, 1e-3)
@@ -343,8 +342,8 @@ class TestPairwiseProduct:
             (oaa.standard_compose(base, L), [(math.pi, math.pi)] * L),
             (oaa.fp_compose(base, plan), list(zip(plan.phis, plan.varphis))),
         ):
-            want = conftest.dense_phase_schedule(base, pairs)
-            np.testing.assert_allclose(got.a_matrix.mat[:, :2], want[:, :2], atol=1e-12)
+            want = conftest.dense_phase_schedule(base, pairs)[:, :2]
+            np.testing.assert_allclose(got.a_matrix.mat[:, :2], want, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
