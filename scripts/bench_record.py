@@ -16,9 +16,13 @@ At the end it prints, per workload and label, how many runs are not
 ``correct`` and the share of failed among attempted operations; then, per
 workload and metric, each label's median and interquartile range over all
 rows of the file, and how many seeds the last label wins against the first
-(direction from ``BENCHMARK.json``). It exits 1 if any recorded run is not
-``correct``, or if the last label's failed share of a workload exceeds the
-first label's.
+(direction from ``BENCHMARK.json``). For every metric it also prints how
+much worse the last label's median is than the first label's, against the
+metric's ``bound`` in ``BENCHMARK.json``, and whether the gain rule holds:
+the last label wins at least 9 of 10 pairs, and its median is better by
+more than the first label's interquartile range. It exits 1 if any recorded
+run is not ``correct``, if the last label's failed share of a workload
+exceeds the first label's, or if a median is worse than its bound.
 """
 
 from __future__ import annotations
@@ -111,11 +115,20 @@ def main(argv=None) -> int:
     return summarize(record["rows"], [label for label, _ in args.checkout])
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """Median and interquartile range (inclusive method; 0 for one value)."""
+    if len(values) == 1:
+        return values[0], 0.0
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q3 - q1
+
+
 def summarize(rows: list[dict], labels: list[str]) -> int:
-    """Print the summary; return 1 on an incorrect run or a larger failed share."""
+    """Print the summary; return 1 on an incorrect run, a larger failed share
+    or a median worse than its bound."""
     bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
     with open(bench, encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
     first, last = labels[0], labels[-1]
     status = int(not all(r["correct"] for r in rows))
     for workload in sorted({r["workload"] for r in rows}):
@@ -132,21 +145,37 @@ def summarize(rows: list[dict], labels: list[str]) -> int:
         if share[last] > share[first]:
             print(f"{workload}: {last} fails a larger share than {first}", file=sys.stderr)
             status = 1
-        for metric, direction in better.items():
-            parts = []
+        for spec in end_to_end:
+            metric = spec["name"]
+            stats, parts = {}, []
             for label in labels:
                 values = [r["metrics"][metric] for r in mine if r["label"] == label]
-                if len(values) > 1:
-                    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-                    parts.append(f"{label} {q2:.4g} (IQR {q3 - q1:.3g}, n={len(values)})")
+                if values:
+                    stats[label] = quartiles(values)
+                    parts.append(f"{label} {stats[label][0]:.4g} "
+                                 f"(IQR {stats[label][1]:.3g}, n={len(values)})")
             by_seed: dict[int, dict] = {}
             for r in mine:
                 by_seed.setdefault(r["seed"], {})[r["label"]] = r["metrics"][metric]
             pairs = [v for v in by_seed.values() if first in v and last in v]
-            sign = 1 if direction == "lower" else -1
+            sign = 1 if spec["better"] == "lower" else -1
             wins = sum(sign * (v[last] - v[first]) < 0 for v in pairs)
-            print(f"{workload} {metric}: {'; '.join(parts)}; "
-                  f"{last} better in {wins}/{len(pairs)} seeds", file=sys.stderr)
+            line = (f"{workload} {metric}: {'; '.join(parts)}; "
+                    f"{last} better in {wins}/{len(pairs)} seeds")
+            if first in stats and last in stats:
+                (base, base_iqr), (median, _) = stats[first], stats[last]
+                # Relative change of the median, positive where the last label is worse.
+                worse = sign * (median - base) / base
+                beyond = worse > spec["bound"]
+                # The gain rule: at least 9 of 10 pairs won, and a median gain
+                # larger than the first label's interquartile range.
+                gain = (len(pairs) > 0 and wins >= 0.9 * len(pairs)
+                        and sign * (base - median) > base_iqr)
+                line += (f"; median {worse:+.1%} worse, bound {spec['bound']:.0%}: "
+                         f"{'BEYOND BOUND' if beyond else 'within'}; "
+                         f"gain rule {'holds' if gain else 'does not hold'}")
+                status |= beyond
+            print(line, file=sys.stderr)
     return status
 
 

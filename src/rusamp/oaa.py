@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qcore
 from .qcore import StateVector, UnitaryMatrix
 from .rus import RusCircuit, RusSpec
 
@@ -60,17 +61,17 @@ def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
     while len(g) > 1:
         paired = g[1::2] @ g[:-1:2]
         g = np.concatenate([paired, g[-1:]]) if len(g) % 2 else paired
-    return _composed(c, g[0])
+    return _composed(c, a, g[0])
 
 
-def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
-    """The circuit acting as the 2x2 unitary t on the OAA planes of c."""
+def _composed(c: RusCircuit, a: np.ndarray, t: np.ndarray) -> RusCircuit:
+    """The circuit acting as the 2x2 unitary t on the OAA planes a of c."""
     # Rounding over a long schedule may leave t up to UNITARY_ATOL from
     # unitary; its nearest unitary keeps the composed matrix, and the states
     # it produces, within the state-norm tolerance.
     u, _, vh = np.linalg.svd(UnitaryMatrix(t).mat)
     t = u @ vh
-    spec, a_mat, a = c.spec, c.a_matrix.mat, _plane(c.spec)
+    spec, a_mat = c.spec, c.a_matrix.mat
     gates = np.array([g.mat for g in spec.branch_gates()])
     rest = spec.lambdas[1:].sum()
     # Without failure weight any unit failure block spans Phi; t10 is then 0.
@@ -84,7 +85,10 @@ def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
     x = np.eye(len(a_mat)) + np.einsum("pq,ipk,jqk->ij", y, basis, basis.conj())
     lambdas = np.concatenate([[abs(t[0, 0]) ** 2], abs(t[1, 0]) ** 2 * share])
     phases = np.exp(1j * np.angle(t[:, 0]))
-    branch = [UnitaryMatrix(phases[min(i, 1)] * g) for i, g in enumerate(gates)]
+    # Unit phases times checked gates: one check covers the whole stack.
+    phased = phases[1] * gates
+    phased[0] = phases[0] * gates[0]
+    branch = qcore.unitary_stack(phased)
     composed = RusSpec(
         spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
     )
@@ -210,10 +214,10 @@ def apply_deterministic(
 def pi3_compose(c: RusCircuit, plan: Pi3Plan) -> RusCircuit:
     """Level-k cube-law composition A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
     refl = np.array([np.exp(1j * plan.sign * math.pi / 3.0), 1.0])
-    t = _plane(c.spec)
+    a = t = _plane(c.spec)
     for _ in range(plan.k):
         t = -(t * refl) @ (t.conj().T * refl) @ t
-    return _composed(c, t)
+    return _composed(c, a, t)
 
 
 def pi3_level_for(epsilon: float, delta: float) -> int:

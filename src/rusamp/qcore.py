@@ -64,6 +64,25 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
+def _check_unitary(mats: np.ndarray, ndim: int) -> None:
+    """Raise unless ``mats`` holds unitaries of one power-of-two dimension.
+
+    ``mats`` is one matrix (``ndim`` 2) or a stack of them (``ndim`` 3); one
+    residual covers the whole stack.
+    """
+    if mats.ndim != ndim or mats.shape[-1] != mats.shape[-2]:
+        what = "matrix" if ndim == 2 else "stack of matrices"
+        raise ValueError(f"{what} must be square, got shape {mats.shape}")
+    dim = mats.shape[-1]
+    if dim & (dim - 1) or dim == 0:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    residual = np.abs(gram - np.eye(dim)).max(initial=0.0)
+    # Written so that NaN entries fail the check.
+    if not residual <= UNITARY_ATOL:
+        raise ValueError(f"unitarity residual {residual} exceeds {UNITARY_ATOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """Unitary on a power-of-two dimension, validated at construction."""
@@ -72,14 +91,7 @@ class UnitaryMatrix:
 
     def __post_init__(self) -> None:
         mat = _frozen_complex(self.mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        dim = mat.shape[0]
-        if dim & (dim - 1) or dim == 0:
-            raise ValueError(f"dimension {dim} is not a power of two")
-        residual = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
-        if not residual <= UNITARY_ATOL:
-            raise ValueError(f"unitarity residual {residual} exceeds {UNITARY_ATOL}")
+        _check_unitary(mat, 2)
         object.__setattr__(self, "mat", mat)
 
     @property
@@ -92,6 +104,23 @@ class UnitaryMatrix:
 
     def dagger(self) -> "UnitaryMatrix":
         return UnitaryMatrix(self.mat.conj().T)
+
+
+def unitary_stack(mats) -> tuple[UnitaryMatrix, ...]:
+    """Validate an (n, d, d) stack of unitaries at once.
+
+    The checks of ``UnitaryMatrix`` run once over the whole stack; the
+    results are read-only views of one frozen copy of it, not checked again
+    one by one.
+    """
+    stack = _frozen_complex(mats)
+    _check_unitary(stack, 3)
+    views = []
+    for mat in stack:
+        u = object.__new__(UnitaryMatrix)
+        object.__setattr__(u, "mat", mat)
+        views.append(u)
+    return tuple(views)
 
 
 def identity(num_qubits: int) -> UnitaryMatrix:
@@ -153,10 +182,11 @@ def complete_isometry(
     """
     basis = [np.asarray(c, dtype=np.complex128).reshape(dim) for c in cols]
     for i, v in enumerate(basis):
-        if abs(np.linalg.norm(v) - 1.0) > ORTHO_ATOL:
+        # Both checks are written so that NaN entries fail them.
+        if not abs(np.linalg.norm(v) - 1.0) <= ORTHO_ATOL:
             raise ValueError(f"input column {i} is not normalized")
         for j in range(i):
-            if abs(np.vdot(basis[j], v)) > ORTHO_ATOL:
+            if not abs(np.vdot(basis[j], v)) <= ORTHO_ATOL:
                 raise ValueError(f"input columns {j} and {i} are not orthogonal")
     while len(basis) < dim:
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

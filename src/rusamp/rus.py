@@ -326,7 +326,7 @@ def circuit_from_matrix(
     # A block's polar factor does not change when the block is scaled, so
     # one SVD gives every outcome's gate, stripped of rounding noise.
     u, _, vh = np.linalg.svd(cols)
-    gates = [UnitaryMatrix(gate) for gate in u @ vh]
+    gates = qcore.unitary_stack(u @ vh)
     spec = RusSpec(m, lambdas / lambdas.sum(), gates[0], tuple(gates[1:]), seed)
     return RusCircuit(spec, matrix)
 
@@ -377,10 +377,9 @@ def spec_from_dict(data: dict) -> RusSpec:
             raise ValueError(f"spec field {key!r} is missing")
     try:
         lambdas = np.array(data["lambdas"], dtype=float)
-        gates = [
-            UnitaryMatrix(_matrix_from_json(g, 2))
-            for g in (data["target"], *data["recoveries"])
-        ]
+        gates = qcore.unitary_stack(
+            [_matrix_from_json(g, 2) for g in (data["target"], *data["recoveries"])]
+        )
     except TypeError as exc:
         raise ValueError(f"malformed spec: {exc}") from exc
     return RusSpec(

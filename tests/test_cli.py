@@ -375,6 +375,17 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+    def test_non_unitary_recovery(self, tmp_path, capsys):
+        path = _write_spec(tmp_path)
+        data = json.loads(path.read_text())
+        data["recoveries"] = [[[1, 0], [0, 0], [0, 0], [2, 0]]]
+        path.write_text(json.dumps(data))
+        assert cli.main(
+            ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]
+        ) == 2
+        assert "unitarity residual" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["m", "lambdas", "target", "recoveries", "seed"])
     def test_missing_spec_field_is_named(self, tmp_path, capsys, field):
         path = _write_spec(tmp_path)

@@ -26,16 +26,47 @@ def test_state_amps_read_only():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_unitary_validation():
-    with pytest.raises(ValueError):
-        qcore.UnitaryMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        qcore.UnitaryMatrix(np.eye(3))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            qcore.UnitaryMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
-    u = qcore.UnitaryMatrix(np.eye(4))
-    assert u.num_qubits == 2
-    np.testing.assert_allclose(u.dagger().mat, np.eye(4))
+    # One matrix, and the same matrix as a one-member stack.
+    for build in (qcore.UnitaryMatrix, lambda mat: qcore.unitary_stack([mat])[0]):
+        with pytest.raises(ValueError, match="unitarity residual"):
+            build(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="must be square"):
+            build(np.ones((2, 4)))
+        with pytest.raises(ValueError, match="not a power of two"):
+            build(np.eye(3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="unitarity residual"):
+                build(np.array([[bad, 0.0], [0.0, 1.0]]))
+        u = build(np.eye(4))
+        assert u.num_qubits == 2
+        np.testing.assert_allclose(u.dagger().mat, np.eye(4))
+
+
+class TestUnitaryStack:
+    def test_one_bad_member_rejects_the_stack(self):
+        rng = qcore.rng_stream(4)
+        mats = [qcore.random_unitary(1, rng).mat for _ in range(5)]
+        qcore.unitary_stack(mats)
+        mats[-1] = mats[-1] * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match="unitarity residual"):
+            qcore.unitary_stack(mats)
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match="stack of matrices must be square"):
+            qcore.unitary_stack(np.eye(2))
+
+    def test_members_are_read_only_copies_of_the_input(self):
+        rng = qcore.rng_stream(5)
+        mats = np.stack([qcore.random_unitary(2, rng).mat for _ in range(3)])
+        stack = qcore.unitary_stack(mats)
+        assert len(stack) == 3
+        for u, mat in zip(stack, mats):
+            assert isinstance(u, qcore.UnitaryMatrix)
+            assert u.mat.tobytes() == mat.tobytes()
+            with pytest.raises(ValueError):
+                u.mat[0, 0] = 0.0
+        mats[0, 0, 0] = 0.0
+        assert stack[0].mat[0, 0] != 0.0
 
 
 def test_apply_hadamard():
@@ -146,6 +177,18 @@ class TestCompleteIsometry:
         ]
         with pytest.raises(ValueError):
             qcore.complete_isometry(cols, 2, qcore.rng_stream(0))
+
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            [[np.nan, 0.0, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]],
+        ],
+        ids=["first-column", "second-column"],
+    )
+    def test_rejects_nan_columns(self, cols):
+        with pytest.raises(ValueError, match=f"input column {len(cols) - 1} is not"):
+            qcore.complete_isometry(np.array(cols), 4, qcore.rng_stream(0))
 
     def test_random_prefixes_stay_exact(self):
         rng = qcore.rng_stream(12)
