@@ -77,7 +77,7 @@ def _check_unitary(mats: np.ndarray, ndim: int) -> None:
     if dim & (dim - 1) or dim == 0:
         raise ValueError(f"dimension {dim} is not a power of two")
     gram = mats.conj().swapaxes(-1, -2) @ mats
-    residual = np.abs(gram - np.eye(dim)).max(initial=0.0)
+    residual = np.abs(gram - np.eye(dim)).max()
     # Written so that NaN entries fail the check.
     if not residual <= UNITARY_ATOL:
         raise ValueError(f"unitarity residual {residual} exceeds {UNITARY_ATOL}")
