@@ -310,6 +310,8 @@ def main(argv=None) -> int:
     # Looked up per call, so that a replaced module function is the one run.
     commands = {"simulate": cmd_simulate, "figure": cmd_figure, "tcost": cmd_tcost}
     try:
+        if "seed" in args:
+            qcore.check_seed(args.seed, "--seed")
         return commands[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

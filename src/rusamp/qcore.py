@@ -23,6 +23,15 @@ ORTHO_ATOL = 1e-10
 RngStream = np.random.Generator
 
 
+def check_seed(seed, name: str) -> int:
+    """Return ``seed`` if it is a non-negative integer; else raise
+    ``ValueError`` naming it as ``name``."""
+    # Rejects bool, and floats that int() would truncate.
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def rng_stream(seed: int) -> RngStream:
     """Return a fresh counter-based random stream for ``seed``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -103,7 +112,18 @@ class UnitaryMatrix:
         return self.dim.bit_length() - 1
 
     def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.mat.conj().T)
+        """The adjoint, frozen; unitary because this matrix is, so not
+        checked again."""
+        mat = self.mat.conj().T
+        mat.setflags(write=False)
+        return _trusted(mat)
+
+
+def _trusted(mat: np.ndarray) -> UnitaryMatrix:
+    """Wrap a frozen matrix already known to be unitary, without a check."""
+    u = object.__new__(UnitaryMatrix)
+    object.__setattr__(u, "mat", mat)
+    return u
 
 
 def unitary_stack(mats) -> tuple[UnitaryMatrix, ...]:
@@ -115,12 +135,7 @@ def unitary_stack(mats) -> tuple[UnitaryMatrix, ...]:
     """
     stack = _frozen_complex(mats)
     _check_unitary(stack, 3)
-    views = []
-    for mat in stack:
-        u = object.__new__(UnitaryMatrix)
-        object.__setattr__(u, "mat", mat)
-        views.append(u)
-    return tuple(views)
+    return tuple(_trusted(mat) for mat in stack)
 
 
 def identity(num_qubits: int) -> UnitaryMatrix:
@@ -157,18 +172,19 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
 
 
-def draw_outcomes(probs: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Draw one outcome per column of ``probs`` (outcomes x columns).
+def draw_outcomes(cdf: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Draw one outcome per column of ``cdf``, cumulative masses (outcomes x
+    columns).
 
     Each column takes one uniform from ``rng``, in column order, scaled by
-    that column's realized total mass, so zero-probability outcomes are
-    unreachable even when rounding makes the masses sum slightly below 1.
-    The outcome is the number of cumulative masses at or below the scaled
-    uniform, clamped to the last outcome.
+    that column's realized total mass (its last row), so the draw holds even
+    when rounding makes the masses sum slightly below 1.  The outcome is the
+    number of cumulative masses at or below the scaled uniform, clamped to
+    the last outcome; an outcome whose cumulative mass equals the one
+    before it is unreachable.
     """
-    cdf = np.cumsum(probs, axis=0)
-    u = rng.random(probs.shape[1]) * cdf[-1]
-    return np.minimum((cdf <= u).sum(axis=0), probs.shape[0] - 1)
+    u = rng.random(cdf.shape[1]) * cdf[-1]
+    return np.minimum((cdf <= u).sum(axis=0), cdf.shape[0] - 1)
 
 
 def complete_isometry(

@@ -146,7 +146,8 @@ class BatchRun:
         if self.exhausted[0]:
             raise MaxAttemptsExceeded(f"no success outcome within {attempts} attempts")
         final = StateVector(self.finals.shape[0].bit_length() - 1, self.finals[:, 0])
-        return RunRecord(self.sequences()[0], attempts, final)
+        outcomes = tuple(self.outcome_log[self.trial_log == 0].tolist())
+        return RunRecord(outcomes, attempts, final)
 
 
 def build_rus_unitary(spec: RusSpec) -> RusCircuit:
@@ -195,12 +196,16 @@ class RetryFrame:
     and the history of a run survives as per-outcome weights.  ``success``
     is ``U_0``; row 0 of ``masses`` is the diagonal of ``U_0^dag U_0`` and
     row i is ``|d_i|^2``, where ``d_i``, column ``i - 1`` of ``diagonals``,
-    is the diagonal of failure outcome i's undone block.
+    is the diagonal of failure outcome i's undone block.  ``cumulative``
+    sums ``masses`` over the outcomes ``reachable`` lists, those whose mass
+    row is not all zero, so a draw can never land on the others.
     """
 
     success: np.ndarray
     masses: np.ndarray
     diagonals: np.ndarray
+    cumulative: np.ndarray
+    reachable: np.ndarray
 
 
 def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
@@ -229,7 +234,13 @@ def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
         )
     masses = np.abs(diagonals) ** 2
     masses[0] = diagonals[0].real
-    return RetryFrame(blocks[0], masses, diagonals[1:].T.copy())
+    # A product need not round equal rows alike, so an outcome of zero mass
+    # is left out of the draw rather than given a row equal to the last one.
+    reachable = np.flatnonzero(masses.any(axis=1))
+    return RetryFrame(
+        blocks[0], masses, diagonals[1:].T.copy(),
+        np.cumsum(masses[reachable], axis=0), reachable,
+    )
 
 
 def run_batch(
@@ -241,41 +252,46 @@ def run_batch(
 ) -> BatchRun:
     """Repeat until success for ``trials`` runs that all start in ``state``.
 
-    Each attempt measures every live trial with one uniform from ``rng``, in
-    trial order, so a single trial draws exactly as a per-trial loop would.
-    The outcome masses are ``frame.masses @ |psi|^2``; failure i rescales a
-    trial to ``d_i * psi / sqrt(p_i)``.  A success keeps ``psi / sqrt(p_0)``,
-    and ``U_0`` is applied to all of them once, after the loop.
+    Live trials are rows of an (alive, register) array.  Each attempt
+    measures every live trial with one uniform from ``rng``, in trial order,
+    so a single trial draws exactly as a per-trial loop would.  The draw
+    reads ``frame.cumulative @ |psi|^2``; failure i rescales a trial to
+    ``d_i * psi / sqrt(p_i)`` with ``p_i`` its row of ``frame.masses @
+    |psi|^2``.  A success keeps ``psi / sqrt(p_0)``, and ``U_0`` is applied
+    to all of them once, after the loop.
     """
     register = frame.success.shape[1]
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (register,):
         raise ValueError("state does not match the frame's register")
-    current = np.repeat(state[:, None], trials, axis=1)
-    kept = np.full((register, trials), np.nan, dtype=np.complex128)
+    current = np.repeat(state[None], trials, axis=0)
+    kept = np.full((trials, register), np.nan, dtype=np.complex128)
+    undo = frame.diagonals.T
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
     for _ in range(max_attempts):
         if alive.size == 0:
             break
-        probs = frame.masses @ np.abs(current) ** 2
-        norms = np.sqrt(probs.sum(axis=0))
+        sq = (np.abs(current) ** 2).T
+        cdf = frame.cumulative @ sq
+        norms = np.sqrt(cdf[-1])
         qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
-        outcome = qcore.draw_outcomes(probs, rng)
-        root = np.sqrt(probs[outcome, np.arange(alive.size)])
+        outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
+        inv = 1.0 / np.sqrt((frame.masses @ sq)[outcome, np.arange(alive.size)])
         trial_log.append(alive)
         outcome_log.append(outcome)
-        done = outcome == 0
-        kept[:, alive[done]] = current[:, done] / root[done]
-        failed = ~done
+        done = np.flatnonzero(outcome == 0)
+        failed = np.flatnonzero(outcome)
+        kept[alive[done]] = current[done] * inv[done, None]
         alive = alive[failed]
-        # A success (outcome 0) reads column -1 here; [:, failed] drops it.
-        current = (frame.diagonals[:, outcome - 1] * current / root)[:, failed]
+        current = undo[outcome[failed] - 1] * current[failed] * inv[failed, None]
+    exhausted = np.zeros(trials, dtype=bool)
+    exhausted[alive] = True
     trial_log = np.concatenate(trial_log)
     return BatchRun(
         attempts=np.bincount(trial_log, minlength=trials),
-        exhausted=np.isin(np.arange(trials), alive),
-        finals=frame.success @ kept,
+        exhausted=exhausted,
+        finals=frame.success @ np.ascontiguousarray(kept.T),
         trial_log=trial_log,
         outcome_log=np.concatenate(outcome_log),
     )
@@ -382,12 +398,16 @@ def spec_from_dict(data: dict) -> RusSpec:
         )
     except TypeError as exc:
         raise ValueError(f"malformed spec: {exc}") from exc
+    if lambdas.ndim != 1:
+        raise ValueError(
+            f"spec field 'lambdas' must be a flat list of numbers, got shape {lambdas.shape}"
+        )
     return RusSpec(
         m=_integer(data, "m"),
         lambdas=lambdas,
         target=gates[0],
         recoveries=tuple(gates[1:]),
-        seed=_integer(data, "seed"),
+        seed=qcore.check_seed(data["seed"], "spec field 'seed'"),
     )
 
 

@@ -153,39 +153,82 @@ def measure_ancillas(
     rest = 2 ** (s.num_qubits - m)
     blocks = s.amps.reshape(2**m, rest)
     probs = np.sum(np.abs(blocks) ** 2, axis=1)
-    outcome = int(qcore.draw_outcomes(probs[:, None], rng)[0])
+    outcome = int(qcore.draw_outcomes(np.cumsum(probs)[:, None], rng)[0])
     prob = float(probs[outcome])
     collapsed = np.zeros_like(s.amps).reshape(2**m, rest)
     collapsed[outcome] = blocks[outcome] / np.sqrt(prob)
     return outcome, qcore.StateVector(s.num_qubits, collapsed.reshape(-1)), prob
 
 
+def dense_batch_run(
+    attempt, start: np.ndarray, trials: int, rng: qcore.RngStream,
+    max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``trials`` copies of a per-trial loop in the batch engine's draw order.
+
+    ``attempt(amps, rng)`` performs one attempt on one trial and returns
+    ``(outcome, amps)``. Every round steps the live trials in trial order,
+    each drawing its own uniform; Philox's ``rng.random(n)`` equals n scalar
+    draws, so this is the order in which ``rus.run_batch`` draws. Returns
+    ``(trial_log, outcome_log, finals)`` laid out as ``rus.BatchRun`` holds
+    them, with NaN finals for exhausted trials.
+    """
+    states = [np.asarray(start)] * trials
+    finals = np.full((start.shape[0], trials), np.nan, dtype=complex)
+    trial_log, outcome_log = [], []
+    alive = list(range(trials))
+    for _ in range(max_attempts):
+        if not alive:
+            break
+        still = []
+        for trial in alive:
+            outcome, states[trial] = attempt(states[trial], rng)
+            trial_log.append(trial)
+            outcome_log.append(outcome)
+            if outcome == 0:
+                finals[:, trial] = states[trial]
+            else:
+                still.append(trial)
+        alive = still
+    return np.array(trial_log, dtype=int), np.array(outcome_log, dtype=int), finals
+
+
+def _single_run(attempt, start, rng, max_attempts) -> tuple[tuple[int, ...], np.ndarray]:
+    _, outcomes, finals = dense_batch_run(attempt, start, 1, rng, max_attempts)
+    if outcomes[-1] != 0:
+        raise rus.MaxAttemptsExceeded(f"no success outcome within {max_attempts} attempts")
+    return tuple(outcomes.tolist()), finals[:, 0]
+
+
+def dense_attempt(c: rus.RusCircuit):
+    """One plain attempt on the full (ancillas, data) register.
+
+    It applies the whole circuit matrix to |0^m>|psi>, measures the ancillas
+    with ``measure_ancillas`` and, on failure outcome i, applies W_i^dag to
+    the data. Apart from the draw rule ``qcore.draw_outcomes`` it shares no
+    code with the batched engine.
+    """
+    m = c.spec.m
+    undo = [r.mat.conj().T for r in c.spec.recoveries]
+
+    def attempt(amps, rng):
+        joint = np.kron(qcore.basis_state(m).amps, amps)
+        state = qcore.StateVector(m + 1, c.a_matrix.mat @ joint)
+        outcome, collapsed, _ = measure_ancillas(state, m, rng)
+        amps = collapsed.amps.reshape(2**m, 2)[outcome]
+        return outcome, amps if outcome == 0 else undo[outcome - 1] @ amps
+
+    return attempt
+
+
 def dense_rus_run(
     c: rus.RusCircuit, psi: qcore.StateVector, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
 ) -> tuple[tuple[int, ...], qcore.StateVector]:
-    """One plain run on the full (ancillas, data) register.
-
-    Each attempt applies the whole circuit matrix to |0^m>|psi>, measures
-    the ancillas with ``measure_ancillas`` and, on failure outcome i, applies
-    W_i^dag to the data. Apart from the draw rule ``qcore.draw_outcomes`` it
-    shares no code with the batched engine, which makes it an independent
-    reference for ``rus.run_rus``.
-    """
-    m = c.spec.m
-    undo = [r.mat.conj().T for r in c.spec.recoveries]
-    amps = psi.amps
-    outcomes = []
-    for _ in range(max_attempts):
-        joint = np.kron(qcore.basis_state(m).amps, amps)
-        state = qcore.StateVector(m + 1, c.a_matrix.mat @ joint)
-        outcome, collapsed, _ = measure_ancillas(state, m, rng)
-        outcomes.append(outcome)
-        amps = collapsed.amps.reshape(2**m, 2)[outcome]
-        if outcome == 0:
-            return tuple(outcomes), qcore.StateVector(1, amps)
-        amps = undo[outcome - 1] @ amps
-    raise rus.MaxAttemptsExceeded(f"no success outcome within {max_attempts} attempts")
+    """One plain run of ``dense_attempt``, an independent reference for
+    ``rus.run_rus``."""
+    outcomes, final = _single_run(dense_attempt(c), psi.amps, rng, max_attempts)
+    return outcomes, qcore.StateVector(1, final)
 
 
 def dense_b_matrix(cc: distortion.ConditionalCircuit) -> qcore.UnitaryMatrix:
@@ -200,33 +243,46 @@ def dense_b_matrix(cc: distortion.ConditionalCircuit) -> qcore.UnitaryMatrix:
     )
 
 
+def dense_conditional_attempt(cc: distortion.ConditionalCircuit):
+    """One conditional attempt on the full (ancillas, data, control) register.
+
+    It applies ``dense_b_matrix`` to fresh ancillas, measures them with
+    ``measure_ancillas`` and, on failure outcome i, undoes W_i on the
+    control-|1> amplitudes. Apart from the draw rule ``qcore.draw_outcomes``
+    it shares no code with the batched engine.
+    """
+    m = cc.base.spec.m
+    b_matrix = dense_b_matrix(cc).mat
+    undo = [r.mat.conj().T for r in cc.base.spec.recoveries]
+
+    def attempt(pair, rng):
+        joint = np.kron(qcore.basis_state(m).amps, pair)
+        state = qcore.StateVector(m + 2, b_matrix @ joint)
+        outcome, collapsed, _ = measure_ancillas(state, m, rng)
+        pair = collapsed.amps.reshape(2**m, 4)[outcome].copy()
+        if outcome:
+            pair[1::2] = undo[outcome - 1] @ pair[1::2]
+        return outcome, pair
+
+    return attempt
+
+
+def conditional_start(cfg: distortion.DistortionConfig) -> np.ndarray:
+    """(data, control) amplitudes of ``cfg``'s input, control least significant."""
+    pair = np.zeros(4, dtype=complex)
+    pair[0::2] = cfg.alpha * cfg.psi0.amps
+    pair[1::2] = cfg.beta * cfg.psi1.amps
+    return pair
+
+
 def dense_conditional_run(
     cc: distortion.ConditionalCircuit,
     cfg: distortion.DistortionConfig,
     rng: qcore.RngStream,
 ) -> tuple[tuple[int, ...], qcore.StateVector]:
-    """One conditional run on the full (ancillas, data, control) register.
-
-    Each attempt applies ``dense_b_matrix`` to fresh ancillas,
-    measures them with ``measure_ancillas`` and, on failure outcome i, undoes
-    W_i on the control-|1> amplitudes. Apart from the draw rule
-    ``qcore.draw_outcomes`` it shares no code with the batched engine, which
-    makes it an independent reference for conditional runs.
-    """
-    m = cc.base.spec.m
-    b_matrix = dense_b_matrix(cc).mat
-    undo = [r.mat.conj().T for r in cc.base.spec.recoveries]
-    pair = np.zeros(4, dtype=complex)
-    pair[0::2] = cfg.alpha * cfg.psi0.amps
-    pair[1::2] = cfg.beta * cfg.psi1.amps
-    outcomes = []
-    for _ in range(cfg.max_attempts):
-        joint = np.kron(qcore.basis_state(m).amps, pair)
-        state = qcore.StateVector(m + 2, b_matrix @ joint)
-        outcome, collapsed, _ = measure_ancillas(state, m, rng)
-        outcomes.append(outcome)
-        pair = collapsed.amps.reshape(2**m, 4)[outcome].copy()
-        if outcome == 0:
-            return tuple(outcomes), qcore.StateVector(2, pair)
-        pair[1::2] = undo[outcome - 1] @ pair[1::2]
-    raise rus.MaxAttemptsExceeded(f"no success outcome within {cfg.max_attempts} attempts")
+    """One conditional run of ``dense_conditional_attempt``, an independent
+    reference for conditional runs."""
+    outcomes, final = _single_run(
+        dense_conditional_attempt(cc), conditional_start(cfg), rng, cfg.max_attempts
+    )
+    return outcomes, qcore.StateVector(2, final)

@@ -408,6 +408,35 @@ class TestConfigErrors:
             "error: m=100000 needs 2**m outcome probabilities, got 8\n"
         )
 
+    @pytest.mark.parametrize("command", [["figure", "fig2"], ["simulate"]])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        if command == ["simulate"]:
+            command = ["simulate", "--spec", str(_write_spec(tmp_path))]
+        assert cli.main(
+            [*command, "--seed", "-1", "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -4, "spec field 'seed' must be a non-negative integer, got -4"),
+            ("lambdas", [[0.3], [0.7]],
+             "spec field 'lambdas' must be a flat list of numbers, got shape (2, 1)"),
+        ],
+    )
+    def test_bad_spec_field_is_named(self, tmp_path, capsys, field, value, message):
+        path = _write_spec(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        assert cli.main(
+            ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestParserReuse:
     def _manifest_config(self, out) -> dict:

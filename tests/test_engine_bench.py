@@ -1,0 +1,33 @@
+"""Smoke test of scripts/engine_bench.py on this checkout."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "engine_bench.py"
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_times_every_shape_for_every_label():
+    proc = _run(f"one={ROOT}", f"two={ROOT}", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
+    assert len(rows) == 2 * 10
+    assert rows[0].split()[:3] == ["conditional", "m=1", "n=1"]
+    for row, label in zip(rows, ["one", "two"] * 10):
+        *shape, name, per_call, per_step = row.split()
+        assert name == label
+        # A call takes at least one trial-attempt; per call is to 0.1 us.
+        assert float(per_call) + 0.05 >= float(per_step) > 0.0
+
+
+def test_rejects_a_path_without_the_package(tmp_path):
+    proc = _run(f"bad={tmp_path}")
+    assert proc.returncode == 2
+    assert "expected LABEL=PATH of a checkout" in proc.stderr

@@ -69,6 +69,18 @@ class TestUnitaryStack:
         assert stack[0].mat[0, 0] != 0.0
 
 
+def test_dagger_is_the_frozen_adjoint():
+    u = qcore.random_unitary(3, qcore.rng_stream(6))
+    adjoint = u.dagger()
+    assert isinstance(adjoint, qcore.UnitaryMatrix)
+    expect = u.mat.conj().T
+    assert adjoint.mat.shape == expect.shape
+    assert adjoint.mat.tobytes(order="A") == expect.tobytes(order="A")
+    assert np.array_equal(adjoint.mat, expect)
+    with pytest.raises(ValueError):
+        adjoint.mat[0, 0] = 0.0
+
+
 def test_apply_hadamard():
     out = qcore.apply(qcore.HADAMARD, qcore.basis_state(1, 0))
     np.testing.assert_allclose(out.amps, np.array([1.0, 1.0]) / np.sqrt(2.0))

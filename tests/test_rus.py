@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from rusamp import oaa, qcore, rus
+from rusamp import distortion, oaa, qcore, rus
 
 
 def _spec(m, lambdas, seed=0, rng_seed=100, trivial=False):
@@ -264,6 +264,78 @@ class TestBatch:
                 assert abs(np.vdot(expect, final)) ** 2 > 1.0 - 1e-12
 
 
+def _batch_case(kind: str, m: int):
+    """A frame, its start state and the matching dense per-trial attempt."""
+    rng = qcore.rng_stream(700 + m)
+    circ = conftest.make_circuit(0.25, m=m, rng=rng)
+    if kind == "standard":
+        circ = oaa.standard_compose(circ, 1)
+    elif kind == "fp":
+        circ = oaa.fp_compose(circ, oaa.fp_plan(4, 0.5))
+    if kind not in ("distorted", "undistorted"):
+        return circ.frame, qcore.random_state(1, rng).amps, conftest.dense_attempt(circ)
+    gammas = None
+    if kind == "distorted":
+        gammas = rng.random(2**m) + 0.1
+        gammas /= gammas.sum()
+    cc = distortion.build_conditional(circ, gammas, seed=m)
+    cfg = distortion.DistortionConfig(
+        alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
+        psi1=qcore.random_state(1, rng), trials=1, seed=0,
+    )
+    return cc.frame, conftest.conditional_start(cfg), conftest.dense_conditional_attempt(cc)
+
+
+class TestWideBatches:
+    # The cap of 6 attempts exhausts some of the wide plain and conditional
+    # batches; the composed circuits succeed too often to.
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind", ["plain", "standard", "fp", "distorted", "undistorted"]
+    )
+    def test_agrees_with_dense_trials(self, kind, m, width):
+        frame, start, attempt = _batch_case(kind, m)
+        batch = rus.run_batch(frame, start, width, qcore.rng_stream(m), 6)
+        trial_log, outcome_log, finals = conftest.dense_batch_run(
+            attempt, start, width, qcore.rng_stream(m), 6
+        )
+        assert np.array_equal(batch.trial_log, trial_log)
+        assert np.array_equal(batch.outcome_log, outcome_log)
+        assert np.array_equal(np.isnan(batch.finals), np.isnan(finals))
+        np.testing.assert_allclose(batch.finals, finals, rtol=0, atol=1e-14)
+        if width == 300 and kind in ("plain", "distorted"):
+            assert 0 < batch.exhausted.sum() < width
+
+
+class TestZeroMassOutcomes:
+    @pytest.mark.parametrize(
+        "lambdas", [[0.4, 0.0, 0.35, 0.25], [0.3, 0.2, 0.0, 0.1, 0.0, 0.2, 0.1, 0.1]]
+    )
+    def test_plain_outcome_never_drawn(self, lambdas):
+        m = len(lambdas).bit_length() - 1
+        circ = rus.build_rus_unitary(_spec(m, lambdas))
+        psi = qcore.random_state(1, qcore.rng_stream(8))
+        batch = rus.run_batch(circ.frame, psi.amps, 10_000, qcore.rng_stream(9))
+        zero = np.flatnonzero(np.array(lambdas) == 0.0)
+        assert not np.isin(batch.outcome_log, zero).any()
+        assert not np.isin(circ.frame.reachable, zero).any()
+        assert not batch.exhausted.any()
+
+    def test_conditional_outcome_never_drawn(self):
+        circ = rus.build_rus_unitary(_spec(2, [0.3, 0.0, 0.4, 0.3]))
+        cc = distortion.build_conditional(circ, np.array([0.25, 0.0, 0.5, 0.25]), seed=2)
+        cfg = distortion.DistortionConfig(
+            alpha=0.6, beta=0.8, psi0=qcore.basis_state(1),
+            psi1=qcore.random_state(1, qcore.rng_stream(10)), trials=1, seed=0,
+        )
+        batch = rus.run_batch(
+            cc.frame, conftest.conditional_start(cfg), 10_000, qcore.rng_stream(11)
+        )
+        assert 1 not in batch.outcome_log
+        assert set(np.unique(batch.outcome_log)) == {0, 2, 3}
+
+
 class TestExtraction:
     def test_round_trip(self):
         circ = conftest.make_circuit(0.42, m=2)
@@ -308,6 +380,26 @@ class TestInverse:
         np.testing.assert_allclose(
             twice.a_matrix.mat, circ.a_matrix.mat, atol=1e-10
         )
+
+    @pytest.mark.parametrize("compose", [None, "fp"])
+    def test_matches_a_checked_adjoint(self, compose):
+        # dagger() skips the unitarity check; the inverse keeps its bits.
+        rng = qcore.rng_stream(23)
+        circ = conftest.make_circuit(0.2, m=2, rng=rng)
+        if compose:
+            circ = oaa.fp_compose(circ, oaa.fp_plan(8, 1e-3))
+        inv = rus.inverse_rus(circ)
+        checked = rus.circuit_from_matrix(
+            qcore.UnitaryMatrix(circ.a_matrix.mat.conj().T), 2, seed=circ.spec.seed
+        )
+        assert np.array_equal(inv.a_matrix.mat, checked.a_matrix.mat)
+        assert np.array_equal(inv.spec.lambdas, checked.spec.lambdas)
+        for got, want in zip(inv.spec.branch_gates(), checked.spec.branch_gates()):
+            assert np.array_equal(got.mat, want.mat)
+        psi = qcore.random_state(1, rng).amps
+        runs = [rus.run_batch(c.frame, psi, 50, qcore.rng_stream(5)) for c in (inv, checked)]
+        assert np.array_equal(runs[0].outcome_log, runs[1].outcome_log)
+        assert np.array_equal(runs[0].finals, runs[1].finals)
 
 
 class TestSerialization:
