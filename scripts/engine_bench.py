@@ -35,7 +35,6 @@ SHAPES = (
     ("plain", 1, 50), ("plain", 1, 250), ("plain", 3, 50), ("plain", 3, 250),
 )
 LAMBDA0 = 0.3
-MAX_ATTEMPTS = 10_000
 
 
 def parse_args(argv):
@@ -102,7 +101,7 @@ def bench(packages, kind: str, m: int, width: int, repeats: int, seed: int):
         for i, (pkg, (frame, state)) in enumerate(zip(packages, inputs)):
             rng = pkg.qcore.rng_stream(seed)
             start = time.perf_counter()
-            batch = pkg.rus.run_batch(frame, state, width, rng, MAX_ATTEMPTS)
+            batch = pkg.rus.run_batch(frame, state, width, rng)
             best[i] = min(best[i], time.perf_counter() - start)
             steps[i] = batch.trial_log.size
     return best, steps
