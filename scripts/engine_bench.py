@@ -5,8 +5,8 @@
 Each ``LABEL=PATH`` names a checkout whose ``src/rusamp`` is imported into
 this one process under its own module name, so every checkout runs on the
 same interpreter, cache and load. For every shape in ``SHAPES`` each
-checkout builds its own frame from the same seeded spec; the calls then
-alternate between checkouts, each on a fresh stream of the same seed, and
+checkout builds its own frame from the spec seeded with ``SEED``; the calls
+then alternate between checkouts, each on a fresh stream of that seed, and
 the best of ``--repeats`` counts. Per shape and label it prints the best
 microseconds per call and per trial-attempt (the number of live trials
 summed over attempts, read from the batch's ``trial_log``).
@@ -35,13 +35,13 @@ SHAPES = (
     ("plain", 1, 50), ("plain", 1, 250), ("plain", 3, 50), ("plain", 3, 250),
 )
 LAMBDA0 = 0.3
+SEED = 0
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="+", metavar="LABEL=PATH")
     parser.add_argument("--repeats", type=int, default=40, help="calls per shape and label")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     checkouts = []
     for item in args.checkout:
@@ -69,37 +69,37 @@ def load_package(init: str, name: str):
     return package
 
 
-def batch_input(pkg, kind: str, m: int, seed: int):
+def batch_input(pkg, kind: str, m: int):
     """The frame and start state of one shape, built by the checkout ``pkg``."""
     qcore, rus, distortion = pkg.qcore, pkg.rus, pkg.distortion
-    rng = qcore.rng_stream(seed)
+    rng = qcore.rng_stream(SEED)
     rest = rng.random(2**m - 1)
     lambdas = np.concatenate(([LAMBDA0], rest * (1.0 - LAMBDA0) / rest.sum()))
     spec = rus.RusSpec(
         m=m, lambdas=lambdas, target=qcore.random_unitary(1, rng),
         recoveries=tuple(qcore.random_unitary(1, rng) for _ in range(2**m - 1)),
-        seed=seed,
+        seed=SEED,
     )
     circuit = rus.build_rus_unitary(spec)
     psi = qcore.random_state(1, rng)
     if kind == "plain":
         return circuit.frame, psi.amps
     gammas = rng.random(2**m) + 0.1
-    cc = distortion.build_conditional(circuit, gammas / gammas.sum(), seed=seed)
+    cc = distortion.build_conditional(circuit, gammas / gammas.sum(), seed=SEED)
     state = np.zeros(4, dtype=np.complex128)
     state[0::2] = 0.6 * psi.amps
     state[1::2] = 0.8j * qcore.random_state(1, rng).amps
     return cc.frame, state
 
 
-def bench(packages, kind: str, m: int, width: int, repeats: int, seed: int):
+def bench(packages, kind: str, m: int, width: int, repeats: int):
     """Best seconds per call and trial-attempts per call, per package."""
-    inputs = [batch_input(pkg, kind, m, seed) for pkg in packages]
+    inputs = [batch_input(pkg, kind, m) for pkg in packages]
     best = [np.inf] * len(packages)
     steps = [0] * len(packages)
     for _ in range(repeats):
         for i, (pkg, (frame, state)) in enumerate(zip(packages, inputs)):
-            rng = pkg.qcore.rng_stream(seed)
+            rng = pkg.qcore.rng_stream(SEED)
             start = time.perf_counter()
             batch = pkg.rus.run_batch(frame, state, width, rng)
             best[i] = min(best[i], time.perf_counter() - start)
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
                 for i, (_, init) in enumerate(args.checkout)]
     print(f"{'shape':<24} {'label':<12} {'us/call':>10} {'us/trial-attempt':>17}")
     for kind, m, width in SHAPES:
-        best, steps = bench(packages, kind, m, width, args.repeats, args.seed)
+        best, steps = bench(packages, kind, m, width, args.repeats)
         shape = f"{kind} m={m} n={width}"
         for (label, _), seconds, count in zip(args.checkout, best, steps):
             print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} "

@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     commands = {"simulate": cmd_simulate, "figure": cmd_figure, "tcost": cmd_tcost}
     try:
         if "seed" in args:
-            qcore.check_seed(args.seed, "--seed")
+            qcore.check_integer(args.seed, "--seed", non_negative=True)
         return commands[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,13 +23,14 @@ ORTHO_ATOL = 1e-10
 RngStream = np.random.Generator
 
 
-def check_seed(seed, name: str) -> int:
-    """Return ``seed`` if it is a non-negative integer; else raise
-    ``ValueError`` naming it as ``name``."""
+def check_integer(value, name: str, non_negative: bool = False) -> int:
+    """Return ``value`` if it is an integer, and not negative where
+    ``non_negative`` asks; else raise ``ValueError`` naming it as ``name``."""
     # Rejects bool, and floats that int() would truncate.
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
-    return seed
+    if type(value) is not int or (non_negative and value < 0):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def rng_stream(seed: int) -> RngStream:

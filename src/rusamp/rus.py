@@ -195,10 +195,14 @@ class RetryFrame:
     Every outcome's mass is then linear in the squared moduli of the state,
     and the history of a run survives as per-outcome weights.  ``success``
     is ``U_0``; row 0 of ``masses`` is the diagonal of ``U_0^dag U_0`` and
-    row i is ``|d_i|^2``, where ``d_i``, column ``i - 1`` of ``diagonals``,
+    row i is ``|d_i|^2``, where ``d_i``, row ``i - 1`` of ``diagonals``,
     is the diagonal of failure outcome i's undone block.  ``cumulative``
     sums ``masses`` over the outcomes ``reachable`` lists, those whose mass
-    row is not all zero, so a draw can never land on the others.
+    row is not all zero, so a draw can never land on the others.  An outcome
+    whose row is zero only on a trial's support keeps its row; the product
+    can round it a few ulp above the one before it, so a draw may reach it
+    with odds near 1e-16, and that trial's state turns NaN, which the next
+    attempt's norm check rejects.
     """
 
     success: np.ndarray
@@ -234,11 +238,12 @@ def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
         )
     masses = np.abs(diagonals) ** 2
     masses[0] = diagonals[0].real
-    # A product need not round equal rows alike, so an outcome of zero mass
-    # is left out of the draw rather than given a row equal to the last one.
+    # A product need not round equal rows alike, so an outcome whose mass
+    # row is all zero is left out of the draw rather than given a row equal
+    # to the last one.
     reachable = np.flatnonzero(masses.any(axis=1))
     return RetryFrame(
-        blocks[0], masses, diagonals[1:].T.copy(),
+        blocks[0], masses, np.ascontiguousarray(diagonals[1:]),
         np.cumsum(masses[reachable], axis=0), reachable,
     )
 
@@ -266,7 +271,6 @@ def run_batch(
         raise ValueError("state does not match the frame's register")
     current = np.repeat(state[None], trials, axis=0)
     kept = np.full((trials, register), np.nan, dtype=np.complex128)
-    undo = frame.diagonals.T
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
     for _ in range(max_attempts):
@@ -284,7 +288,9 @@ def run_batch(
         failed = np.flatnonzero(outcome)
         kept[alive[done]] = current[done] * inv[done, None]
         alive = alive[failed]
-        current = undo[outcome[failed] - 1] * current[failed] * inv[failed, None]
+        current = (
+            frame.diagonals[outcome[failed] - 1] * current[failed] * inv[failed, None]
+        )
     exhausted = np.zeros(trials, dtype=bool)
     exhausted[alive] = True
     trial_log = np.concatenate(trial_log)
@@ -376,14 +382,6 @@ def spec_to_dict(spec: RusSpec) -> dict:
     }
 
 
-def _integer(data: dict, key: str) -> int:
-    value = data[key]
-    # Rejects bool, and floats that int() would truncate.
-    if type(value) is not int:
-        raise ValueError(f"spec field {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def spec_from_dict(data: dict) -> RusSpec:
     """Inverse of ``spec_to_dict``; raises ``ValueError`` on malformed input."""
     if not isinstance(data, dict):
@@ -403,11 +401,13 @@ def spec_from_dict(data: dict) -> RusSpec:
             f"spec field 'lambdas' must be a flat list of numbers, got shape {lambdas.shape}"
         )
     return RusSpec(
-        m=_integer(data, "m"),
+        m=qcore.check_integer(data["m"], "spec field 'm'"),
         lambdas=lambdas,
         target=gates[0],
         recoveries=tuple(gates[1:]),
-        seed=qcore.check_seed(data["seed"], "spec field 'seed'"),
+        seed=qcore.check_integer(
+            data["seed"], "spec field 'seed'", non_negative=True
+        ),
     )
 
 

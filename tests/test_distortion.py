@@ -66,10 +66,10 @@ def _assert_frame(cc, gammas):
     np.testing.assert_allclose(cc.frame.masses, masses, rtol=0, atol=1e-12)
     for row in (0, 2):
         np.testing.assert_allclose(
-            cc.frame.diagonals[row], np.sqrt(gammas[1:]), atol=1e-12
+            cc.frame.diagonals[:, row], np.sqrt(gammas[1:]), atol=1e-12
         )
         np.testing.assert_allclose(
-            cc.frame.diagonals[row + 1], np.sqrt(lambdas[1:]), atol=1e-12
+            cc.frame.diagonals[:, row + 1], np.sqrt(lambdas[1:]), atol=1e-12
         )
 
 

@@ -188,7 +188,7 @@ class TestRetryFrame:
         )
         np.testing.assert_allclose(
             np.abs(frame.diagonals) ** 2,
-            np.tile(circ.spec.lambdas[1:], (2, 1)), rtol=0, atol=1e-12,
+            np.tile(circ.spec.lambdas[1:, None], (1, 2)), rtol=0, atol=1e-12,
         )
 
     def test_rejects_non_diagonal_undone_block(self):
@@ -334,6 +334,27 @@ class TestZeroMassOutcomes:
         )
         assert 1 not in batch.outcome_log
         assert set(np.unique(batch.outcome_log)) == {0, 2, 3}
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_idle_branch_only_succeeds(self, m):
+        # Failures have mass on control |1> only, so with beta = 0 their
+        # zero is the state's, not a zero row of the frame.  The cumulative
+        # masses on control |0> are all exactly 1, so every row of the draw's
+        # product sums the same two exact terms.
+        lambdas = np.full(2**m, 0.6 / (2**m - 1))
+        lambdas[0] = 0.4
+        cc = distortion.build_conditional(rus.build_rus_unitary(_spec(m, lambdas)))
+        np.testing.assert_array_equal(cc.frame.reachable, np.arange(2**m))
+        cfg = distortion.DistortionConfig(
+            alpha=1.0, beta=0.0, psi0=qcore.random_state(1, qcore.rng_stream(12)),
+            psi1=qcore.basis_state(1), trials=1, seed=0,
+        )
+        batch = rus.run_batch(
+            cc.frame, conftest.conditional_start(cfg), 10_000, qcore.rng_stream(13)
+        )
+        np.testing.assert_array_equal(batch.outcome_log, 0)
+        np.testing.assert_array_equal(batch.attempts, 1)
+        assert np.isfinite(batch.finals).all()
 
 
 class TestExtraction:
