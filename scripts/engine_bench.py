@@ -1,15 +1,19 @@
-"""Time one Monte Carlo batch step, ``rusamp.rus.run_batch``, across checkouts.
+"""Time one Monte Carlo batch step and one composition across checkouts.
 
     python3 scripts/engine_bench.py parent=../rusamp-parent change=. [--repeats 40]
 
 Each ``LABEL=PATH`` names a checkout whose ``src/rusamp`` is imported into
 this one process under its own module name, so every checkout runs on the
 same interpreter, cache and load. For every shape in ``SHAPES`` each
-checkout builds its own frame from the spec seeded with ``SEED``; the calls
-then alternate between checkouts, each on a fresh stream of that seed, and
-the best of ``--repeats`` counts. Per shape and label it prints the best
-microseconds per call and per trial-attempt (the number of live trials
-summed over attempts, read from the batch's ``trial_log``).
+checkout builds its own frame from the spec seeded with ``SEED`` and times
+``rusamp.rus.run_batch`` on it. For every ancilla count in
+``COMPOSE_SHAPES`` each checkout times ``build_rus_unitary`` on that spec,
+then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
+``frame``. The calls alternate between checkouts, each batch on a fresh
+stream of ``SEED``, and the best of ``--repeats`` counts. Per shape and
+label it prints the best microseconds per call and, for a batch, per
+trial-attempt (the number of live trials summed over attempts, read from
+the batch's ``trial_log``); a composition prints ``-`` there.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ SHAPES = (
     ("conditional", 4, 1), ("conditional", 4, 3_000), ("conditional", 4, 8_000),
     ("plain", 1, 50), ("plain", 1, 250), ("plain", 3, 50), ("plain", 3, 250),
 )
+# Ancilla counts m of the composition shapes.
+COMPOSE_SHAPES = (1, 4, 6, 8)
 LAMBDA0 = 0.3
 SEED = 0
 
@@ -64,23 +70,28 @@ def load_package(init: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for sub in ("qcore", "rus", "distortion"):
+    for sub in ("qcore", "rus", "oaa", "distortion"):
         importlib.import_module(f"{name}.{sub}")
     return package
+
+
+def make_spec(pkg, m: int, rng):
+    """A spec with success probability ``LAMBDA0`` and gates drawn from ``rng``."""
+    qcore = pkg.qcore
+    rest = rng.random(2**m - 1)
+    lambdas = np.concatenate(([LAMBDA0], rest * (1.0 - LAMBDA0) / rest.sum()))
+    return pkg.rus.RusSpec(
+        m=m, lambdas=lambdas, target=qcore.random_unitary(1, rng),
+        recoveries=tuple(qcore.random_unitary(1, rng) for _ in range(2**m - 1)),
+        seed=SEED,
+    )
 
 
 def batch_input(pkg, kind: str, m: int):
     """The frame and start state of one shape, built by the checkout ``pkg``."""
     qcore, rus, distortion = pkg.qcore, pkg.rus, pkg.distortion
     rng = qcore.rng_stream(SEED)
-    rest = rng.random(2**m - 1)
-    lambdas = np.concatenate(([LAMBDA0], rest * (1.0 - LAMBDA0) / rest.sum()))
-    spec = rus.RusSpec(
-        m=m, lambdas=lambdas, target=qcore.random_unitary(1, rng),
-        recoveries=tuple(qcore.random_unitary(1, rng) for _ in range(2**m - 1)),
-        seed=SEED,
-    )
-    circuit = rus.build_rus_unitary(spec)
+    circuit = rus.build_rus_unitary(make_spec(pkg, m, rng))
     psi = qcore.random_state(1, rng)
     if kind == "plain":
         return circuit.frame, psi.amps
@@ -107,6 +118,18 @@ def bench(packages, kind: str, m: int, width: int, repeats: int):
     return best, steps
 
 
+def bench_compose(packages, m: int, repeats: int):
+    """Best seconds per build, composition and frame, per package."""
+    specs = [make_spec(pkg, m, pkg.qcore.rng_stream(SEED)) for pkg in packages]
+    best = [np.inf] * len(packages)
+    for _ in range(repeats):
+        for i, (pkg, spec) in enumerate(zip(packages, specs)):
+            start = time.perf_counter()
+            pkg.oaa.standard_compose(pkg.rus.build_rus_unitary(spec), 2).frame
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     packages = [load_package(init, f"rusamp_bench_{i}")
@@ -118,6 +141,10 @@ def main(argv=None) -> int:
         for (label, _), seconds, count in zip(args.checkout, best, steps):
             print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} "
                   f"{seconds * 1e6 / count:>17.3f}")
+    for m in COMPOSE_SHAPES:
+        best = bench_compose(packages, m, args.repeats)
+        for (label, _), seconds in zip(args.checkout, best):
+            print(f"{f'compose m={m}':<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
     return 0
 
 

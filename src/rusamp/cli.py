@@ -90,6 +90,16 @@ def _parse_psi(text: str) -> qcore.StateVector:
     return qcore.StateVector(1, amps / norm)
 
 
+def _spec_lambda0(circuit: rus.RusCircuit, protocol: str) -> float:
+    """The spec's lambda0, for a protocol that takes it as an input."""
+    lambda0 = circuit.spec.lambda0
+    if not 0.0 < lambda0 <= 1.0:
+        raise ValueError(
+            f"protocol {protocol!r} needs the spec's lambda0 in (0, 1], got {lambda0!r}"
+        )
+    return lambda0
+
+
 def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
     parts = text.split(":")
     name = parts[0]
@@ -98,7 +108,7 @@ def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
     if name == "standard" and len(parts) == 2:
         return oaa.standard_compose(circuit, int(parts[1]))
     if name == "deterministic" and len(parts) == 1:
-        plan = oaa.plan_deterministic(circuit.spec.lambda0)
+        plan = oaa.plan_deterministic(_spec_lambda0(circuit, text))
         return oaa.deterministic_compose(circuit, plan)
     if name == "pi3" and len(parts) in (2, 3):
         sign = 1
@@ -109,7 +119,7 @@ def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
         return oaa.pi3_compose(circuit, oaa.Pi3Plan(k=int(parts[1]), sign=sign))
     if name == "fp" and len(parts) in (2, 3):
         delta = float(parts[1])
-        bound = float(parts[2]) if len(parts) == 3 else circuit.spec.lambda0
+        bound = float(parts[2]) if len(parts) == 3 else _spec_lambda0(circuit, text)
         plan = oaa.fp_plan(oaa.fp_length_for(bound, delta), delta)
         return oaa.fp_compose(circuit, plan)
     raise ValueError(f"cannot parse protocol {text!r}")
@@ -124,8 +134,11 @@ def cmd_simulate(args) -> int:
     psi = _parse_psi(args.psi)
     target = composed.spec.target.mat @ psi.amps
 
-    batch = rus.run_batch(composed.frame, psi.amps, args.trials,
-                          qcore.rng_stream(args.seed), args.max_attempts)
+    try:
+        batch = rus.run_batch(composed.frame, psi.amps, args.trials,
+                              qcore.rng_stream(args.seed), args.max_attempts)
+    except MemoryError as exc:
+        raise ValueError(f"--trials {args.trials} needs more memory than there is: {exc}") from exc
     done = ~batch.exhausted
     fids = np.minimum(np.abs(target.conj() @ batch.finals) ** 2, 1.0)
     # Every column has a known type, so rows skip _fmt and the csv module;

@@ -111,8 +111,8 @@ def build_conditional(
 
     Every attempt starts on fresh all-zero ancillas, so the frame needs only
     the operator's columns on that input: the distorter's first column (or
-    ``|0^m>``) times the data identity on control |0>, and A's first two
-    columns on control |1>.
+    ``|0^m>``) times the data identity on control |0>, and A's columns on
+    control |1>.
     """
     m = base.spec.m
     if gammas is None:
@@ -129,7 +129,7 @@ def build_conditional(
     # Indexed (ancillas and data out, control out, data in, control in).
     columns = np.zeros((2 ** (m + 1), 2, 2, 2), dtype=np.complex128)
     columns[:, 0, :, 0] = np.kron(idle, np.eye(2))
-    columns[:, 1, :, 1] = base.a_matrix.mat[:, :2]
+    columns[:, 1, :, 1] = base.columns
     undo_data = rus.undo_gates(base.spec)
     undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
     undo[:, 1::2, 1::2] = undo_data

@@ -13,8 +13,10 @@ plane as D_phi = diag(e^{i phi}, 1), so each protocol is a 2x2 unitary t:
 * fixed-point:   a Chebyshev phase schedule, success >= 1 - delta above w.
 
 The composed spec is lambda'_0 = |t00|^2, lambda'_i = |t10|^2 lambda_i /
-(1 - lambda0), W'_0 = (t00/|t00|) W_0, W'_i = (t10/|t10|) W_i; the matrix is
-A X, with X = (a t) (x) I on the input plane and the identity elsewhere.
+(1 - lambda0), W'_0 = (t00/|t00|) W_0, W'_i = (t10/|t10|) W_i.  Its columns
+are (a t)_00 C + (a t)_10 P, with C those of A and P = c |0^m> W_0 - s Phi;
+its full matrix, A X with X = (a t) (x) I on the input plane and the
+identity elsewhere, is built only when read.
 """
 
 from __future__ import annotations
@@ -64,25 +66,55 @@ def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
     return _composed(c, a, g[0])
 
 
+@dataclass(frozen=True, eq=False)
+class Composition:
+    """How a composed circuit's full unitary A X is built, on demand.
+
+    ``plane`` is a t, the input-plane action of X in the basis of
+    ``|0^m>|psi>`` and ``V psi``, and ``pulled`` is ``c |0^m> W_0 - s Phi``
+    block by block, which ``A^dag`` takes to V.
+    """
+
+    base: RusCircuit
+    plane: np.ndarray
+    pulled: np.ndarray
+
+    def matrix(self) -> UnitaryMatrix:
+        """A X, checked, with X = I + B ((a t - I) (x) I_2) B^dag on the
+        input-plane isometry B = [U0, V]."""
+        a_mat = self.base.a_matrix.mat
+        basis = np.stack(
+            [np.eye(len(a_mat), 2), a_mat.conj().T @ self.pulled.reshape(-1, 2)], 1
+        )
+        y = self.plane - np.eye(2)
+        x = np.eye(len(a_mat)) + np.einsum("pq,ipk,jqk->ij", y, basis, basis.conj())
+        return UnitaryMatrix(a_mat @ x)
+
+
 def _composed(c: RusCircuit, a: np.ndarray, t: np.ndarray) -> RusCircuit:
-    """The circuit acting as the 2x2 unitary t on the OAA planes a of c."""
+    """The circuit acting as the 2x2 unitary t on the OAA planes a of c.
+
+    Its columns are A X on ``|0^m>``: X takes it to ``(a t)_00 |0^m> +
+    (a t)_10 V``, and A V = A A^dag P = P, so they are ``(a t)_00 C +
+    (a t)_10 P`` with C the columns of c and P the pulled blocks.
+    """
     # Rounding over a long schedule may leave t up to UNITARY_ATOL from
-    # unitary; its nearest unitary keeps the composed matrix, and the states
-    # it produces, within the state-norm tolerance.
+    # unitary; its nearest unitary keeps the composed columns, and the states
+    # they produce, within the state-norm tolerance.
     u, _, vh = np.linalg.svd(UnitaryMatrix(t).mat)
     t = u @ vh
-    spec, a_mat = c.spec, c.a_matrix.mat
+    spec = c.spec
     gates = np.array([g.mat for g in spec.branch_gates()])
     rest = spec.lambdas[1:].sum()
     # Without failure weight any unit failure block spans Phi; t10 is then 0.
     share = spec.lambdas[1:] / rest if rest > 0 else np.eye(len(gates) - 1)[0]
-    # c |0^m> W_0 - s Phi block by block; A^dag takes it to V.
+    # P = c |0^m> W_0 - s Phi, block by block.
     pulled = -a[0, 0] * np.sqrt(np.concatenate([[0.0], share]))[:, None, None] * gates
     pulled[0] = a[1, 0] * gates[0]
-    basis = np.stack([np.eye(len(a_mat), 2), a_mat.conj().T @ pulled.reshape(-1, 2)], 1)
-    # X = I + B (y (x) I_2) B^dag on the input-plane isometry B = [U0, V].
-    y = a @ t - np.eye(2)
-    x = np.eye(len(a_mat)) + np.einsum("pq,ipk,jqk->ij", y, basis, basis.conj())
+    plane = a @ t
+    columns = plane[0, 0] * c.columns + plane[1, 0] * pulled.reshape(-1, 2)
+    qcore.check_isometry(columns)
+    columns.setflags(write=False)
     lambdas = np.concatenate([[abs(t[0, 0]) ** 2], abs(t[1, 0]) ** 2 * share])
     phases = np.exp(1j * np.angle(t[:, 0]))
     # Unit phases times checked gates: one check covers the whole stack.
@@ -92,7 +124,7 @@ def _composed(c: RusCircuit, a: np.ndarray, t: np.ndarray) -> RusCircuit:
     composed = RusSpec(
         spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
     )
-    return RusCircuit(composed, UnitaryMatrix(a_mat @ x))
+    return RusCircuit(composed, columns, Composition(c, plane, pulled))
 
 
 @dataclass(frozen=True)
@@ -137,8 +169,8 @@ class FixedPointPlan:
 
 def standard_oaa_state(c: RusCircuit, j: int, psi: StateVector) -> StateVector:
     """State after j standard iterates following A on ``|0^m>|psi>``."""
-    composed = standard_compose(c, j).a_matrix.mat
-    return StateVector(c.spec.m + 1, composed[:, :2] @ psi.amps)
+    composed = standard_compose(c, j).columns
+    return StateVector(c.spec.m + 1, composed @ psi.amps)
 
 
 def standard_compose(c: RusCircuit, j: int) -> RusCircuit:
@@ -207,8 +239,8 @@ def apply_deterministic(
     c: RusCircuit, plan: DeterministicPlan, psi: StateVector
 ) -> StateVector:
     """Run the deterministic protocol; the result succeeds with probability 1."""
-    composed = deterministic_compose(c, plan).a_matrix.mat
-    return StateVector(c.spec.m + 1, composed[:, :2] @ psi.amps)
+    composed = deterministic_compose(c, plan).columns
+    return StateVector(c.spec.m + 1, composed @ psi.amps)
 
 
 def pi3_compose(c: RusCircuit, plan: Pi3Plan) -> RusCircuit:

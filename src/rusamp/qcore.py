@@ -86,11 +86,23 @@ def _check_unitary(mats: np.ndarray, ndim: int) -> None:
     dim = mats.shape[-1]
     if dim & (dim - 1) or dim == 0:
         raise ValueError(f"dimension {dim} is not a power of two")
+    _check_gram(mats, "unitarity")
+
+
+def _check_gram(mats: np.ndarray, what: str) -> None:
+    """Raise unless the columns of every matrix in ``mats`` are orthonormal
+    to within ``UNITARY_ATOL``; one residual covers the whole stack."""
     gram = mats.conj().swapaxes(-1, -2) @ mats
-    residual = np.abs(gram - np.eye(dim)).max()
+    residual = np.abs(gram - np.eye(mats.shape[-1])).max()
     # Written so that NaN entries fail the check.
     if not residual <= UNITARY_ATOL:
-        raise ValueError(f"unitarity residual {residual} exceeds {UNITARY_ATOL}")
+        raise ValueError(f"{what} residual {residual} exceeds {UNITARY_ATOL}")
+
+
+def check_isometry(cols: np.ndarray) -> None:
+    """Raise unless the columns of ``cols`` are orthonormal to within
+    ``UNITARY_ATOL``."""
+    _check_gram(cols, "isometry")
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,17 +95,37 @@ class RusSpec:
 
 @dataclass(frozen=True, eq=False)
 class RusCircuit:
+    """A circuit as its spec and its ``columns``, its action on ``|0^m>|psi>``.
+
+    ``columns`` holds the first two columns of the circuit's unitary, one
+    (2, 2) block per outcome; runs, success probabilities and retry frames
+    read nothing else.  The full unitary ``a_matrix`` is built and checked
+    only when read, from ``source``: ``None`` for a synthesized circuit, the
+    checked ``UnitaryMatrix`` the circuit was read from, or an object whose
+    ``matrix()`` builds it (``oaa.Composition`` for a composed circuit).
+    """
+
     spec: RusSpec
-    a_matrix: UnitaryMatrix
+    columns: np.ndarray
+    source: object = None
 
     def __post_init__(self) -> None:
-        if self.a_matrix.dim != 2 ** (self.spec.m + 1):
-            raise ValueError("matrix dimension does not match spec")
+        if self.columns.shape != (2 ** (self.spec.m + 1), 2):
+            raise ValueError("columns do not match spec")
+
+    @cached_property
+    def a_matrix(self) -> UnitaryMatrix:
+        """The full unitary, built and checked on first read."""
+        if self.source is None:
+            return _synthesized_matrix(self.spec)
+        if isinstance(self.source, UnitaryMatrix):
+            return self.source
+        return self.source.matrix()
 
     @cached_property
     def frame(self) -> RetryFrame:
         """The circuit's retry loop, built on first use."""
-        return retry_frame(self.a_matrix.mat[:, :2], undo_gates(self.spec))
+        return retry_frame(self.columns, undo_gates(self.spec))
 
 
 @dataclass(frozen=True)
@@ -151,14 +171,25 @@ class BatchRun:
 
 
 def build_rus_unitary(spec: RusSpec) -> RusCircuit:
-    """Synthesize a unitary with the prescribed block action.
+    """Synthesize a circuit with the prescribed block action.
 
-    The construction factors as (outcome-controlled branch gates) after an
-    ancilla rotation whose first column is the amplitude vector sqrt(lambda);
-    the rotation's remaining columns come from ``qcore.complete_isometry``
-    seeded with ``spec.seed``.  Both the matrix and its adjoint then carry
-    exact block structure, so the inverse circuit is runnable as well.
+    Its columns are block i = sqrt(lambda_i) W_i in closed form.  The full
+    unitary factors as (outcome-controlled branch gates) after an ancilla
+    rotation whose first column is the amplitude vector sqrt(lambda); the
+    rotation's remaining columns come from ``qcore.complete_isometry``
+    seeded with ``spec.seed``, when ``a_matrix`` is first read.  Both the
+    matrix and its adjoint carry exact block structure, so the inverse
+    circuit is runnable as well.
     """
+    gates = np.array([g.mat for g in spec.branch_gates()])
+    amplitudes = np.sqrt(spec.lambdas).astype(np.complex128)
+    columns = (amplitudes[:, None, None] * gates).reshape(-1, 2)
+    columns.setflags(write=False)
+    return RusCircuit(spec, columns)
+
+
+def _synthesized_matrix(spec: RusSpec) -> UnitaryMatrix:
+    """The full unitary of ``build_rus_unitary(spec)``, checked."""
     dim_anc = 2**spec.m
     amplitudes = np.sqrt(spec.lambdas).astype(np.complex128)
     rotation = qcore.complete_isometry(
@@ -167,18 +198,14 @@ def build_rus_unitary(spec: RusSpec) -> RusCircuit:
     branch = np.zeros((2 * dim_anc, 2 * dim_anc), dtype=np.complex128)
     for i, gate in enumerate(spec.branch_gates()):
         branch[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = gate.mat
-    a_matrix = UnitaryMatrix(branch @ np.kron(rotation.mat, np.eye(2)))
-    return RusCircuit(spec, a_matrix)
+    return UnitaryMatrix(branch @ np.kron(rotation.mat, np.eye(2)))
 
 
 def success_probability(c: RusCircuit, psi: StateVector) -> float:
     """Probability of the all-zero ancilla outcome on input ``psi``."""
     if psi.num_qubits != 1:
         raise ValueError("data register is a single qubit")
-    full = c.a_matrix.mat @ np.kron(
-        qcore.basis_state(c.spec.m).amps, psi.amps
-    )
-    return float(np.sum(np.abs(full[:2]) ** 2))
+    return float(np.sum(np.abs(c.columns[:2] @ psi.amps) ** 2))
 
 
 def undo_gates(spec: RusSpec) -> np.ndarray:
@@ -350,7 +377,7 @@ def circuit_from_matrix(
     u, _, vh = np.linalg.svd(cols)
     gates = qcore.unitary_stack(u @ vh)
     spec = RusSpec(m, lambdas / lambdas.sum(), gates[0], tuple(gates[1:]), seed)
-    return RusCircuit(spec, matrix)
+    return RusCircuit(spec, matrix.mat[:, :2], matrix)
 
 
 def inverse_rus(c: RusCircuit) -> RusCircuit:

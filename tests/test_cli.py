@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -173,15 +174,15 @@ OUTPUT_PINS = {
     "none":
         "8905458f0c0c9b9d8bc238b3a37a659cc9dffb06f7d2cb892f4488091512868f",
     "standard:1":
-        "20fdf2654a55a8d9899055df2f33989263ed64f4044bd38d2f34b44f3c5c38d3",
+        "572d786672fb4f8faabc5c2f08994b648f16ff10a3174c0ea3b7e2a7638d6700",
     "deterministic":
-        "11a913ec462668c8f3021393da6d6e3aed428c817d2477f6afbafd86153a48d9",
+        "00249809e27b1a5918066b2aad2c86487c6296e6b53ba01e6ca0821ae33e5c58",
     "pi3:2:neg":
-        "5b0b333498abe413011986860e262031ca58e9e7ce17d1bfaf3264034320e8dc",
+        "7b1e083bfe9fdd89072d5446aa6a453901ca9f298adcbaefa367f32d30b424be",
     "fp:1e-3":
-        "db0e387ab317ab9eef8054fdf5ec35572f130949812fb80ae7f85cf35c5eec29",
+        "c565fd7c679f4c5b2de5e7684c916ccbacf7510720f9b4c29459f3d9777bd345",
     "exhausted":
-        "edfa9cc0548652b38a94643805e81f4f63024b8942f52e81eadb2692517cd39e",
+        "d412fa711cb2bbaeb565a16272d3bfa811c4f4102bfc96ff4bd7b9e0ae409dc3",
     "figure fig2":
         "039cf41ef6f149a8333b9a8df082159ecb4cc596cc6323608a97c0c2dd11dc58",
     "tcost":
@@ -251,6 +252,58 @@ class TestOutputBytes:
         assert _output_digest(files) == OUTPUT_PINS["tcost"]
 
 
+def _pinned_argv(spec, case, out) -> list[str]:
+    """The ``simulate`` arguments of ``TestOutputBytes`` for ``case``."""
+    return ["simulate", "--spec", str(spec), "--psi", "0.6,0.8j", "--trials", "40",
+            "--seed", "5", "--out", str(out), *SIMULATE_CASES[case][0]]
+
+
+def _with_dense_columns(circuit: rus.RusCircuit) -> rus.RusCircuit:
+    """``circuit`` reading the first two columns of its dense matrix."""
+    return dataclasses.replace(circuit, columns=circuit.a_matrix.mat[:, :2])
+
+
+class TestColumnsFirst:
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_simulate_never_builds_a_dense_matrix(self, tmp_path, monkeypatch, case):
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        calls = []
+        complete = qcore.complete_isometry
+        monkeypatch.setattr(
+            qcore, "complete_isometry", lambda *a: calls.append(a) or complete(*a)
+        )
+        code = cli.main(_pinned_argv(spec, case, tmp_path / "out"))
+        assert code == SIMULATE_CASES[case][1]
+        assert calls == []
+
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_dense_columns_give_the_same_outputs(self, tmp_path, monkeypatch, case):
+        # The pins moved from dense-matrix columns to closed-form ones:
+        # integer cells keep their bytes, and float cells their value to 1e-15.
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        code = cli.main(_pinned_argv(spec, case, tmp_path / "columns"))
+        build, compose = rus.build_rus_unitary, cli._compose_protocol
+        monkeypatch.setattr(rus, "build_rus_unitary",
+                            lambda spec: _with_dense_columns(build(spec)))
+        monkeypatch.setattr(cli, "_compose_protocol",
+                            lambda c, text: _with_dense_columns(compose(c, text)))
+        assert cli.main(_pinned_argv(spec, case, tmp_path / "dense")) == code
+        got, want = _read_runs(tmp_path / "columns"), _read_runs(tmp_path / "dense")
+        assert len(got) == len(want) == 40
+        for row, ref in zip(got, want):
+            fid, ref_fid = row.pop("fidelity"), ref.pop("fidelity")
+            assert row == ref
+            assert fid == ref_fid or abs(float(fid) - float(ref_fid)) <= 1e-15
+        got = _read_summary(tmp_path / "columns")
+        want = _read_summary(tmp_path / "dense")
+        assert got.keys() == want.keys()
+        for metric in ("trials", "exhausted"):
+            assert got.pop(metric) == want.pop(metric)
+        for metric, value in got.items():
+            ref = want[metric]
+            assert value == ref or abs(float(value) - float(ref)) <= 1e-15, metric
+
+
 class TestConfigErrors:
     def test_missing_spec_file(self, tmp_path):
         assert cli.main(
@@ -313,6 +366,32 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "unitarity residual" in err
         assert "SVD" not in err
+
+    def test_trials_beyond_memory(self, tmp_path, capsys):
+        # NumPy refuses the 28 PiB state array at once and allocates nothing.
+        spec = _write_spec(tmp_path)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--trials", "1000000000000000",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: --trials 1000000000000000 needs more memory than there is: "
+        )
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("protocol", ["deterministic", "fp:1e-3"])
+    def test_zero_lambda0_is_named(self, tmp_path, capsys, protocol):
+        spec = _write_spec(tmp_path, lambda0=0.0)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", protocol,
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: protocol {protocol!r} needs the spec's lambda0 in (0, 1], got 0.0\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_tcost_query(self):
         assert cli.main(["tcost", "--lambda0", "2.0"]) == 2

@@ -18,13 +18,18 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == 2 * 10
-    assert rows[0].split()[:3] == ["conditional", "m=1", "n=1"]
-    for row, label in zip(rows, ["one", "two"] * 10):
+    assert len(rows) == 2 * 10 + 2 * 4
+    batches, composes = rows[:20], rows[20:]
+    assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
+    for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
         assert name == label
         # A call takes at least one trial-attempt; per call is to 0.1 us.
         assert float(per_call) + 0.05 >= float(per_step) > 0.0
+    for row, m, label in zip(composes, [1, 1, 4, 4, 6, 6, 8, 8], ["one", "two"] * 4):
+        kind, shape, name, per_call, per_step = row.split()
+        assert (kind, shape, name, per_step) == ("compose", f"m={m}", label, "-")
+        assert float(per_call) > 0.0
 
 
 def test_rejects_a_path_without_the_package(tmp_path):

@@ -391,3 +391,48 @@ def test_two_level_path_matches_dense_reference(
         atol=1e-12,
     )
 
+
+
+COMPOSITIONS = {
+    "standard": lambda c: oaa.standard_compose(c, 2),
+    "deterministic": lambda c: oaa.deterministic_compose(
+        c, oaa.plan_deterministic(c.spec.lambda0)
+    ),
+    "pi3": lambda c: oaa.pi3_compose(c, oaa.Pi3Plan(k=3)),
+    "pi3:neg": lambda c: oaa.pi3_compose(c, oaa.Pi3Plan(k=3, sign=-1)),
+    "fp": lambda c: oaa.fp_compose(c, oaa.fp_plan(20, 1e-3)),
+}
+
+
+class TestComposedColumns:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("protocol", list(COMPOSITIONS))
+    def test_match_the_dense_composition(self, protocol, m):
+        # (a t)_00 C + (a t)_10 P against the first two columns of A X.
+        for seed in range(4):
+            rng = qcore.rng_stream(70 + 10 * m + seed)
+            base = conftest.make_circuit(float(rng.uniform(0.05, 0.6)), m=m, rng=rng)
+            grown = COMPOSITIONS[protocol](base)
+            assert np.abs(grown.columns - grown.a_matrix.mat[:, :2]).max() <= 1e-15
+
+    def test_nested_composition_matches_the_dense_one(self):
+        base = conftest.make_circuit(0.1, m=2, rng=qcore.rng_stream(3))
+        grown = oaa.fp_compose(oaa.standard_compose(base, 1), oaa.fp_plan(5, 1e-3))
+        assert np.abs(grown.columns - grown.a_matrix.mat[:, :2]).max() <= 1e-15
+
+    def test_state_helpers_read_the_columns(self):
+        rng = qcore.rng_stream(31)
+        base = conftest.make_circuit(0.3, m=3, rng=rng)
+        psi = qcore.random_state(1, rng)
+        plan = oaa.plan_deterministic(base.spec.lambda0)
+        for state, grown in [
+            (oaa.standard_oaa_state(base, 1, psi), oaa.standard_compose(base, 1)),
+            (oaa.apply_deterministic(base, plan, psi), oaa.deterministic_compose(base, plan)),
+        ]:
+            assert np.array_equal(state.amps, grown.columns @ psi.amps)
+
+    def test_rejects_columns_that_are_not_orthonormal(self):
+        base = conftest.make_circuit(0.3, m=1)
+        broken = rus.RusCircuit(base.spec, np.full((4, 2), np.nan, dtype=complex))
+        with pytest.raises(ValueError, match="isometry residual nan"):
+            oaa.standard_compose(broken, 1)

@@ -97,6 +97,50 @@ class TestBuild:
             )
 
 
+class TestColumns:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_synthesized_columns_are_the_dense_columns(self, m):
+        for seed in range(5):
+            rng = qcore.rng_stream(40 + 10 * m + seed)
+            circ = conftest.make_circuit(
+                float(rng.uniform(0.01, 1.0)), m=m, rng=rng, seed=seed,
+                trivial_recoveries=seed == 0,
+            )
+            dense = np.ascontiguousarray(circ.a_matrix.mat[:, :2])
+            assert circ.columns.tobytes() == dense.tobytes()
+
+    def test_dense_matrix_is_built_once_and_only_when_read(self, monkeypatch):
+        spec = _spec(2, [0.4, 0.3, 0.2, 0.1], seed=3)
+        calls = []
+        complete = qcore.complete_isometry
+        monkeypatch.setattr(
+            qcore, "complete_isometry", lambda *a: calls.append(a) or complete(*a)
+        )
+        circ = rus.build_rus_unitary(spec)
+        composed = oaa.standard_compose(circ, 1)
+        rus.run_rus(composed, qcore.basis_state(1), qcore.rng_stream(0))
+        rus.success_probability(composed, qcore.basis_state(1))
+        assert calls == []
+        assert composed.a_matrix is composed.a_matrix
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert np.array_equal(circ.a_matrix.mat, rus.build_rus_unitary(spec).a_matrix.mat)
+
+    def test_rejects_columns_of_the_wrong_shape(self):
+        spec = _spec(2, [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match="columns do not match spec"):
+            rus.RusCircuit(spec, np.eye(4, 2))
+
+    def test_success_probability_reads_the_success_block(self):
+        rng = qcore.rng_stream(8)
+        circ = conftest.make_circuit(0.35, m=3, rng=rng)
+        psi = qcore.random_state(1, rng)
+        dense = circ.a_matrix.mat @ np.kron(qcore.basis_state(3).amps, psi.amps)
+        assert rus.success_probability(circ, psi) == pytest.approx(
+            float(np.sum(np.abs(dense[:2]) ** 2)), abs=1e-15
+        )
+
+
 class TestRun:
     def test_certain_success_single_attempt(self):
         spec = _spec(1, [1.0, 0.0], trivial=True)
@@ -421,6 +465,22 @@ class TestInverse:
         runs = [rus.run_batch(c.frame, psi, 50, qcore.rng_stream(5)) for c in (inv, checked)]
         assert np.array_equal(runs[0].outcome_log, runs[1].outcome_log)
         assert np.array_equal(runs[0].finals, runs[1].finals)
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("protocol", ["standard:2", "deterministic", "pi3:3", "fp"])
+    def test_composed_inverse_matches_a_checked_adjoint(self, protocol, m):
+        rng = qcore.rng_stream(60 + m)
+        circ = PROTOCOLS[protocol](conftest.make_circuit(0.15, m=m, rng=rng))
+        inv = rus.inverse_rus(circ)
+        checked = rus.circuit_from_matrix(
+            qcore.UnitaryMatrix(circ.a_matrix.mat.conj().T), m, seed=circ.spec.seed
+        )
+        assert np.array_equal(inv.columns, checked.columns)
+        assert np.array_equal(inv.columns, inv.a_matrix.mat[:, :2])
+        assert np.array_equal(inv.spec.lambdas, checked.spec.lambdas)
+        for got, want in zip(inv.spec.branch_gates(), checked.spec.branch_gates()):
+            assert np.array_equal(got.mat, want.mat)
 
 
 class TestSerialization:
