@@ -392,7 +392,6 @@ def test_two_level_path_matches_dense_reference(
     )
 
 
-
 COMPOSITIONS = {
     "standard": lambda c: oaa.standard_compose(c, 2),
     "deterministic": lambda c: oaa.deterministic_compose(

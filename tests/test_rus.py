@@ -122,9 +122,8 @@ class TestColumns:
         rus.success_probability(composed, qcore.basis_state(1))
         assert calls == []
         assert composed.a_matrix is composed.a_matrix
+        assert circ.a_matrix is composed.source.base.a_matrix
         assert len(calls) == 1
-        monkeypatch.undo()
-        assert np.array_equal(circ.a_matrix.mat, rus.build_rus_unitary(spec).a_matrix.mat)
 
     def test_rejects_columns_of_the_wrong_shape(self):
         spec = _spec(2, [0.4, 0.3, 0.2, 0.1])
@@ -465,7 +464,6 @@ class TestInverse:
         runs = [rus.run_batch(c.frame, psi, 50, qcore.rng_stream(5)) for c in (inv, checked)]
         assert np.array_equal(runs[0].outcome_log, runs[1].outcome_log)
         assert np.array_equal(runs[0].finals, runs[1].finals)
-
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("protocol", ["standard:2", "deterministic", "pi3:3", "fp"])
