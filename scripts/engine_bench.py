@@ -9,11 +9,13 @@ checkout builds its own frame from the spec seeded with ``SEED`` and times
 ``rusamp.rus.run_batch`` on it. For every ancilla count in
 ``COMPOSE_SHAPES`` each checkout times ``build_rus_unitary`` on that spec,
 then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
-``frame``. The calls alternate between checkouts, each batch on a fresh
-stream of ``SEED``, and the best of ``--repeats`` counts. Per shape and
-label it prints the best microseconds per call and, for a batch, per
-trial-attempt (the number of live trials summed over attempts, read from
-the batch's ``trial_log``); a composition prints ``-`` there.
+``frame``. For every name in ``FIGURES`` each checkout times the
+``rusamp.distortion`` call that builds that figure's rows at ``SEED``. The
+calls alternate between checkouts, each batch on a fresh stream of ``SEED``,
+and the best of ``--repeats`` counts. Per shape and label it prints the best
+microseconds per call and, for a batch, per trial-attempt (the number of live
+trials summed over attempts, read from the batch's ``trial_log``); a
+composition or a figure prints ``-`` there.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import importlib.util  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -40,6 +43,12 @@ SHAPES = (
 )
 # Ancilla counts m of the composition shapes.
 COMPOSE_SHAPES = (1, 4, 6, 8)
+# Figure datasets, each a call on a checkout's ``distortion`` module.
+FIGURES = {
+    "fig1-left": lambda distortion: distortion.figure1_data("left", SEED),
+    "fig1-right": lambda distortion: distortion.figure1_data("right", SEED),
+    "fig3": lambda distortion: distortion.figure3_data(SEED),
+}
 LAMBDA0 = 0.3
 SEED = 0
 
@@ -118,16 +127,20 @@ def bench(packages, kind: str, m: int, width: int, repeats: int):
     return best, steps
 
 
-def bench_compose(packages, m: int, repeats: int):
-    """Best seconds per build, composition and frame, per package."""
-    specs = [make_spec(pkg, m, pkg.qcore.rng_stream(SEED)) for pkg in packages]
-    best = [np.inf] * len(packages)
+def best_of(calls, repeats: int):
+    """Best seconds per call of each argument-free callable, taken in turn."""
+    best = [np.inf] * len(calls)
     for _ in range(repeats):
-        for i, (pkg, spec) in enumerate(zip(packages, specs)):
+        for i, call in enumerate(calls):
             start = time.perf_counter()
-            pkg.oaa.standard_compose(pkg.rus.build_rus_unitary(spec), 2).frame
+            call()
             best[i] = min(best[i], time.perf_counter() - start)
     return best
+
+
+def compose(pkg, spec):
+    """Build, compose and frame: the composition shape's timed call."""
+    return pkg.oaa.standard_compose(pkg.rus.build_rus_unitary(spec), 2).frame
 
 
 def main(argv=None) -> int:
@@ -141,10 +154,19 @@ def main(argv=None) -> int:
         for (label, _), seconds, count in zip(args.checkout, best, steps):
             print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} "
                   f"{seconds * 1e6 / count:>17.3f}")
-    for m in COMPOSE_SHAPES:
-        best = bench_compose(packages, m, args.repeats)
+    timed = [
+        (f"compose m={m}",
+         [functools.partial(compose, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
+          for pkg in packages])
+        for m in COMPOSE_SHAPES
+    ] + [
+        (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
+        for name, call in FIGURES.items()
+    ]
+    for shape, calls in timed:
+        best = best_of(calls, args.repeats)
         for (label, _), seconds in zip(args.checkout, best):
-            print(f"{f'compose m={m}':<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
+            print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
     return 0
 
 

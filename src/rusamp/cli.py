@@ -54,24 +54,20 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _manifest(command: str, config: dict, seed) -> str:
-    """Manifest text: the bytes of ``json.dump(manifest, indent=2,
-    sort_keys=True)`` plus a newline, with ``config`` encoded once."""
+    """Manifest text; ``config_hash`` hashes the compact canonical encoding."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    # JSON strings escape newlines, so every "\n" here starts a new line.
-    nested = json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  ")
-    return (
-        "{\n"
-        f'  "command": {json.dumps(command)},\n'
-        f'  "config": {nested},\n'
-        f'  "config_hash": "{hashlib.sha256(canonical.encode()).hexdigest()}",\n'
-        f'  "seed": {json.dumps(seed)},\n'
-        f'  "timestamp": "{datetime.now(timezone.utc).isoformat()}",\n'
-        f'  "tool_version": {json.dumps(__version__)}\n'
-        "}\n"
-    )
+    manifest = {
+        "command": command,
+        "config": config,
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+        "seed": seed,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "tool_version": __version__,
+    }
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -81,13 +77,21 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _parse_psi(text: str) -> qcore.StateVector:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("data state needs two comma-separated amplitudes")
-    amps = np.array([complex(p.strip()) for p in parts])
-    norm = np.linalg.norm(amps)
-    if not 0 < norm < np.inf:
-        raise ValueError("data state must be nonzero and finite")
-    return qcore.StateVector(1, amps / norm)
+    try:
+        if len(parts) != 2:
+            raise ValueError("expected two comma-separated amplitudes")
+        amps = np.array([complex(p.strip()) for p in parts])
+    except ValueError as exc:
+        raise ValueError(f"cannot parse --psi {text!r}: {exc}") from None
+    # Real and imaginary parts, so that a huge modulus cannot overflow here.
+    reals = amps.view(np.float64)
+    peak = np.max(np.abs(reals))
+    if not 0 < peak < np.inf:
+        raise ValueError(f"--psi {text!r} must be nonzero and finite")
+    # Scaling by a power of two is exact, so the norm neither underflows nor
+    # overflows, and amps / norm keeps the bits it has without the scaling.
+    amps = np.ldexp(reals, -np.frexp(peak)[1]).view(np.complex128)
+    return qcore.StateVector(1, amps / np.linalg.norm(amps))
 
 
 def _spec_lambda0(circuit: rus.RusCircuit, protocol: str) -> float:
@@ -101,12 +105,18 @@ def _spec_lambda0(circuit: rus.RusCircuit, protocol: str) -> float:
 
 
 def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
+    def number(parse, field: str):
+        try:
+            return parse(field)
+        except ValueError:
+            raise ValueError(f"cannot parse protocol {text!r}") from None
+
     parts = text.split(":")
     name = parts[0]
     if name == "none" and len(parts) == 1:
         return circuit
     if name == "standard" and len(parts) == 2:
-        return oaa.standard_compose(circuit, int(parts[1]))
+        return oaa.standard_compose(circuit, number(int, parts[1]))
     if name == "deterministic" and len(parts) == 1:
         plan = oaa.plan_deterministic(_spec_lambda0(circuit, text))
         return oaa.deterministic_compose(circuit, plan)
@@ -116,10 +126,10 @@ def _compose_protocol(circuit: rus.RusCircuit, text: str) -> rus.RusCircuit:
             if parts[2] != "neg":
                 raise ValueError(f"unknown pi3 modifier {parts[2]!r}")
             sign = -1
-        return oaa.pi3_compose(circuit, oaa.Pi3Plan(k=int(parts[1]), sign=sign))
+        return oaa.pi3_compose(circuit, oaa.Pi3Plan(k=number(int, parts[1]), sign=sign))
     if name == "fp" and len(parts) in (2, 3):
-        delta = float(parts[1])
-        bound = float(parts[2]) if len(parts) == 3 else _spec_lambda0(circuit, text)
+        delta = number(float, parts[1])
+        bound = number(float, parts[2]) if len(parts) == 3 else _spec_lambda0(circuit, text)
         plan = oaa.fp_plan(oaa.fp_length_for(bound, delta), delta)
         return oaa.fp_compose(circuit, plan)
     raise ValueError(f"cannot parse protocol {text!r}")
@@ -199,12 +209,6 @@ _COST_HEADER = [
 ]
 
 
-def _figure_rows(rows: list[distortion.FigureRow]) -> list[list]:
-    return [
-        [r.x, r.curve_id, r.mean, r.std, r.n_samples, r.seed] for r in rows
-    ]
-
-
 def _cost_rows(rows: list[tuple[float, tcost.CostResult]]) -> list[list]:
     # Strategies leave out the columns they have no value for.
     return [
@@ -218,37 +222,32 @@ def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     name = args.name
 
-    def emit(stem: str, header: list[str], rows: list[list], config: dict, seed):
+    def emit(stem: str, header: list[str], rows, config: dict):
         path = os.path.join(args.out, stem + ".csv")
         _write_text(path, _csv_text(header, rows))
-        _write_text(path + ".manifest.json", _manifest(f"figure {name}", config, seed))
+        _write_text(path + ".manifest.json",
+                    _manifest(f"figure {name}", config, args.seed))
 
+    # Keys shared by the figures whose failure weights are drawn at random.
+    sampled = {"figure": name, "ancillas": 4, "detuning": distortion.DETUNING,
+               "draws": distortion.DRAWS_PER_POINT,
+               "failure_draw": "iid-uniform-rescaled"}
     if name == "fig1-left":
-        rows = distortion.figure1_data("left", args.seed)
-        emit("fig1-left", _FIGURE_HEADER, _figure_rows(rows),
+        emit(name, _FIGURE_HEADER, distortion.figure1_data("left", args.seed),
              {"figure": name, "panel": "left", "ancillas": 1,
-              "detuning": distortion.DETUNING}, args.seed)
+              "detuning": distortion.DETUNING})
     elif name == "fig1-right":
-        rows = distortion.figure1_data("right", args.seed)
-        emit("fig1-right", _FIGURE_HEADER, _figure_rows(rows),
-             {"figure": name, "panel": "right", "ancillas": 4,
-              "detuning": distortion.DETUNING,
-              "draws": distortion.DRAWS_PER_POINT,
-              "failure_draw": "iid-uniform-rescaled"}, args.seed)
+        emit(name, _FIGURE_HEADER, distortion.figure1_data("right", args.seed),
+             {**sampled, "panel": "right"})
     elif name == "fig3":
-        rows = distortion.figure3_data(args.seed)
-        emit("fig3", _FIGURE_HEADER, _figure_rows(rows),
-             {"figure": name, "ancillas": 4,
-              "detuning": distortion.DETUNING,
-              "draws": distortion.DRAWS_PER_POINT,
-              "failure_draw": "iid-uniform-rescaled"}, args.seed)
+        emit(name, _FIGURE_HEADER, distortion.figure3_data(args.seed), sampled)
     elif name in ("fig2", "figd1"):
         delta = 1e-6 if name == "fig2" else 1e-3
         for ct_a in (1.0, 100.0):
             rows = tcost.figure2_data(ct_a, delta)
             emit(f"{name}-cta{int(ct_a)}", _COST_HEADER, _cost_rows(rows),
                  {"figure": name, "delta": delta, "ct_a": ct_a,
-                  "reflection_policy": "kmm"}, args.seed)
+                  "reflection_policy": "kmm"})
     else:
         raise ValueError(f"unknown figure {name!r}")
     return EXIT_OK

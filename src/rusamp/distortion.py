@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +148,17 @@ def single_shot_overlap(lambda0: float) -> float:
     return (1.0 + math.sqrt(lambda0)) ** 2 / (2.0 * (1.0 + lambda0))
 
 
+def _averaged_fidelity(a2: float, b2: float, cross: float, overlap):
+    """``a2^2 + 2 a2 b2 sqrt(cross) / (1 - overlap) + b2^2`` for
+    ``cross = gamma_0 lambda_0`` and ``overlap = sum_{i != 0}
+    sqrt(gamma_i lambda_i)``, one value or an array of them (one per draw)."""
+    if cross == 0.0:
+        # One branch can never reach the success outcome; only the diagonal
+        # terms survive.
+        return np.full(np.shape(overlap), a2**2 + b2**2)
+    return a2**2 + 2.0 * a2 * b2 * math.sqrt(cross) / (1.0 - overlap) + b2**2
+
+
 def average_fidelity_closed(
     alpha: complex, beta: complex, gammas: np.ndarray, lambdas: np.ndarray
 ) -> float:
@@ -166,15 +178,10 @@ def average_fidelity_closed(
     _check_weights(gammas)
     _check_weights(lambdas)
     _check_control(alpha, beta)
-    a2 = abs(alpha) ** 2
-    b2 = abs(beta) ** 2
-    cross = gammas[0] * lambdas[0]
-    if cross == 0.0:
-        # One branch can never reach the success outcome; only the diagonal
-        # terms survive.
-        return a2**2 + b2**2
-    denom = 1.0 - float(np.sum(np.sqrt(gammas[1:] * lambdas[1:])))
-    return a2**2 + 2.0 * a2 * b2 * math.sqrt(cross) / denom + b2**2
+    return float(_averaged_fidelity(
+        abs(alpha) ** 2, abs(beta) ** 2, gammas[0] * lambdas[0],
+        np.sum(np.sqrt(gammas[1:] * lambdas[1:])),
+    ))
 
 
 def average_fidelity_m1(
@@ -240,8 +247,7 @@ def monte_carlo_fidelity(
     return FidelityEstimate(mean, std_error, count, exhausted)
 
 
-@dataclass(frozen=True)
-class FigureRow:
+class FigureRow(NamedTuple):
     x: float
     curve_id: str
     mean: float
@@ -254,44 +260,47 @@ class FigureRow:
 DETUNING = 0.3
 GRID_POINTS = 50
 DRAWS_PER_POINT = 1000
+# Failure outcomes of the four-ancilla figures, 2^4 - 1.
+FAILURE_SLOTS = 15
 _BALANCED = complex(1.0 / math.sqrt(2.0))
 
-
-def _gamma0_curves(detuning: float) -> dict:
-    return {
-        "gamma_one": lambda lam0: 1.0,
-        "gamma_over": lambda lam0: min(1.0, lam0 * (1.0 + detuning)),
-        "gamma_under": lambda lam0: lam0 * (1.0 - detuning),
-        "gamma_matched": lambda lam0: lam0,
-    }
+_GAMMA0_CURVES = {
+    "gamma_one": lambda lam0: 1.0,
+    "gamma_over": lambda lam0: min(1.0, lam0 * (1.0 + DETUNING)),
+    "gamma_under": lambda lam0: lam0 * (1.0 - DETUNING),
+    "gamma_matched": lambda lam0: lam0,
+}
 
 
-def _random_split(rng: RngStream, slots: int, mass: float, draws: int) -> np.ndarray:
+def _random_split(rng: RngStream, mass: float) -> np.ndarray:
     """iid uniforms per draw, rescaled so each row sums to ``mass``."""
-    raw = rng.random((draws, slots))
+    raw = rng.random((DRAWS_PER_POINT, FAILURE_SLOTS))
     if mass == 0.0:
         return np.zeros_like(raw)
     return raw * (mass / raw.sum(axis=1))[:, None]
 
 
-def _sampled_fidelities(
-    gamma0: float, lambda0: float, slots: int, rng: RngStream, draws: int
-) -> np.ndarray:
-    gamma_rest = _random_split(rng, slots, 1.0 - gamma0, draws)
-    lambda_rest = _random_split(rng, slots, 1.0 - lambda0, draws)
-    a2 = b2 = 0.5
-    cross = gamma0 * lambda0
-    if cross == 0.0:
-        return np.full(draws, a2**2 + b2**2)
-    denom = 1.0 - np.sum(np.sqrt(gamma_rest * lambda_rest), axis=1)
-    return a2**2 + 2.0 * a2 * b2 * math.sqrt(cross) / denom + b2**2
+def _closed_point(gamma0: float, lambda0: float, rng: RngStream) -> tuple:
+    return average_fidelity_m1(_BALANCED, _BALANCED, gamma0, lambda0), 0.0, 1
 
 
-def _sampled_row(x: float, curve_id: str, gamma0: float, lambda0: float,
-                 rng: RngStream, seed: int) -> FigureRow:
-    fids = _sampled_fidelities(gamma0, lambda0, 15, rng, DRAWS_PER_POINT)
-    return FigureRow(x, curve_id, float(fids.mean()), float(fids.std(ddof=1)),
-                     DRAWS_PER_POINT, seed)
+def _sampled_point(gamma0: float, lambda0: float, rng: RngStream) -> tuple:
+    gamma_rest = _random_split(rng, 1.0 - gamma0)
+    lambda_rest = _random_split(rng, 1.0 - lambda0)
+    fids = _averaged_fidelity(0.5, 0.5, gamma0 * lambda0,
+                              np.sum(np.sqrt(gamma_rest * lambda_rest), axis=1))
+    return float(fids.mean()), float(fids.std(ddof=1)), DRAWS_PER_POINT
+
+
+def _grid_rows(xs: list, lambda0s: list, curves: dict, point, seed: int) -> list[FigureRow]:
+    """Rows curve-major over the grid, each point on its own substream of
+    ``seed``; ``point`` gives a point's (mean, std, n_samples)."""
+    streams = iter(qcore.substreams(seed, len(curves) * len(xs)))
+    return [
+        FigureRow(x, curve_id, *point(gamma0_of(lam0), lam0, next(streams)), seed)
+        for curve_id, gamma0_of in curves.items()
+        for x, lam0 in zip(xs, lambda0s)
+    ]
 
 
 def figure1_data(panel: str, seed: int) -> list[FigureRow]:
@@ -303,21 +312,9 @@ def figure1_data(panel: str, seed: int) -> list[FigureRow]:
     """
     if panel not in ("left", "right"):
         raise ValueError("panel must be 'left' or 'right'")
-    grid = np.linspace(0.02, 0.98, GRID_POINTS)
-    curves = _gamma0_curves(DETUNING)
-    rows: list[FigureRow] = []
-    streams = qcore.substreams(seed, len(curves) * GRID_POINTS)
-    for ci, (curve_id, gamma0_of) in enumerate(curves.items()):
-        for pi, lam0 in enumerate(grid):
-            lam0 = float(lam0)
-            gamma0 = gamma0_of(lam0)
-            if panel == "left":
-                value = average_fidelity_m1(_BALANCED, _BALANCED, gamma0, lam0)
-                rows.append(FigureRow(lam0, curve_id, value, 0.0, 1, seed))
-            else:
-                rows.append(_sampled_row(lam0, curve_id, gamma0, lam0,
-                                         streams[ci * GRID_POINTS + pi], seed))
-    return rows
+    grid = np.linspace(0.02, 0.98, GRID_POINTS).tolist()
+    point = _closed_point if panel == "left" else _sampled_point
+    return _grid_rows(grid, grid, _GAMMA0_CURVES, point, seed)
 
 
 def figure3_data(seed: int) -> list[FigureRow]:
@@ -327,14 +324,7 @@ def figure3_data(seed: int) -> list[FigureRow]:
     1 - eps; the x axis sweeps eps on a log grid, four ancillas, with both
     failure distributions drawn at random per point.
     """
-    eps_grid = np.geomspace(1e-6, 1e-1, GRID_POINTS)
-    curves = _gamma0_curves(DETUNING)
-    del curves["gamma_over"]
-    rows: list[FigureRow] = []
-    streams = qcore.substreams(seed, len(curves) * GRID_POINTS)
-    for ci, (curve_id, gamma0_of) in enumerate(curves.items()):
-        for pi, eps in enumerate(eps_grid):
-            lam0 = 1.0 - float(eps)
-            rows.append(_sampled_row(float(eps), curve_id, gamma0_of(lam0), lam0,
-                                     streams[ci * GRID_POINTS + pi], seed))
-    return rows
+    eps_grid = np.geomspace(1e-6, 1e-1, GRID_POINTS).tolist()
+    curves = {k: f for k, f in _GAMMA0_CURVES.items() if k != "gamma_over"}
+    return _grid_rows(eps_grid, [1.0 - eps for eps in eps_grid], curves,
+                      _sampled_point, seed)

@@ -247,8 +247,10 @@ def pi3_compose(c: RusCircuit, plan: Pi3Plan) -> RusCircuit:
     """Level-k cube-law composition A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
     refl = np.array([np.exp(1j * plan.sign * math.pi / 3.0), 1.0])
     a = t = _plane(c.spec)
-    for _ in range(plan.k):
-        t = -(t * refl) @ (t.conj().T * refl) @ t
+    # A deep level can overflow; _composed then rejects the non-finite t.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(plan.k):
+            t = -(t * refl) @ (t.conj().T * refl) @ t
     return _composed(c, a, t)
 
 

@@ -53,7 +53,11 @@ class ReflectionPolicy:
         if text in ("kmm", "zero"):
             return ReflectionPolicy(kind=text)
         if text.startswith("fixed:"):
-            return ReflectionPolicy(kind="fixed", value=float(text.split(":", 1)[1]))
+            try:
+                value = float(text.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"cannot parse reflection policy {text!r}") from None
+            return ReflectionPolicy(kind="fixed", value=value)
         raise ValueError(f"cannot parse reflection policy {text!r}")
 
 

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import conftest
 from rusamp import cli, qcore, rus, tcost
@@ -147,6 +153,29 @@ class TestSimulate:
         assert float(_read_summary(out)["mean_fidelity"]) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "psi,reference",
+        [("1e-160,0", "1,0"), ("1e-320,0", "1,0"), ("1e154,1e154", "1,1"),
+         ("1e308,1e308", "1,1")],
+    )
+    def test_tiny_and_huge_psi(self, tmp_path, capsys, psi, reference):
+        # Scaled by a power of two before the norm: no underflow, no overflow.
+        spec = _write_spec(tmp_path)
+        runs = []
+        for name, text in (("got", psi), ("want", reference)):
+            out = tmp_path / name
+            assert cli.main(
+                ["simulate", "--spec", str(spec), f"--psi={text}",
+                 "--trials", "30", "--seed", "4", "--out", str(out)]
+            ) == 0
+            assert capsys.readouterr().err == ""
+            runs.append(_read_runs(out))
+        got, want = runs
+        assert len(got) == len(want) == 30
+        for row, ref in zip(got, want):
+            assert (row["attempts"], row["outcomes"]) == (ref["attempts"], ref["outcomes"])
+            assert abs(float(row["fidelity"]) - float(ref["fidelity"])) <= 1e-15
 
     def test_exhaustion_exit_code(self, tmp_path, capsys):
         spec = _write_spec(tmp_path, lambda0=0.01)
@@ -311,12 +340,18 @@ class TestConfigErrors:
              "--out", str(tmp_path / "out")]
         ) == 2
 
-    def test_unknown_protocol(self, tmp_path):
+    def test_unknown_protocol(self, tmp_path, capsys):
         spec = _write_spec(tmp_path)
-        assert cli.main(
-            ["simulate", "--spec", str(spec), "--protocol", "warp:1",
-             "--out", str(tmp_path / "out")]
-        ) == 2
+        # Malformed numeric fields get the same message as unknown kinds.
+        for protocol in ("warp:1", "standard:1.5", "pi3:x", "fp:abc", "fp:1e-3:"):
+            assert cli.main(
+                ["simulate", "--spec", str(spec), "--protocol", protocol,
+                 "--out", str(tmp_path / "out")]
+            ) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot parse protocol {protocol!r}\n"
+            )
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("psi", ["nan,1", "inf,1"])
     def test_non_finite_psi(self, tmp_path, psi):
@@ -325,6 +360,17 @@ class TestConfigErrors:
             ["simulate", "--spec", str(spec), f"--psi={psi}", "--trials", "2",
              "--out", str(tmp_path / "out")]
         ) == 2
+
+    @pytest.mark.parametrize("psi", [",", "1,", "1,abc", "(1,0", "1", "1,0,0"])
+    def test_malformed_psi_is_named(self, tmp_path, capsys, psi):
+        spec = _write_spec(tmp_path)
+        assert cli.main(
+            ["simulate", "--spec", str(spec), f"--psi={psi}",
+             "--out", str(tmp_path / "out")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse --psi {psi!r}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--trials", "--max-attempts"])
     def test_counts_below_one(self, tmp_path, capsys, flag):
@@ -397,21 +443,28 @@ class TestConfigErrors:
         assert cli.main(["tcost", "--lambda0", "2.0"]) == 2
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra,message",
         [
-            ["--lambda0", "0.5", "--ct-a", "nan"],
-            ["--lambda0", "0.5", "--ct-a", "inf"],
-            ["--lambda0", "0.5", "--reflection-policy", "fixed:nan"],
-            ["--lambda0", "0.5", "--reflection-policy", "fixed:inf"],
-            ["--lambda0", "1e-17"],
+            (["--lambda0", "0.5", "--ct-a", "nan"], None),
+            (["--lambda0", "0.5", "--ct-a", "inf"], None),
+            (["--lambda0", "0.5", "--reflection-policy", "fixed:nan"], None),
+            (["--lambda0", "0.5", "--reflection-policy", "fixed:inf"], None),
+            (["--lambda0", "1e-17"], None),
+            (["--lambda0", "0.5", "--reflection-policy", "fixed:"],
+             "cannot parse reflection policy 'fixed:'"),
+            (["--lambda0", "0.5", "--reflection-policy", "fixed:abc"],
+             "cannot parse reflection policy 'fixed:abc'"),
         ],
-        ids=["ct-a-nan", "ct-a-inf", "fixed-nan", "fixed-inf", "rounded-lambda0"],
+        ids=["ct-a-nan", "ct-a-inf", "fixed-nan", "fixed-inf", "rounded-lambda0",
+             "fixed-empty", "fixed-junk"],
     )
-    def test_tcost_input_errors(self, extra, capsys):
+    def test_tcost_input_errors(self, extra, message, capsys):
         assert cli.main(["tcost", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+        if message is not None:
+            assert captured.err == f"error: {message}\n"
 
     def test_unknown_figure_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -637,3 +690,114 @@ class TestTcost:
             "pi3": 27.0,
             "fixed_point": 9.0,
         }
+
+
+# Fields of every kind of malformed or extreme number text.
+_JUNK_FIELDS = st.sampled_from(
+    ["", " ", "-1", "-0", "1.5", "nan", "inf", "-inf", "1_0", "1__0", "1e400",
+     "1e-400", "0x10", "abc", "9" * 30])
+_JUNK_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+_EXTREMES = st.sampled_from(["0", "-0.0", "1e-320", "5e-324", "1e-160", "1e154",
+                             "1e308", "inf", "-inf", "nan", "-1", "2"])
+
+
+def _mostly(valid, edge):
+    """``valid`` in about three draws of four, else ``edge``."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i < 3 else edge)
+
+
+def _floats(low: float, high: float):
+    """Float text, mostly in [low, high], else at an extreme."""
+    return _mostly(st.floats(low, high).map(repr), _EXTREMES)
+
+
+def _protocols():
+    # Standard lengths stay under 10**4 or above the 10**6 cap, which is
+    # rejected before any work; fixed-point bounds of at least 1e-3, or below
+    # 1e-14, keep every schedule length L under 10**4 or above the cap.
+    standard = _mostly(st.integers(-3, 10**4 - 1), st.integers(10**6 + 1, 10**30)).map(str)
+    pi3 = st.integers(-3, 64).map(str)
+    delta = _floats(1e-300, 0.99)
+    bound = _mostly((st.floats(1e-3, 1.0) | st.floats(0.0, 1e-14)).map(repr), _EXTREMES)
+    return st.one_of(
+        st.sampled_from(["none", "deterministic", "deterministic:", "standard", "fp"]),
+        st.builds("standard:{}".format, _mostly(standard, _JUNK_FIELDS)),
+        st.builds("pi3:{}".format, _mostly(pi3, _JUNK_FIELDS)),
+        st.builds("pi3:{}:{}".format, pi3, st.sampled_from(["neg", "pos", ""])),
+        st.builds("fp:{}".format, _mostly(delta, _JUNK_FIELDS)),
+        st.builds("fp:{}:{}".format, delta, _mostly(bound, _JUNK_FIELDS)),
+        # Junk text could spell an uncapped cube-law depth.
+        _JUNK_TEXT.filter(lambda text: not text.startswith("pi3:")),
+    )
+
+
+def _psi_texts():
+    amplitude = _mostly(_floats(-10.0, 10.0),
+                        st.sampled_from(["0.6j", "1+1j", "-1e308j", "", "abc", "(1"]))
+    return st.builds("{}{}{}".format, amplitude,
+                     _mostly(st.just(","), st.sampled_from([",,", ";", ""])), amplitude)
+
+
+def _policies():
+    fixed = st.builds("fixed:{}".format, _mostly(_floats(0.0, 1e3), _JUNK_FIELDS))
+    return _mostly(st.sampled_from(["kmm", "zero"]) | fixed,
+                   st.sampled_from(["fixed:", "fixed"]) | _JUNK_TEXT)
+
+
+@pytest.fixture(scope="module")
+def fuzz_specs(tmp_path_factory):
+    """Specs with lambda0 >= 0.1, so that runs stay short, and an output directory."""
+    specs = [str(_write_spec(tmp_path_factory.mktemp("spec"), lambda0=lambda0, m=m))
+             for lambda0, m in ((0.1, 1), (0.5, 2))]
+    return specs, str(tmp_path_factory.mktemp("out"))
+
+
+class TestFuzz:
+    """Drawn command lines end in exit 0, 2 or 3, never in a traceback or a
+    hang, and each exit 2 prints one ``error:`` line.
+
+    Every size stays small: at most 5 trials and 50 attempts, cube-law depths
+    up to 64 and schedules under 10**4 steps unless a cap rejects them first.
+    The cube law has no cap, and bounding its work for any ``pi3:K`` is
+    ROADMAP item 5. Typed options (``--seed``, ``--trials``, the ``tcost``
+    numbers) get only text that argparse parses, because argparse reports its
+    own errors with a usage line.
+    """
+
+    @staticmethod
+    def _run(argv: list[str]) -> None:
+        err, out = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        text = err.getvalue()
+        assert code in (0, 2, 3), (argv, text)
+        # A warning reaches stderr in a real run.
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert "Traceback" not in text
+        if code == 2:
+            assert text.startswith("error:") and text.count("\n") == 1, (argv, text)
+        # Only a hang, not a slow machine, takes this long for these sizes.
+        assert elapsed < 20.0, argv
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=st.integers(0, 1), protocol=_protocols(), psi=_psi_texts(),
+           seed=st.integers(-3, 2**70), trials=st.integers(1, 5),
+           attempts=st.integers(1, 50))
+    def test_simulate(self, fuzz_specs, spec, protocol, psi, seed, trials, attempts):
+        specs, out = fuzz_specs
+        self._run(["simulate", "--spec", specs[spec], f"--protocol={protocol}",
+                   f"--psi={psi}", f"--seed={seed}", f"--trials={trials}",
+                   f"--max-attempts={attempts}", "--out", out])
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lambda0=_floats(1e-12, 1.0), delta=_floats(1e-300, 1.0),
+           ct_a=_floats(0.0, 1e3), policy=_policies())
+    def test_tcost(self, lambda0, delta, ct_a, policy):
+        self._run(["tcost", f"--lambda0={lambda0}", f"--delta={delta}",
+                   f"--ct-a={ct_a}", f"--reflection-policy={policy}"])
