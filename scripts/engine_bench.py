@@ -9,7 +9,9 @@ checkout builds its own frame from the spec seeded with ``SEED`` and times
 ``rusamp.rus.run_batch`` on it. For every ancilla count in
 ``COMPOSE_SHAPES`` each checkout times ``build_rus_unitary`` on that spec,
 then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
-``frame``. For every name in ``FIGURES`` each checkout times the
+``frame``. For every (m, L) in ``FP_SHAPES`` each checkout builds the
+circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
+``oaa.fp_compose`` with it. For every name in ``FIGURES`` each checkout times the
 ``rusamp.distortion`` call that builds that figure's rows at ``SEED``. The
 calls alternate between checkouts, each batch on a fresh stream of ``SEED``,
 and the best of ``--repeats`` counts. Per shape and label it prints the best
@@ -43,6 +45,10 @@ SHAPES = (
 )
 # Ancilla counts m of the composition shapes.
 COMPOSE_SHAPES = (1, 4, 6, 8)
+# (m, L) of the fixed-point shapes: schedule lengths of the benchmark's
+# fp block, and a deep one.
+FP_SHAPES = ((1, 320), (1, 2_000), (1, 100_000), (4, 320), (4, 2_000), (4, 100_000))
+FP_DELTA = 1e-3
 # Figure datasets, each a call on a checkout's ``distortion`` module.
 FIGURES = {
     "fig1-left": lambda distortion: distortion.figure1_data("left", SEED),
@@ -143,6 +149,11 @@ def compose(pkg, spec):
     return pkg.oaa.standard_compose(pkg.rus.build_rus_unitary(spec), 2).frame
 
 
+def fixed_point(pkg, circuit, length: int):
+    """Plan and compose: the fixed-point shape's timed call."""
+    return pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     packages = [load_package(init, f"rusamp_bench_{i}")
@@ -159,6 +170,11 @@ def main(argv=None) -> int:
          [functools.partial(compose, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
           for pkg in packages])
         for m in COMPOSE_SHAPES
+    ] + [
+        (f"fp m={m} L={length}",
+         [functools.partial(fixed_point, pkg, pkg.rus.build_rus_unitary(
+             make_spec(pkg, m, pkg.qcore.rng_stream(SEED))), length) for pkg in packages])
+        for m, length in FP_SHAPES
     ] + [
         (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
         for name, call in FIGURES.items()

@@ -6,8 +6,9 @@ of the full configuration, the seed, and the tool version.  Identical
 command, configuration, and seed reproduce identical CSV bytes.  Each output
 file is formatted in memory and written with a single ``write`` call.
 
-Exit codes: 0 on success, 2 on invalid configuration, 3 when a statistical
-acceptance bound fails (attempt-cap exhaustion above one part in a thousand).
+Exit codes: 0 on success, 2 on invalid configuration, with one ``error:``
+line on standard error, 3 when a statistical acceptance bound fails
+(attempt-cap exhaustion above one part in a thousand).
 """
 
 from __future__ import annotations
@@ -279,10 +280,18 @@ def cmd_tcost(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one ``error:`` line, exit 2, like
+    every other configuration error; its subcommand parsers do the same."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rusamp",
         description="Simulate repeat-until-success circuits, amplification "
         "protocols, conditional-control distortion, and T-gate cost models.",

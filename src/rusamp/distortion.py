@@ -280,7 +280,7 @@ def _random_split(rng: RngStream, mass: float) -> np.ndarray:
     return raw * (mass / raw.sum(axis=1))[:, None]
 
 
-def _closed_point(gamma0: float, lambda0: float, rng: RngStream) -> tuple:
+def _closed_point(gamma0: float, lambda0: float, rng: None) -> tuple:
     return average_fidelity_m1(_BALANCED, _BALANCED, gamma0, lambda0), 0.0, 1
 
 
@@ -293,9 +293,12 @@ def _sampled_point(gamma0: float, lambda0: float, rng: RngStream) -> tuple:
 
 
 def _grid_rows(xs: list, lambda0s: list, curves: dict, point, seed: int) -> list[FigureRow]:
-    """Rows curve-major over the grid, each point on its own substream of
-    ``seed``; ``point`` gives a point's (mean, std, n_samples)."""
-    streams = iter(qcore.substreams(seed, len(curves) * len(xs)))
+    """Rows curve-major over the grid; ``point`` gives a point's (mean, std,
+    n_samples).  A sampled point draws from its own substream of ``seed``;
+    the closed-form point draws nothing, so no streams are spawned for it."""
+    count = len(curves) * len(xs)
+    sampled = point is _sampled_point
+    streams = iter(qcore.substreams(seed, count) if sampled else [None] * count)
     return [
         FigureRow(x, curve_id, *point(gamma0_of(lam0), lam0, next(streams)), seed)
         for curve_id, gamma0_of in curves.items()

@@ -12,6 +12,14 @@ plane as D_phi = diag(e^{i phi}, 1), so each protocol is a 2x2 unitary t:
 * cube-law:      a_k = -a_{k-1} S a_{k-1}^dag S a_{k-1}, S = D_{+-pi/3};
 * fixed-point:   a Chebyshev phase schedule, success >= 1 - delta above w.
 
+The standard, deterministic and fixed-point protocols are phase schedules,
+composed by one kernel, ``_schedule``.  As det a = -1, a and every iterate
+are a unit phase times an SU(2) matrix [[alpha, -conj(beta)], [beta,
+conj(alpha)]], so the kernel multiplies first columns (alpha, beta) and
+rebuilds t once from the normalized product: t is unitary to rounding at
+any schedule length up to FP_MAX_LENGTH, where full 2x2 products drift in
+proportion to the length.
+
 The composed spec is lambda'_0 = |t00|^2, lambda'_i = |t10|^2 lambda_i /
 (1 - lambda0), W'_0 = (t00/|t00|) W_0, W'_i = (t10/|t10|) W_i.  Its columns
 are (a t)_00 C + (a t)_10 P, with C those of A and P = c |0^m> W_0 - s Phi;
@@ -46,24 +54,63 @@ def _plane(spec: RusSpec) -> np.ndarray:
     return np.array([[s, c], [c, -s]], dtype=np.complex128)
 
 
-def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
-    """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in array order after A.
+# Row signs that turn a left factor's first column [alpha, beta] into its
+# second, [-conj(beta), conj(alpha)], once the rows are swapped and conjugated.
+_SECOND_COLUMN = np.array([[-1.0], [1.0]], dtype=np.complex128)
+# First column of the identity, which pads a stack to a power of two.
+_IDENTITY_COLUMN = np.array([[1.0], [0.0]], dtype=np.complex128)
 
-    The stack [A, G_1, ..., G_L] is multiplied pairwise, later factors on the
-    left, in ceil(log2(L + 1)) batched passes; an odd last factor is carried
-    to the next pass.
-    """
+
+def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
+    """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in array order after A."""
     a = _plane(c.spec)
-    # Row [e^{i phi}, 1] scales the columns of a as a @ D_phi does.
-    outer = np.ones((len(phis), 1, 2), dtype=np.complex128)
-    inner = outer.copy()
-    outer[:, 0, 0] = np.exp(1j * np.asarray(phis, dtype=float))
-    inner[:, 0, 0] = np.exp(1j * np.asarray(varphis, dtype=float))
-    g = np.concatenate([a[None], -(a * outer) @ (a * inner)])
-    while len(g) > 1:
-        paired = g[1::2] @ g[:-1:2]
-        g = np.concatenate([paired, g[-1:]]) if len(g) % 2 else paired
-    return _composed(c, a, g[0])
+    return _composed(c, a, _schedule(a, phis, varphis))
+
+
+def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
+    """t = G_L ... G_1 a on the OAA planes a, from float arrays of phases.
+
+    Every factor is a unit phase times an SU(2) matrix
+    [[alpha, -conj(beta)], [beta, conj(alpha)]], which its first column
+    (alpha, beta) fixes: det a = -1 gives a = i [[-is, -ic], [-ic, is]], and
+    G(phi, varphi) = e^{i (phi + varphi) / 2} [[alpha, ...], [beta, ...]] with
+    alpha = -(s^2 p + c^2 conj(p)) q and beta = s c (conj(p) - p) q, where
+    p = e^{i phi / 2} and q = e^{i varphi / 2}.
+
+    The first columns of [A, G_1, ..., G_L] are multiplied pairwise, later
+    factors on the left, in ceil(log2(L + 1)) elementwise passes:
+    alpha = alpha_l alpha_r - conj(beta_l) beta_r and
+    beta = beta_l alpha_r + conj(alpha_l) beta_r.  Identity columns pad the
+    stack to a power of two, which gives each product exactly as if an odd
+    last factor were carried to the next pass.  t is rebuilt once, from the
+    normalized column and the phase i p_1 q_1 ... p_L q_L, so it is unitary
+    to rounding however long the schedule.  The phase is a product of unit
+    numbers, as accurate as the column; the sum of the L angles, even
+    correctly rounded, is off by half an ulp of about 2 pi L, 4.5e-13 at
+    L = 2000.
+    """
+    s, co = a[:, 0].real.tolist()
+    # p = e^{i phi / 2} and q = e^{i varphi / 2}, views of one array.
+    p, q = halves = np.array([phis, varphis], dtype=np.complex128)
+    halves *= 0.5j
+    np.exp(halves, out=halves)
+    # p q and conj(p) q per iterate; alpha and beta are linear in them.
+    turns = np.array([p, p.conj()])
+    turns *= q
+    weights = np.array([[-s * s, -co * co], [-s * co, s * co]], dtype=np.complex128)
+    count = len(p) + 1
+    pairs = np.empty((2, 1 << (count - 1).bit_length()), dtype=np.complex128)
+    pairs[:, 0] = -1j * s, -1j * co
+    np.matmul(weights, turns, out=pairs[:, 1:count])
+    pairs[:, count:] = _IDENTITY_COLUMN
+    while pairs.shape[1] > 1:
+        left, right = pairs[:, 1::2], pairs[:, ::2]
+        pairs = left * right[0] + _SECOND_COLUMN * left[::-1].conj() * right[1]
+    alpha, beta = pairs[:, 0].tolist()
+    phase = complex(np.multiply.reduce(turns[0]))
+    scale = 1j * phase / (abs(phase) * math.hypot(abs(alpha), abs(beta)))
+    return np.array([[scale * alpha, -scale * beta.conjugate()],
+                     [scale * beta, scale * alpha.conjugate()]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +145,21 @@ def _composed(c: RusCircuit, a: np.ndarray, t: np.ndarray) -> RusCircuit:
     (a t)_10 V``, and A V = A A^dag P = P, so they are ``(a t)_00 C +
     (a t)_10 P`` with C the columns of c and P the pulled blocks.
     """
-    # Rounding over a long schedule may leave t up to UNITARY_ATOL from
-    # unitary; its nearest unitary keeps the composed columns, and the states
-    # they produce, within the state-norm tolerance.
+    # A deep cube-law level may leave t up to UNITARY_ATOL from unitary; its
+    # nearest unitary keeps the composed columns, and the states they
+    # produce, within the state-norm tolerance.
     u, _, vh = np.linalg.svd(UnitaryMatrix(t).mat)
     t = u @ vh
     spec = c.spec
     gates = np.array([g.mat for g in spec.branch_gates()])
-    rest = spec.lambdas[1:].sum()
+    failures = spec.lambdas[1:]
+    rest = failures.sum()
     # Without failure weight any unit failure block spans Phi; t10 is then 0.
-    share = spec.lambdas[1:] / rest if rest > 0 else np.eye(len(gates) - 1)[0]
+    share = failures / rest if rest > 0 else np.eye(len(failures))[0]
     # P = c |0^m> W_0 - s Phi, block by block.
-    pulled = -a[0, 0] * np.sqrt(np.concatenate([[0.0], share]))[:, None, None] * gates
+    pulled = np.empty_like(gates)
     pulled[0] = a[1, 0] * gates[0]
+    pulled[1:] = (-a[0, 0] * np.sqrt(share))[:, None, None] * gates[1:]
     plane = a @ t
     columns = plane[0, 0] * c.columns + plane[1, 0] * pulled.reshape(-1, 2)
     qcore.check_isometry(columns)
@@ -150,21 +199,22 @@ class Pi3Plan:
             raise ValueError("sign selects the +pi/3 or -pi/3 reflection")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointPlan:
     """Chebyshev phase schedule of length L for failure tolerance delta.
 
     ``w`` is the amplification threshold: any circuit with lambda0 >= w ends
-    with success probability at least 1 - delta.  The schedule is symmetric,
-    varphis[i] == phis[L - 1 - i], by construction.
+    with success probability at least 1 - delta.  The phases are read-only
+    float arrays, and the schedule is symmetric, varphis[i] == phis[L - 1 - i],
+    by construction.
     """
 
     L: int
     delta: float
     gamma: float
     w: float
-    phis: tuple[float, ...]
-    varphis: tuple[float, ...]
+    phis: np.ndarray
+    varphis: np.ndarray
 
 
 def standard_oaa_state(c: RusCircuit, j: int, psi: StateVector) -> StateVector:
@@ -229,10 +279,13 @@ def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
         raise ValueError(
             f"deterministic schedule needs more than {FP_MAX_LENGTH} steps"
         )
-    pis = np.full(plan.j, math.pi)
     if plan.chi == 0.0:
+        pis = np.full(plan.j, math.pi)
         return _phase_schedule(c, pis, pis)
-    return _phase_schedule(c, np.append(pis, plan.phi), np.append(pis, plan.varphi))
+    phis = np.full(plan.j + 1, math.pi)
+    varphis = phis.copy()
+    phis[-1], varphis[-1] = plan.phi, plan.varphi
+    return _phase_schedule(c, phis, varphis)
 
 
 def apply_deterministic(
@@ -309,12 +362,16 @@ def fp_plan(L: int, delta: float) -> FixedPointPlan:
     if not 0.0 < delta < 1.0:
         raise ValueError("failure tolerance must lie in (0, 1)")
     gamma, w = _threshold(L, delta)
-    spread = math.sqrt(w)
-    # Loop constants bound once; each phase rounds as in the plain expression.
-    two_pi, n, atan2, tan = 2.0 * math.pi, 2 * L + 1, math.atan2, math.tan
-    phis = tuple(
-        [-2.0 * atan2(1.0, tan(two_pi * j / n) * spread) for j in range(1, L + 1)]
-    )
+    # phis[j - 1] = -2 atan2(1, tan(2 pi j / (2L + 1)) sqrt(w)), in place and
+    # rounded step by step as written: near tan's pole a one-ulp change of
+    # the angle moves a phase by up to 1e-11.
+    phis = np.arange(1, L + 1) * (2.0 * math.pi)
+    phis /= 2 * L + 1
+    np.tan(phis, out=phis)
+    phis *= math.sqrt(w)
+    np.arctan2(1.0, phis, out=phis)
+    phis *= -2.0
+    phis.setflags(write=False)
     return FixedPointPlan(
         L=L, delta=delta, gamma=gamma, w=w, phis=phis, varphis=phis[::-1]
     )

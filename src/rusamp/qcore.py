@@ -89,11 +89,17 @@ def _check_unitary(mats: np.ndarray, ndim: int) -> None:
     _check_gram(mats, "unitarity")
 
 
+# Gates, circuit columns and OAA planes all have 2x2 Gram matrices.
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
+
 def _check_gram(mats: np.ndarray, what: str) -> None:
     """Raise unless the columns of every matrix in ``mats`` are orthonormal
     to within ``UNITARY_ATOL``; one residual covers the whole stack."""
     gram = mats.conj().swapaxes(-1, -2) @ mats
-    residual = np.abs(gram - np.eye(mats.shape[-1])).max()
+    dim = mats.shape[-1]
+    residual = np.abs(gram - (_EYE2 if dim == 2 else np.eye(dim))).max()
     # Written so that NaN entries fail the check.
     if not residual <= UNITARY_ATOL:
         raise ValueError(f"{what} residual {residual} exceeds {UNITARY_ATOL}")
@@ -148,7 +154,7 @@ def unitary_stack(mats) -> tuple[UnitaryMatrix, ...]:
     """
     stack = _frozen_complex(mats)
     _check_unitary(stack, 3)
-    return tuple(_trusted(mat) for mat in stack)
+    return tuple(map(_trusted, stack))
 
 
 def identity(num_qubits: int) -> UnitaryMatrix:

@@ -66,7 +66,7 @@ class RusSpec:
                 f"m={self.m} needs 2**m outcome probabilities, got {lambdas.size}"
             )
         # Both checks are written so that NaN entries fail them.
-        if not np.all(lambdas >= 0):
+        if not lambdas.min() >= 0:
             raise ValueError("outcome probabilities must be non-negative")
         if not abs(lambdas.sum() - 1.0) <= qcore.NORM_ATOL:
             raise ValueError("outcome probabilities must sum to 1")

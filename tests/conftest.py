@@ -92,6 +92,34 @@ def deterministic_pairs(plan) -> list[tuple[float, float]]:
     return pairs
 
 
+def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
+    """The product G_L ... G_1 a of the iterates -a D_phi a D_varphi on the
+    OAA planes a, as full 2x2 matrices multiplied in batched passes.
+
+    The stack [a, G_1, ..., G_L] is multiplied pairwise, later factors on the
+    left, in ceil(log2(L + 1)) batched ``matmul`` passes; an odd last factor
+    is carried to the next pass. This is the order of ``oaa._schedule``, but
+    the product keeps no SU(2) structure, so its rounding drifts from unitary
+    in proportion to L; ``oaa._composed`` takes its polar factor.
+    """
+    # Row [e^{i phi}, 1] scales the columns of a as a @ D_phi does.
+    outer = np.ones((len(phis), 1, 2), dtype=np.complex128)
+    inner = outer.copy()
+    outer[:, 0, 0] = np.exp(1j * np.asarray(phis, dtype=float))
+    inner[:, 0, 0] = np.exp(1j * np.asarray(varphis, dtype=float))
+    g = np.concatenate([a[None], -(a * outer) @ (a * inner)])
+    while len(g) > 1:
+        paired = g[1::2] @ g[:-1:2]
+        g = np.concatenate([paired, g[-1:]]) if len(g) % 2 else paired
+    return g[0]
+
+
+def polar(t: np.ndarray) -> np.ndarray:
+    """The unitary nearest to t, its polar factor."""
+    u, _, vh = np.linalg.svd(t)
+    return u @ vh
+
+
 def dense_reflection(m: int, phi: float) -> np.ndarray:
     """Phase e^{i phi} on the all-zero block of m ancillas, tensored with I."""
     diag = np.ones(2 ** (m + 1), dtype=complex)

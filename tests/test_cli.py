@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from rusamp import cli, qcore, rus, tcost
+from rusamp import cli, oaa, qcore, rus, tcost
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,6 +142,18 @@ class TestSimulate:
         )
         assert float(summary["success_probability_composed"]) >= 1.0 - 1e-6
 
+    def test_fixed_point_bound_at_the_length_limit(self, tmp_path):
+        # w = 1.5e-11 needs L = 981,272; batched 2x2 products drifted to a
+        # unitarity residual of 1.9e-10 there, and the run exited 2.
+        spec = _write_spec(tmp_path, lambda0=0.9974754473483037)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["simulate", "--spec", str(spec), "--protocol", "fp:1e-6:1.5e-11",
+             "--trials", "2", "--out", str(out)]
+        )
+        assert code == 0
+        assert float(_read_summary(out)["success_probability_composed"]) >= 1.0 - 1e-6
+
     def test_normalizes_psi(self, tmp_path):
         spec = _write_spec(tmp_path)
         out = tmp_path / "out"
@@ -198,12 +210,14 @@ class TestSimulate:
 
 # SHA-256 of each case's output files (name and bytes, sorted by name), with
 # every manifest's timestamp line removed.  Recorded before the output path
-# was rewritten; any change to a written byte changes a digest.
+# was rewritten; any change to a written byte changes a digest.  The
+# standard:1 and exhausted digests were recorded again when phase schedules
+# became SU(2) products (TestScheduleOracle bounds what moved).
 OUTPUT_PINS = {
     "none":
         "8905458f0c0c9b9d8bc238b3a37a659cc9dffb06f7d2cb892f4488091512868f",
     "standard:1":
-        "572d786672fb4f8faabc5c2f08994b648f16ff10a3174c0ea3b7e2a7638d6700",
+        "9fe9a30000b941f5bcb3898e02d18f4b6c30166b9c1e9fe04b59d09d20a11929",
     "deterministic":
         "00249809e27b1a5918066b2aad2c86487c6296e6b53ba01e6ca0821ae33e5c58",
     "pi3:2:neg":
@@ -211,7 +225,7 @@ OUTPUT_PINS = {
     "fp:1e-3":
         "c565fd7c679f4c5b2de5e7684c916ccbacf7510720f9b4c29459f3d9777bd345",
     "exhausted":
-        "d412fa711cb2bbaeb565a16272d3bfa811c4f4102bfc96ff4bd7b9e0ae409dc3",
+        "aa40aa5e607f1ad0690c1564087ac57cf67c9bce46cf870bf405268258ba1661",
     "figure fig2":
         "039cf41ef6f149a8333b9a8df082159ecb4cc596cc6323608a97c0c2dd11dc58",
     "tcost":
@@ -307,8 +321,7 @@ class TestColumnsFirst:
 
     @pytest.mark.parametrize("case", list(SIMULATE_CASES))
     def test_dense_columns_give_the_same_outputs(self, tmp_path, monkeypatch, case):
-        # The pins moved from dense-matrix columns to closed-form ones:
-        # integer cells keep their bytes, and float cells their value to 1e-15.
+        # The pins moved from dense-matrix columns to closed-form ones.
         spec = _write_spec(tmp_path, lambda0=0.2)
         code = cli.main(_pinned_argv(spec, case, tmp_path / "columns"))
         build, compose = rus.build_rus_unitary, cli._compose_protocol
@@ -317,20 +330,41 @@ class TestColumnsFirst:
         monkeypatch.setattr(cli, "_compose_protocol",
                             lambda c, text: _with_dense_columns(compose(c, text)))
         assert cli.main(_pinned_argv(spec, case, tmp_path / "dense")) == code
-        got, want = _read_runs(tmp_path / "columns"), _read_runs(tmp_path / "dense")
-        assert len(got) == len(want) == 40
-        for row, ref in zip(got, want):
-            fid, ref_fid = row.pop("fidelity"), ref.pop("fidelity")
-            assert row == ref
-            assert fid == ref_fid or abs(float(fid) - float(ref_fid)) <= 1e-15
-        got = _read_summary(tmp_path / "columns")
-        want = _read_summary(tmp_path / "dense")
-        assert got.keys() == want.keys()
-        for metric in ("trials", "exhausted"):
-            assert got.pop(metric) == want.pop(metric)
-        for metric, value in got.items():
-            ref = want[metric]
-            assert value == ref or abs(float(value) - float(ref)) <= 1e-15, metric
+        _assert_outputs_agree(tmp_path / "columns", tmp_path / "dense")
+
+
+def _assert_outputs_agree(got_dir, want_dir) -> None:
+    """Integer cells of two ``simulate`` outputs keep their bytes, and float
+    cells their value to 1e-15."""
+    got, want = _read_runs(got_dir), _read_runs(want_dir)
+    assert len(got) == len(want) == 40
+    for row, ref in zip(got, want):
+        fid, ref_fid = row.pop("fidelity"), ref.pop("fidelity")
+        assert row == ref
+        assert fid == ref_fid or abs(float(fid) - float(ref_fid)) <= 1e-15
+    got, want = _read_summary(got_dir), _read_summary(want_dir)
+    assert got.keys() == want.keys()
+    for metric in ("trials", "exhausted"):
+        assert got.pop(metric) == want.pop(metric)
+    for metric, value in got.items():
+        ref = want[metric]
+        assert value == ref or abs(float(value) - float(ref)) <= 1e-15, metric
+
+
+# The pinned cases that compose through a phase schedule.
+SCHEDULE_CASES = ["standard:1", "deterministic", "fp:1e-3", "exhausted"]
+
+
+class TestScheduleOracle:
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_batched_products_give_the_same_outputs(self, tmp_path, monkeypatch, case):
+        # The SU(2) kernel moved standard:1 and exhausted: 14 cells by at
+        # most 3.3e-16, with the same outcome sequences.
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        code = cli.main(_pinned_argv(spec, case, tmp_path / "su2"))
+        monkeypatch.setattr(oaa, "_schedule", conftest.batched_schedule)
+        assert cli.main(_pinned_argv(spec, case, tmp_path / "batched")) == code
+        _assert_outputs_agree(tmp_path / "su2", tmp_path / "batched")
 
 
 class TestConfigErrors:
@@ -465,6 +499,35 @@ class TestConfigErrors:
         assert captured.out == ""
         if message is not None:
             assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--spec", "s.json", "--trials", "abc", "--out", "o"],
+            ["simulate", "--spec", "s.json", "--seed", "1.5", "--out", "o"],
+            ["simulate", "--spec", "s.json", "--max-attempts", "", "--out", "o"],
+            ["simulate", "--out", "o"],
+            ["simulate", "--spec", "s.json", "--out", "o", "--bogus"],
+            ["tcost", "--lambda0", "x"],
+            ["tcost", "--lambda0", "0.5", "--ct-a", "1e"],
+            ["figure", "fig9", "--out", "o"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_rejected_command_line_is_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_keeps_its_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rusamp simulate [-h] --spec SPEC")
 
     def test_unknown_figure_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -738,6 +801,27 @@ def _psi_texts():
                      _mostly(st.just(","), st.sampled_from([",,", ";", ""])), amplitude)
 
 
+def _parsed_int(text: str):
+    """``text`` as argparse's ``int`` type reads it, or None if it refuses."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _int_texts(low: int, high: int):
+    """Integer text, mostly in [low, high], else junk that argparse refuses
+    or that reads as an integer no larger than ``high``."""
+    junk = (_JUNK_FIELDS | _JUNK_TEXT).filter(
+        lambda text: (_parsed_int(text) or 0) <= high)
+    return _mostly(st.integers(low, high).map(str), junk)
+
+
+def _float_texts(low: float, high: float):
+    """``_floats`` text, else junk."""
+    return _mostly(_floats(low, high), _JUNK_FIELDS | _JUNK_TEXT)
+
+
 def _policies():
     fixed = st.builds("fixed:{}".format, _mostly(_floats(0.0, 1e3), _JUNK_FIELDS))
     return _mostly(st.sampled_from(["kmm", "zero"]) | fixed,
@@ -759,9 +843,9 @@ class TestFuzz:
     Every size stays small: at most 5 trials and 50 attempts, cube-law depths
     up to 64 and schedules under 10**4 steps unless a cap rejects them first.
     The cube law has no cap, and bounding its work for any ``pi3:K`` is
-    ROADMAP item 5. Typed options (``--seed``, ``--trials``, the ``tcost``
-    numbers) get only text that argparse parses, because argparse reports its
-    own errors with a usage line.
+    ROADMAP item 5. Typed options (``--seed``, ``--trials``,
+    ``--max-attempts``, the ``tcost`` numbers) also get junk text, which the
+    parser rejects with its own exit 2.
     """
 
     @staticmethod
@@ -771,7 +855,10 @@ class TestFuzz:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             warnings.simplefilter("always")
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # the parser rejected the command line
+                code = exc.code
         elapsed = time.perf_counter() - start
         text = err.getvalue()
         assert code in (0, 2, 3), (argv, text)
@@ -786,8 +873,8 @@ class TestFuzz:
     @settings(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(spec=st.integers(0, 1), protocol=_protocols(), psi=_psi_texts(),
-           seed=st.integers(-3, 2**70), trials=st.integers(1, 5),
-           attempts=st.integers(1, 50))
+           seed=_int_texts(-3, 2**70), trials=_int_texts(1, 5),
+           attempts=_int_texts(1, 50))
     def test_simulate(self, fuzz_specs, spec, protocol, psi, seed, trials, attempts):
         specs, out = fuzz_specs
         self._run(["simulate", "--spec", specs[spec], f"--protocol={protocol}",
@@ -796,8 +883,8 @@ class TestFuzz:
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(lambda0=_floats(1e-12, 1.0), delta=_floats(1e-300, 1.0),
-           ct_a=_floats(0.0, 1e3), policy=_policies())
+    @given(lambda0=_float_texts(1e-12, 1.0), delta=_float_texts(1e-300, 1.0),
+           ct_a=_float_texts(0.0, 1e3), policy=_policies())
     def test_tcost(self, lambda0, delta, ct_a, policy):
         self._run(["tcost", f"--lambda0={lambda0}", f"--delta={delta}",
                    f"--ct-a={ct_a}", f"--reflection-policy={policy}"])

@@ -356,6 +356,17 @@ class TestFigureData:
             expect = distortion.average_fidelity_m1(BALANCED, BALANCED, gamma0, r.x)
             assert r.mean == pytest.approx(expect, abs=1e-14)
 
+    def test_left_panel_spawns_no_streams(self, monkeypatch):
+        # The closed-form panel draws nothing; only sampled panels spawn.
+        counts = []
+        spawn = qcore.substreams
+        monkeypatch.setattr(qcore, "substreams",
+                            lambda seed, count: counts.append(count) or spawn(seed, count))
+        distortion.figure1_data("left", seed=0)
+        assert counts == []
+        distortion.figure1_data("right", seed=0)
+        assert counts == [200]
+
     def test_right_panel_shape_and_determinism(self):
         rows = distortion.figure1_data("right", seed=7)
         again = distortion.figure1_data("right", seed=7)

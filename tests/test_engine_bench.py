@@ -18,8 +18,8 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 3
-    batches, composes, figures = rows[:20], rows[20:28], rows[28:]
+    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 3
+    batches, composes, fixed, figures = rows[:20], rows[20:28], rows[28:40], rows[40:]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
     for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
@@ -29,6 +29,13 @@ def test_times_every_shape_for_every_label():
     for row, m, label in zip(composes, [1, 1, 4, 4, 6, 6, 8, 8], ["one", "two"] * 4):
         kind, shape, name, per_call, per_step = row.split()
         assert (kind, shape, name, per_step) == ("compose", f"m={m}", label, "-")
+        assert float(per_call) > 0.0
+    shapes = [(m, length) for m in (1, 4) for length in (320, 2_000, 100_000)]
+    for row, (m, length), label in zip(fixed, [s for s in shapes for _ in range(2)],
+                                       ["one", "two"] * 6):
+        kind, m_text, l_text, name, per_call, per_step = row.split()
+        assert (kind, m_text, l_text, name, per_step) == (
+            "fp", f"m={m}", f"L={length}", label, "-")
         assert float(per_call) > 0.0
     for row, figure, label in zip(figures, ["fig1-left"] * 2 + ["fig1-right"] * 2
                                   + ["fig3"] * 2, ["one", "two"] * 3):

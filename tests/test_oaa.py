@@ -285,6 +285,17 @@ class TestFixedPoint:
                 conftest.fixed_point_success(lambda0, L, delta), abs=1e-12
             )
 
+    @pytest.mark.parametrize("L", [1, 7, 320, 2000, 10**5])
+    def test_phases_match_the_scalar_formula(self, L):
+        # NumPy's tan and arctan2 may round an ulp apart from math's; near
+        # tan's pole an angle rounded another way moves a phase by ~1e-11.
+        for delta in (1e-2, 1e-6):
+            plan = oaa.fp_plan(L, delta)
+            spread = math.sqrt(plan.w)
+            loop = [-2.0 * math.atan2(1.0, math.tan(2.0 * math.pi * j / (2 * L + 1)) * spread)
+                    for j in range(1, L + 1)]
+            assert np.abs(plan.phis - loop).max() <= 4 * np.spacing(2.0 * math.pi)
+
     def test_length_limit(self):
         with pytest.raises(ValueError, match="more than"):
             oaa.fp_plan(oaa.FP_MAX_LENGTH + 1, 1e-3)
@@ -435,3 +446,70 @@ class TestComposedColumns:
         broken = rus.RusCircuit(base.spec, np.full((4, 2), np.nan, dtype=complex))
         with pytest.raises(ValueError, match="isometry residual nan"):
             oaa.standard_compose(broken, 1)
+
+
+class TestSu2Kernel:
+    """``oaa._schedule`` against ``conftest.batched_schedule``, today's
+    batched 2x2 products, whose rounding ``oaa._composed`` projects away."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 50, 320, 999, 2000])
+    def test_matches_batched_products(self, m, L):
+        # The standard schedule repeats one iterate, so its rounding adds up
+        # in step: at L = 2000 kernel and oracle alike reach 1.0-1.5e-13
+        # against a 50-digit product, and the bound would test the oracle.
+        for seed, lambda0 in enumerate((0.003, 0.13, 0.77)):
+            base = conftest.make_circuit(lambda0, m=m, rng=qcore.rng_stream(seed))
+            a = oaa._plane(base.spec)
+            schedules = [(np.full(L, math.pi),) * 2] if L < 2000 else []
+            if L:
+                plan = oaa.fp_plan(L, 1e-3)
+                schedules.append((plan.phis, plan.varphis))
+            for phis, varphis in schedules:
+                want = conftest.polar(conftest.batched_schedule(a, phis, varphis))
+                assert np.abs(oaa._schedule(a, phis, varphis) - want).max() <= 1e-13
+
+    def test_lengths_around_powers_of_two(self):
+        # Identity columns pad these stacks, or none; against a sequential product.
+        base = conftest.make_circuit(0.2, m=1)
+        a = oaa._plane(base.spec)
+        for L in (6, 7, 8, 15, 16, 17):
+            plan = oaa.fp_plan(L, 1e-2)
+            t00, t10 = conftest.two_level_amplitudes(0.2, list(zip(plan.phis, plan.varphis)))
+            t = oaa._schedule(a, plan.phis, plan.varphis)
+            assert abs(t[0, 0] - t00) <= 1e-14 and abs(t[1, 0] - t10) <= 1e-14
+
+
+# m = 1 with a Hadamard target, where the old batched products drifted past
+# qcore.UNITARY_ATOL at the length limit (residuals 1.98e-10 and 2.55e-10).
+DEEP_LAMBDA0 = 0.9974754473483037
+
+
+def _deep_circuit() -> rus.RusCircuit:
+    spec = rus.RusSpec(m=1, lambdas=np.array([DEEP_LAMBDA0, 1.0 - DEEP_LAMBDA0]),
+                       target=qcore.HADAMARD, seed=0)
+    return rus.build_rus_unitary(spec)
+
+
+class TestDeepSchedules:
+    def test_fixed_point_at_the_length_limit(self):
+        L = oaa.FP_MAX_LENGTH
+        grown = oaa.fp_compose(_deep_circuit(), oaa.fp_plan(L, 1e-6))
+        assert grown.spec.lambdas[0] == pytest.approx(
+            conftest.fixed_point_success(DEEP_LAMBDA0, L, 1e-6), abs=1e-12
+        )
+
+    def test_standard_at_the_length_limit(self):
+        j = oaa.FP_MAX_LENGTH
+        grown = oaa.standard_compose(_deep_circuit(), j)
+        # sin^2((2j + 1) theta) in 50-digit arithmetic (mpmath); in doubles
+        # the angle alone is off by 1.2e-9.
+        assert grown.spec.lambdas[0] == pytest.approx(0.08852041007064794, abs=1e-9)
+
+    @pytest.mark.parametrize("L", [10**3, 10**4, 10**5, 10**6])
+    def test_schedule_is_unitary_to_rounding(self, L):
+        a = oaa._plane(_deep_circuit().spec)
+        plan = oaa.fp_plan(L, 1e-6)
+        pis = np.full(L, math.pi)
+        for t in (oaa._schedule(a, plan.phis, plan.varphis), oaa._schedule(a, pis, pis)):
+            assert np.abs(t.conj().T @ t - np.eye(2)).max() <= 1e-14
