@@ -449,8 +449,8 @@ class TestComposedColumns:
 
 
 class TestSu2Kernel:
-    """``oaa._schedule`` against ``conftest.batched_schedule``, today's
-    batched 2x2 products, whose rounding ``oaa._composed`` projects away."""
+    """``oaa._schedule`` against ``conftest.batched_schedule``, the batched
+    2x2 products it replaced, after the polar step ``oaa._composed`` takes."""
 
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 50, 320, 999, 2000])
