@@ -12,7 +12,11 @@ then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
 ``frame``. For every (m, L) in ``FP_SHAPES`` each checkout builds the
 circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
 ``oaa.fp_compose`` with it. For every name in ``FIGURES`` each checkout times the
-``rusamp.distortion`` call that builds that figure's rows at ``SEED``. The
+``rusamp.distortion`` call that builds that figure's rows at ``SEED``. Each
+checkout times ``tcost.all_strategies`` over the ``STRATEGY_GRID`` of
+lambda0 at ``STRATEGY_DELTA`` with kmm reflections, and, for every name in
+``CLI_FIGURES``, ``cli.main(["figure", name, ...])`` into a temporary
+directory, which formats and writes the cost tables too. The
 calls alternate between checkouts, each batch on a fresh stream of ``SEED``,
 and the best of ``--repeats`` counts. Per shape and label it prints the best
 microseconds per call and, for a batch, per trial-attempt (the number of live
@@ -33,6 +37,7 @@ import argparse  # noqa: E402
 import functools  # noqa: E402
 import importlib.util  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -55,6 +60,11 @@ FIGURES = {
     "fig1-right": lambda distortion: distortion.figure1_data("right", SEED),
     "fig3": lambda distortion: distortion.figure3_data(SEED),
 }
+# The amplify workload's cost-table grid size, at one tolerance and policy.
+STRATEGY_GRID = np.linspace(0.02, 0.98, 24).tolist()
+STRATEGY_DELTA = 1e-6
+# Cost figures run through each checkout's command line.
+CLI_FIGURES = ("fig2", "figd1")
 LAMBDA0 = 0.3
 SEED = 0
 
@@ -85,7 +95,7 @@ def load_package(init: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for sub in ("qcore", "rus", "oaa", "distortion"):
+    for sub in ("qcore", "rus", "oaa", "distortion", "tcost", "cli"):
         importlib.import_module(f"{name}.{sub}")
     return package
 
@@ -154,6 +164,19 @@ def fixed_point(pkg, circuit, length: int):
     return pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
 
 
+def strategies(pkg):
+    """Every strategy's cost over the grid: the cost-table shape's timed call."""
+    tcost = pkg.tcost
+    return [tcost.all_strategies(tcost.CostQuery(lambda0, STRATEGY_DELTA, 1.0))
+            for lambda0 in STRATEGY_GRID]
+
+
+def cli_figure(pkg, name: str, out: str):
+    """One figure through the command line: the CLI figure shape's timed call."""
+    if pkg.cli.main(["figure", name, "--seed", str(SEED), "--out", out]) != 0:
+        raise RuntimeError(f"figure {name} failed in {pkg.__name__}")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     packages = [load_package(init, f"rusamp_bench_{i}")
@@ -178,11 +201,20 @@ def main(argv=None) -> int:
     ] + [
         (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
         for name, call in FIGURES.items()
+    ] + [
+        ("tcost strategies", [functools.partial(strategies, pkg) for pkg in packages])
     ]
-    for shape, calls in timed:
-        best = best_of(calls, args.repeats)
-        for (label, _), seconds in zip(args.checkout, best):
-            print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
+    with tempfile.TemporaryDirectory() as out:
+        timed += [
+            (f"figure {name}",
+             [functools.partial(cli_figure, pkg, name, os.path.join(out, str(i)))
+              for i, pkg in enumerate(packages)])
+            for name in CLI_FIGURES
+        ]
+        for shape, calls in timed:
+            best = best_of(calls, args.repeats)
+            for (label, _), seconds in zip(args.checkout, best):
+                print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
     return 0
 
 

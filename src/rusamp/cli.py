@@ -14,10 +14,8 @@ line on standard error, 3 when a statistical acceptance bound fails
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -66,14 +64,6 @@ def _manifest(command: str, config: dict, seed) -> str:
         "tool_version": __version__,
     }
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
 
 
 def _parse_psi(text: str) -> qcore.StateVector:
@@ -192,7 +182,8 @@ def cmd_simulate(args) -> int:
         ["exhaustion_rate", exhaustion_rate],
     ]
     summary_path = os.path.join(args.out, "summary.csv")
-    _write_text(summary_path, _csv_text(["metric", "value"], summary))
+    _write_text(summary_path, "metric,value\n" + "".join(
+        [f"{metric},{_fmt(value)}\n" for metric, value in summary]))
     _write_text(summary_path + ".manifest.json", manifest)
 
     if exhaustion_rate > EXHAUSTION_BOUND:
@@ -204,28 +195,40 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_FIGURE_HEADER = ["x", "curve_id", "mean", "std", "n_samples", "seed"]
-_COST_HEADER = [
-    "lambda0", "strategy", "total_t", "j", "k", "L", "n_S", "epsilon_reflection",
-]
+# Every column of a figure or cost table has a known type, so rows are
+# formatted by one f-string per table, without _fmt or the csv module.
+_FIGURE_HEADER = "x,curve_id,mean,std,n_samples,seed\n"
+_COST_HEADER = "lambda0,strategy,total_t,j,k,L,n_S,epsilon_reflection\n"
 
 
-def _cost_rows(rows: list[tuple[float, tcost.CostResult]]) -> list[list]:
-    # Strategies leave out the columns they have no value for.
-    return [
-        [lam0, r.strategy, r.total_t,
-         *(r.params.get(key) for key in ("j", "k", "L", "n_s", "epsilon_reflection"))]
-        for lam0, r in rows
-    ]
+def _figure_text(rows: list[distortion.FigureRow]) -> str:
+    return _FIGURE_HEADER + "".join([
+        f"{x:.17g},{curve_id},{mean:.17g},{std:.17g},{n_samples},{seed}\n"
+        for x, curve_id, mean, std, n_samples, seed in rows
+    ])
+
+
+def _cost_text(rows: list[tuple[float, tcost.CostResult]]) -> str:
+    """Strategies leave out the counts they have no value for, and a policy
+    without an accuracy leaves epsilon_reflection None: both cells are blank."""
+    lines = [_COST_HEADER]
+    for lam0, r in rows:
+        p = r.params
+        eps = p.get("epsilon_reflection")
+        lines.append(
+            f"{lam0:.17g},{r.strategy},{r.total_t:.17g},{p.get('j', '')},{p.get('k', '')},"
+            f"{p.get('L', '')},{p.get('n_s', '')},{'' if eps is None else format(eps, '.17g')}\n"
+        )
+    return "".join(lines)
 
 
 def cmd_figure(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     name = args.name
 
-    def emit(stem: str, header: list[str], rows, config: dict):
+    def emit(stem: str, text: str, config: dict):
         path = os.path.join(args.out, stem + ".csv")
-        _write_text(path, _csv_text(header, rows))
+        _write_text(path, text)
         _write_text(path + ".manifest.json",
                     _manifest(f"figure {name}", config, args.seed))
 
@@ -234,19 +237,18 @@ def cmd_figure(args) -> int:
                "draws": distortion.DRAWS_PER_POINT,
                "failure_draw": "iid-uniform-rescaled"}
     if name == "fig1-left":
-        emit(name, _FIGURE_HEADER, distortion.figure1_data("left", args.seed),
+        emit(name, _figure_text(distortion.figure1_data("left", args.seed)),
              {"figure": name, "panel": "left", "ancillas": 1,
               "detuning": distortion.DETUNING})
     elif name == "fig1-right":
-        emit(name, _FIGURE_HEADER, distortion.figure1_data("right", args.seed),
+        emit(name, _figure_text(distortion.figure1_data("right", args.seed)),
              {**sampled, "panel": "right"})
     elif name == "fig3":
-        emit(name, _FIGURE_HEADER, distortion.figure3_data(args.seed), sampled)
+        emit(name, _figure_text(distortion.figure3_data(args.seed)), sampled)
     elif name in ("fig2", "figd1"):
         delta = 1e-6 if name == "fig2" else 1e-3
         for ct_a in (1.0, 100.0):
-            rows = tcost.figure2_data(ct_a, delta)
-            emit(f"{name}-cta{int(ct_a)}", _COST_HEADER, _cost_rows(rows),
+            emit(f"{name}-cta{int(ct_a)}", _cost_text(tcost.figure2_data(ct_a, delta)),
                  {"figure": name, "delta": delta, "ct_a": ct_a,
                   "reflection_policy": "kmm"})
     else:
@@ -260,7 +262,10 @@ def cmd_tcost(args) -> int:
         lambda0=args.lambda0, delta=args.delta, ct_a=args.ct_a,
         reflection_policy=policy,
     )
-    results = tcost.all_strategies(query)
+    try:
+        results = tcost.all_strategies(query)
+    except tcost.ToleranceUnderflow as exc:
+        raise ValueError(f"--delta: {exc}") from None
     width = max(len(r.strategy) for r in results)
     for r in results:
         detail = ", ".join(f"{k}={_fmt(v)}" for k, v in r.params.items())

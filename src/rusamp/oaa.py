@@ -29,6 +29,7 @@ identity elsewhere, is built only when read.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -261,7 +262,7 @@ def plan_deterministic(lambda0: float) -> DeterministicPlan:
     phi = 2.0 * math.atan2(1.0, cot_half)
     varphi = math.atan2(cot_half, -cos2t)
     residual = abs(
-        tanchi - (np.exp(1j * varphi) * sin2t) / (-cos2t + 1j * cot_half)
+        tanchi - (cmath.exp(1j * varphi) * sin2t) / (-cos2t + 1j * cot_half)
     )
     if residual > 1e-9:
         raise ValueError(f"phase solution residual {residual} out of tolerance")
@@ -316,8 +317,9 @@ def pi3_level_for(epsilon: float, delta: float) -> int:
     if epsilon <= delta:
         return 0
     # Failure after level k is epsilon**(3**k); compare in the log domain.
+    log_epsilon, log_delta = math.log(epsilon), math.log(delta)
     k = 0
-    while 3**k * math.log(epsilon) > math.log(delta):
+    while 3**k * log_epsilon > log_delta:
         k += 1
     return k
 

@@ -65,10 +65,11 @@ class RusSpec:
             raise ValueError(
                 f"m={self.m} needs 2**m outcome probabilities, got {lambdas.size}"
             )
-        # Both checks are written so that NaN entries fail them.
+        # Both checks are written so that NaN entries fail them; entries of
+        # at most 1 keep the sum from overflowing.
         if not lambdas.min() >= 0:
             raise ValueError("outcome probabilities must be non-negative")
-        if not abs(lambdas.sum() - 1.0) <= qcore.NORM_ATOL:
+        if not (lambdas.max() <= 1.0 and abs(lambdas.sum() - 1.0) <= qcore.NORM_ATOL):
             raise ValueError("outcome probabilities must sum to 1")
         if self.target.dim != 2:
             raise ValueError("target must be a single-qubit gate")
@@ -421,7 +422,7 @@ def spec_from_dict(data: dict) -> RusSpec:
         gates = qcore.unitary_stack(
             [_matrix_from_json(g, 2) for g in (data["target"], *data["recoveries"])]
         )
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed spec: {exc}") from exc
     if lambdas.ndim != 1:
         raise ValueError(
@@ -446,4 +447,8 @@ def save_spec(spec: RusSpec, path) -> None:
 
 def load_spec(path) -> RusSpec:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"spec {str(path)!r} nests too deeply to read") from None
+    return spec_from_dict(data)

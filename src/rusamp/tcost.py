@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from . import oaa
 # Gate-synthesis cost of one generalized ancilla reflection to accuracy eps.
 KMM_SLOPE = 3.21
 KMM_OFFSET = 6.93
+
+
+class ToleranceUnderflow(ValueError):
+    """The failure tolerance is too small to share over the reflections."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,11 @@ class ReflectionPolicy:
         if self.kind == "fixed":
             return None, self.value
         epsilon = delta / n_s
+        if epsilon == 0.0:
+            raise ToleranceUnderflow(
+                f"failure tolerance {delta!r} over {n_s} reflections rounds "
+                "each accuracy to 0"
+            )
         return epsilon, ct_reflection(epsilon)
 
     @staticmethod
@@ -76,6 +86,11 @@ class CostQuery:
         if not 0.0 <= self.ct_a < math.inf:
             raise ValueError("per-attempt cost must be non-negative and finite")
 
+    @cached_property
+    def plan(self) -> oaa.DeterministicPlan:
+        """The deterministic plan for lambda0, solved once per query."""
+        return oaa.plan_deterministic(self.lambda0)
+
 
 @dataclass(frozen=True)
 class CostResult:
@@ -88,7 +103,11 @@ def ct_reflection(epsilon: float) -> float:
     """T cost of one generalized reflection synthesized to accuracy epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    return max(0.0, KMM_SLOPE * math.log2(1.0 / epsilon) - KMM_OFFSET)
+    inverse = 1.0 / epsilon
+    # 1/epsilon overflows below about 2**-1024, a subnormal; -log2 stays
+    # finite there.
+    bits = math.log2(inverse) if inverse < math.inf else -math.log2(epsilon)
+    return max(0.0, KMM_SLOPE * bits - KMM_OFFSET)
 
 
 def _repetitions(failure: float, delta: float) -> int:
@@ -114,7 +133,7 @@ def ct_standard_oaa(q: CostQuery) -> CostResult:
     Ancilla reflections with phase pi are priced at zero (they are Clifford
     for the register sizes this model targets).
     """
-    plan = oaa.plan_deterministic(q.lambda0)
+    plan = q.plan
     reps = _repetitions(math.sin(plan.chi) ** 2, q.delta)
     return CostResult(
         "standard",
@@ -129,7 +148,7 @@ def ct_deterministic_oaa(q: CostQuery) -> CostResult:
     The trailing generalized iterate, and its two reflections, is skipped
     when the plain iterates already reach success exactly (chi == 0).
     """
-    plan = oaa.plan_deterministic(q.lambda0)
+    plan = q.plan
     n_s = 0 if plan.chi == 0.0 else 2
     eps, refl = q.reflection_policy.budget(q.delta, n_s)
     total = (2 * plan.j + 1 + n_s // 2) * q.ct_a + n_s * refl
@@ -197,7 +216,8 @@ def figure2_data(ct_a: float, delta: float) -> list[tuple[float, CostResult]]:
     """Every strategy's cost across the lambda0 grid, kmm reflections, as
     (lambda0, result) pairs."""
     rows: list[tuple[float, CostResult]] = []
+    kmm = ReflectionPolicy()
     for lam0 in np.linspace(0.02, 0.98, 50):
-        q = CostQuery(lambda0=float(lam0), delta=delta, ct_a=ct_a)
+        q = CostQuery(lambda0=float(lam0), delta=delta, ct_a=ct_a, reflection_policy=kmm)
         rows.extend((q.lambda0, result) for result in all_strategies(q))
     return rows

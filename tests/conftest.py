@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -314,3 +316,40 @@ def dense_conditional_run(
         dense_conditional_attempt(cc), conditional_start(cfg), rng, cfg.max_attempts
     )
     return outcomes, qcore.StateVector(2, final)
+
+
+def _csv_cell(value) -> str:
+    """A cell as the CLI rendered every table before it formatted rows per
+    table: blank for None, 17 significant digits for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def csv_text(header: list[str], rows) -> str:
+    """A table through ``csv.writer``, the oracle of the CLI's row formatters."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def figure_table(rows) -> str:
+    return csv_text(["x", "curve_id", "mean", "std", "n_samples", "seed"], rows)
+
+
+def cost_table(rows) -> str:
+    """(lambda0, CostResult) pairs; a strategy leaves out the columns it has
+    no value for."""
+    keys = ("j", "k", "L", "n_s", "epsilon_reflection")
+    return csv_text(
+        ["lambda0", "strategy", "total_t", "j", "k", "L", "n_S", "epsilon_reflection"],
+        [[lam0, r.strategy, r.total_t, *map(r.params.get, keys)] for lam0, r in rows],
+    )

@@ -4,17 +4,18 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from rusamp import cli, oaa, qcore, rus, tcost
+from rusamp import cli, distortion, oaa, qcore, rus, tcost
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -295,6 +296,66 @@ class TestOutputBytes:
         assert _output_digest(files) == OUTPUT_PINS["tcost"]
 
 
+def _cost(strategy: str, total_t: float, **params) -> tcost.CostResult:
+    return tcost.CostResult(strategy, total_t, params)
+
+
+class TestRowFormatters:
+    """Cost and figure rows, formatted per table, read as ``csv.writer`` with
+    a per-cell formatter wrote them (``conftest.csv_text``)."""
+
+    def test_every_cost_row_shape(self):
+        # Blank j/k/L/n_S, an accuracy left blank by the zero and fixed
+        # policies, and tiny and huge floats.
+        rows = [
+            (0.02, _cost("classical", 19.0, repetitions=19)),
+            (5e-324, _cost("standard", 1.7976931348623157e308, j=24835, repetitions=35)),
+            (0.1, _cost("deterministic", 2.0, j=0, n_s=0, epsilon_reflection=None)),
+            (1e-300, _cost("deterministic", 56062.59351075306, j=24835, n_s=2,
+                           epsilon_reflection=5e-301)),
+            (1e-9, _cost("pi3", 2813235420819256.5, k=25, n_s=847288609442,
+                         epsilon_reflection=1.1802353871589618e-312)),
+            (0.3, _cost("pi3", 1.0, k=0, n_s=0, epsilon_reflection=None)),
+            (0.98, _cost("fixed_point", 0.1, L=1, n_s=2, epsilon_reflection=5e-7,
+                         minimum_length=True)),
+            (1.0, _cost("fixed_point", 0.0, L=5472020, n_s=10944040,
+                        epsilon_reflection=None, minimum_length=False)),
+        ]
+        assert cli._cost_text(rows) == conftest.cost_table(rows)
+
+    @pytest.mark.parametrize("policy", ["kmm", "zero", "fixed:37.5"])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-300])
+    def test_cost_rows_of_every_policy(self, policy, delta):
+        rows = [
+            (lam0, r) for lam0 in (1e-9, 0.02, 0.25, 0.5, 0.98, 1.0)
+            for r in tcost.all_strategies(tcost.CostQuery(
+                lam0, delta, 100.0, tcost.ReflectionPolicy.parse(policy)))
+        ]
+        assert cli._cost_text(rows) == conftest.cost_table(rows)
+
+    @pytest.mark.parametrize("ct_a,delta", [(1.0, 1e-6), (100.0, 1e-6), (1.0, 1e-3)])
+    def test_cost_figure_rows(self, ct_a, delta):
+        rows = tcost.figure2_data(ct_a, delta)
+        assert cli._cost_text(rows) == conftest.cost_table(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(lambda: distortion.figure1_data("left", 0), id="fig1-left"),
+            pytest.param(lambda: distortion.figure1_data("right", 3), id="fig1-right"),
+            pytest.param(lambda: distortion.figure3_data(5), id="fig3"),
+            pytest.param(lambda: [
+                distortion.FigureRow(5e-324, "gamma_one", 1.7976931348623157e308, 0.0, 1, 0),
+                distortion.FigureRow(1e-6, "gamma_under", np.float64(0.9999999999999999),
+                                     np.float64(1e-17), 1000, 2**63),
+            ], id="extremes"),
+        ],
+    )
+    def test_figure_rows(self, rows):
+        rows = rows()
+        assert cli._figure_text(rows) == conftest.figure_table(rows)
+
+
 def _pinned_argv(spec, case, out) -> list[str]:
     """The ``simulate`` arguments of ``TestOutputBytes`` for ``case``."""
     return ["simulate", "--spec", str(spec), "--psi", "0.6,0.8j", "--trials", "40",
@@ -570,6 +631,27 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda text: "[" * 200_000 + "]" * 200_000, id="whole-file"),
+            pytest.param(lambda text: text.replace('"m": 1', '"m": ' + "[" * 5_000 + "1"
+                                                   + "]" * 5_000), id="m-field"),
+        ],
+    )
+    def test_deeply_nested_spec_is_named(self, tmp_path, capsys, edit):
+        path = _write_spec(tmp_path)
+        text = path.read_text()
+        assert '"m": 1' in text
+        path.write_text(edit(text))
+        assert cli.main(
+            ["simulate", "--spec", str(path), "--out", str(tmp_path / "out")]
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec {str(path)!r} nests too deeply to read\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_non_unitary_recovery(self, tmp_path, capsys):
         path = _write_spec(tmp_path)
         data = json.loads(path.read_text())
@@ -723,6 +805,28 @@ class TestTcost:
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split()[0] for line in lines] == list(tcost.STRATEGIES)
 
+    def test_subnormal_reflection_accuracy(self, capsys):
+        # pi3 shares delta over 3**25 - 1 reflections: 1.18e-312 each.
+        assert cli.main(["tcost", "--lambda0", "1e-9", "--delta", "1e-300"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        totals = [float(line.split("total_t=")[1].split()[0]) for line in lines]
+        assert len(totals) == 5 and all(math.isfinite(t) for t in totals)
+        assert "epsilon_reflection=1.1802353871589618e-312" in lines[3]
+
+    @pytest.mark.parametrize(
+        "argv, n_s",
+        [(["--lambda0", "0.5", "--delta", "5e-324"], 2),
+         (["--lambda0", "1e-9", "--delta", "1e-320"], 847288609442)],
+    )
+    def test_accuracy_underflow_names_delta(self, argv, n_s, capsys):
+        assert cli.main(["tcost", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --delta: failure tolerance {float(argv[3])!r} over {n_s} "
+            "reflections rounds each accuracy to 0\n"
+        )
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "costs.json"
         code = cli.main(
@@ -828,6 +932,41 @@ def _policies():
                    st.sampled_from(["fixed:", "fixed"]) | _JUNK_TEXT)
 
 
+# JSON text put in place of one spec field, or of the whole file.
+_SPEC_TOKENS = st.sampled_from([
+    "null", "true", "false", "0", "-1", "1.5", '"1"', '""', "[]", "{}", "[[]]",
+    "[null]", "[true, false]", '{"m": 1}', "NaN", "Infinity", "-Infinity", "1e400",
+    "[NaN, 0.5]", "[Infinity, 0.3]", "[1e308, 1e308]", "9" * 400, "-" + "9" * 400,
+    "[" + "9" * 400 + ", 0]", "[0.3, 0.7, 0.0]", "[[0.3], [0.7]]", "[[[[0.3]]]]",
+    "[[1, 0], [0, 0], [0, 0], [1, 0]]", "[[1, 0], [0, 0], [0, 0]]",
+    "[[1, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0]]", '[["a", 0], [0, 0], [0, 0], [1, 0]]',
+    "[[NaN, 0], [0, 0], [0, 0], [1, 0]]", "[[[1, 0], [0, 0], [0, 0], [1, 0]]]",
+])
+# One edit of a spec: drop a field, replace it by a token or by a list nested
+# to a depth, or wrap its valid value in lists.
+_SPEC_EDITS = st.one_of(
+    st.just(("drop", None)),
+    st.tuples(st.just("token"), _SPEC_TOKENS),
+    st.tuples(st.just("deep"), st.sampled_from([2, 64, 900, 5_000, 200_000])),
+    st.tuples(st.just("wrap"), st.integers(1, 40)),
+)
+
+
+def _edited_spec(spec: dict, field: str | None, edit: tuple) -> str:
+    """The spec's JSON text after ``edit`` of ``field``, or of the whole
+    file for None."""
+    kind, arg = edit
+    if kind == "drop":
+        return "" if field is None else json.dumps(
+            {k: v for k, v in spec.items() if k != field})
+    if kind == "token":
+        text = arg
+    else:
+        inner = "1" if kind == "deep" else json.dumps(spec if field is None else spec[field])
+        text = "[" * arg + inner + "]" * arg
+    return text if field is None else json.dumps({**spec, field: "@"}).replace('"@"', text)
+
+
 @pytest.fixture(scope="module")
 def fuzz_specs(tmp_path_factory):
     """Specs with lambda0 >= 0.1, so that runs stay short, and an output directory."""
@@ -845,7 +984,9 @@ class TestFuzz:
     The cube law has no cap, and bounding its work for any ``pi3:K`` is
     ROADMAP item 5. Typed options (``--seed``, ``--trials``,
     ``--max-attempts``, the ``tcost`` numbers) also get junk text, which the
-    parser rejects with its own exit 2.
+    parser rejects with its own exit 2. Spec files get one edit each: a
+    dropped field, a null, a bool, a NaN or Infinity token, a huge integer,
+    a wrong shape or a deeply nested list.
     """
 
     @staticmethod
@@ -880,6 +1021,20 @@ class TestFuzz:
         self._run(["simulate", "--spec", specs[spec], f"--protocol={protocol}",
                    f"--psi={psi}", f"--seed={seed}", f"--trials={trials}",
                    f"--max-attempts={attempts}", "--out", out])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=st.integers(0, 1), field=st.sampled_from([*rus._SPEC_FIELDS, None]),
+           edit=_SPEC_EDITS)
+    # Entries that overflow a float sum, or a float, on the one-ancilla spec.
+    @example(spec=0, field="lambdas", edit=("token", "[1e308, 1e308]"))
+    @example(spec=0, field="lambdas", edit=("token", "[" + "9" * 400 + ", 0]"))
+    def test_spec_file(self, fuzz_specs, spec, field, edit):
+        specs, out = fuzz_specs
+        path = Path(out) / "edited.json"
+        path.write_text(_edited_spec(json.loads(Path(specs[spec]).read_text()), field, edit))
+        self._run(["simulate", "--spec", str(path), "--trials", "3",
+                   "--max-attempts", "50", "--out", out])
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

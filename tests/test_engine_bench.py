@@ -18,8 +18,9 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 3
-    batches, composes, fixed, figures = rows[:20], rows[20:28], rows[28:40], rows[40:]
+    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 3 + 2 + 2 * 2
+    batches, composes, fixed = rows[:20], rows[20:28], rows[28:40]
+    figures, costs = rows[40:46] + rows[48:], rows[46:48]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
     for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
@@ -37,8 +38,13 @@ def test_times_every_shape_for_every_label():
         assert (kind, m_text, l_text, name, per_step) == (
             "fp", f"m={m}", f"L={length}", label, "-")
         assert float(per_call) > 0.0
+    for row, label in zip(costs, ["one", "two"]):
+        kind, shape, name, per_call, per_step = row.split()
+        assert (kind, shape, name, per_step) == ("tcost", "strategies", label, "-")
+        assert float(per_call) > 0.0
     for row, figure, label in zip(figures, ["fig1-left"] * 2 + ["fig1-right"] * 2
-                                  + ["fig3"] * 2, ["one", "two"] * 3):
+                                  + ["fig3"] * 2 + ["fig2"] * 2 + ["figd1"] * 2,
+                                  ["one", "two"] * 5):
         kind, shape, name, per_call, per_step = row.split()
         assert (kind, shape, name, per_step) == ("figure", figure, label, "-")
         assert float(per_call) > 0.0

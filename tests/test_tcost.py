@@ -34,6 +34,15 @@ class TestReflectionCost:
         with pytest.raises(ValueError):
             tcost.ct_reflection(1.5)
 
+    def test_subnormal_accuracy_is_finite(self):
+        # 1/eps overflows below about 2**-1024, a subnormal; -log2 takes over.
+        for eps in (1.1802353871589618e-312, 5e-324, 5.5e-309):
+            assert 1.0 / eps == math.inf
+            assert tcost.ct_reflection(eps) == 3.21 * -math.log2(eps) - 6.93
+        # Where 1/eps is finite the cost keeps log2(1/eps) to the bit.
+        for eps in (5.6e-309, 2.2250738585072014e-308, 1e-300, 5e-7, 1e-6 / 3):
+            assert tcost.ct_reflection(eps) == 3.21 * math.log2(1.0 / eps) - 6.93
+
     def test_accuracy_band_over_gate_counts(self):
         # splitting a 1e-6 budget over 2..100 reflections keeps each gate
         # in a narrow cost band
@@ -70,6 +79,15 @@ class TestPolicy:
             assert refl == tcost.ct_reflection(1e-6 / n_s)
         else:
             assert (eps, refl) == (None, 0.1 if text == "fixed:0.1" else 0.0)
+
+
+    def test_accuracy_rounded_to_zero_is_rejected(self):
+        policy = tcost.ReflectionPolicy()
+        assert policy.budget(1e-320, 2)[0] == 5e-321
+        with pytest.raises(tcost.ToleranceUnderflow, match="over 2 reflections"):
+            policy.budget(5e-324, 2)
+        # Policies without an accuracy take any tolerance.
+        assert tcost.ReflectionPolicy(kind="fixed", value=3.0).budget(5e-324, 2) == (None, 3.0)
 
 
 class TestQueryValidation:
@@ -246,6 +264,49 @@ class TestAllStrategies:
             b = tcost.all_strategies(_query(0.3, delta=tight))
             for ra, rb in zip(a, b):
                 assert ra.total_t <= rb.total_t + 1e-12
+
+
+    def test_subnormal_accuracy_costs_are_finite(self):
+        # pi3 needs k = 25 here, so each of its 3**25 - 1 reflections gets a
+        # subnormal share of delta.
+        results = tcost.all_strategies(_query(1e-9, delta=1e-300))
+        pi3 = results[3]
+        assert pi3.params["k"] == 25
+        assert pi3.params["epsilon_reflection"] < 2.2250738585072014e-308
+        assert all(math.isfinite(r.total_t) for r in results)
+
+
+class TestOnePlanPerQuery:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The lambda0 of every deterministic plan solved."""
+        calls = []
+        solve = oaa.plan_deterministic
+
+        def counted(lambda0):
+            calls.append(lambda0)
+            return solve(lambda0)
+
+        monkeypatch.setattr(oaa, "plan_deterministic", counted)
+        return calls
+
+    def test_all_strategies(self, solved):
+        grid = [0.02, 0.25, 0.3, 1.0]
+        for lam0 in grid:
+            tcost.all_strategies(_query(lam0))
+        assert solved == grid
+
+    def test_each_strategy_shares_the_query_plan(self, solved):
+        q = _query(0.3)
+        tcost.ct_standard_oaa(q)
+        tcost.ct_deterministic_oaa(q)
+        assert solved == [0.3]
+        assert q.plan == oaa.plan_deterministic(0.3)
+
+    def test_figure_grid(self, solved):
+        rows = tcost.figure2_data(ct_a=1.0, delta=1e-6)
+        assert solved == sorted({lam0 for lam0, _ in rows})
+        assert len(solved) == 50
 
 
 class TestExpectedCost:
