@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,8 +178,7 @@ def _composed(c: RusCircuit, a: np.ndarray, t: np.ndarray) -> RusCircuit:
     return RusCircuit(composed, columns, Composition(c, plane, pulled))
 
 
-@dataclass(frozen=True)
-class DeterministicPlan:
+class DeterministicPlan(NamedTuple):
     """Iteration count and trailing phases; chi == 0 means the trailing
     generalized iterate is skipped entirely."""
 

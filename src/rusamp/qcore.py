@@ -202,8 +202,11 @@ def draw_outcomes(cdf: np.ndarray, rng: RngStream) -> np.ndarray:
     the last outcome; an outcome whose cumulative mass equals the one
     before it is unreachable.
     """
+    rows = cdf.shape[0]
     u = rng.random(cdf.shape[1]) * cdf[-1]
-    return np.minimum((cdf <= u).sum(axis=0), cdf.shape[0] - 1)
+    # A one-byte count holds up to 255 rows and is the cheapest to sum.
+    count = np.add.reduce(cdf <= u, axis=0, dtype=np.uint8 if rows <= 255 else np.intp)
+    return np.minimum(count, rows - 1)
 
 
 def complete_isometry(

@@ -14,6 +14,7 @@ attempt repeats with fresh ancillas.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,16 @@ STRUCTURE_ATOL = 1e-8
 # Adjoints of amplified circuits leave residual blocks this small, where
 # rounding noise would otherwise dominate the proportionality check.
 ZERO_WEIGHT_ATOL = 1e-12
+
+# Live states are unnormalized; once the smallest live total mass falls
+# below this, far above the subnormal range (2**-1022), ``run_batch`` scales
+# them back up by powers of two.
+RESCALE_BELOW = 2.0**-600
+
+# Most state entries (trials x register amplitudes) one ``run_batch`` call
+# holds.  Its live and kept states take 16 bytes an entry each, so 2**25
+# entries cap them at 1 GiB together.
+MAX_BATCH_ENTRIES = 2**25
 
 
 class MaxAttemptsExceeded(RuntimeError):
@@ -226,11 +237,14 @@ class RetryFrame:
     row i is ``|d_i|^2``, where ``d_i``, row ``i - 1`` of ``diagonals``,
     is the diagonal of failure outcome i's undone block.  ``cumulative``
     sums ``masses`` over the outcomes ``reachable`` lists, those whose mass
-    row is not all zero, so a draw can never land on the others.  An outcome
-    whose row is zero only on a trial's support keeps its row; the product
-    can round it a few ulp above the one before it, so a draw may reach it
-    with odds near 1e-16, and that trial's state turns NaN, which the next
-    attempt's norm check rejects.
+    row is not all zero, so a draw can never land on the others; its last
+    row, the total mass of each register entry, is 1 on every entry a run's
+    state may touch, which ``run_batch`` checks once per call.  The draw
+    reads one product of ``cumulative`` per attempt and nothing else of
+    the frame.  An outcome whose row is zero only on a trial's support keeps
+    its row; the product can round it a few ulp above the one before it, so
+    a draw may reach it with odds near 1e-16, and that trial's state turns
+    all zero, which the next attempt's positive-total guard rejects.
     """
 
     success: np.ndarray
@@ -285,50 +299,94 @@ def run_batch(
 ) -> BatchRun:
     """Repeat until success for ``trials`` runs that all start in ``state``.
 
-    Live trials are rows of an (alive, register) array.  Each attempt
-    measures every live trial with one uniform from ``rng``, in trial order,
-    so a single trial draws exactly as a per-trial loop would.  The draw
-    reads ``frame.cumulative @ |psi|^2``; failure i rescales a trial to
-    ``d_i * psi / sqrt(p_i)`` with ``p_i`` its row of ``frame.masses @
-    |psi|^2``.  A success keeps ``psi / sqrt(p_0)``, and ``U_0`` is applied
-    to all of them once, after the loop.
+    Live trials are rows of an (alive, register) array of unnormalized
+    states.  Each attempt takes one product, ``frame.cumulative @ |psi|^2``,
+    and measures every live trial with one uniform from ``rng``, in trial
+    order, scaled by its column's total, so a single trial draws exactly as
+    a per-trial loop would.  Failure i multiplies a trial by ``d_i``; a
+    success is divided once by the square root of its success mass, the
+    product's row for outcome 0, and ``U_0`` is applied to all of them once,
+    after the loop.
+
+    The norms are checked where they are exact.  On the first attempt the
+    input state's norm must be 1 and the frame's masses must sum to 1 on the
+    register entries the state touches, which diagonal failures never leave;
+    each later attempt only needs every live total to be positive, so a NaN
+    or all-zero state raises ``ValueError``.  Once the smallest live total
+    falls below ``RESCALE_BELOW`` (2**-600), every live state is scaled
+    back up by a power of two, which is exact: it changes no draw and no
+    final bit.  A batch over
+    ``MAX_BATCH_ENTRIES`` state entries raises ``MemoryError`` before it
+    allocates anything.
     """
     register = frame.success.shape[1]
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (register,):
         raise ValueError("state does not match the frame's register")
+    if trials * register > MAX_BATCH_ENTRIES:
+        raise MemoryError(
+            f"{trials} trials of {register} amplitudes exceed the batch limit of "
+            f"{MAX_BATCH_ENTRIES} state entries"
+        )
     current = np.repeat(state[None], trials, axis=0)
-    kept = np.full((trials, register), np.nan, dtype=np.complex128)
+    # Each success keeps its state and mass; the division waits for the end,
+    # and the rows of trials still alive there are set to NaN.
+    kept = np.empty((trials, register), dtype=np.complex128)
+    kept_mass = np.ones(trials)
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
-    for _ in range(max_attempts):
+    for attempt in range(max_attempts):
         if alive.size == 0:
             break
-        sq = (np.abs(current) ** 2).T
-        cdf = frame.cumulative @ sq
-        norms = np.sqrt(cdf[-1])
-        qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
+        cdf = frame.cumulative @ (np.abs(current) ** 2).T
+        total = cdf[-1]
+        if attempt == 0:
+            _check_start(frame, state, total[0])
+        else:
+            low = total.min()
+            if not low >= RESCALE_BELOW:
+                # Written so that a NaN total fails the check as well.
+                if not low > 0.0:
+                    raise ValueError(f"a live state's total mass is {low}, not positive")
+                # Powers of two scale exactly, so no draw and no final moves.
+                scale = np.ldexp(1.0, -(np.frexp(total)[1] // 2))
+                current = current * scale[:, None]
+                cdf = cdf * scale**2
         outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
-        inv = 1.0 / np.sqrt((frame.masses @ sq)[outcome, np.arange(alive.size)])
         trial_log.append(alive)
         outcome_log.append(outcome)
-        done = np.flatnonzero(outcome == 0)
         failed = np.flatnonzero(outcome)
-        kept[alive[done]] = current[done] * inv[done, None]
+        if failed.size < alive.size:
+            done = np.flatnonzero(outcome == 0)
+            ended = alive[done]
+            kept[ended] = current[done]
+            kept_mass[ended] = cdf[0, done]
         alive = alive[failed]
-        current = (
-            frame.diagonals[outcome[failed] - 1] * current[failed] * inv[failed, None]
-        )
+        current = frame.diagonals[outcome[failed] - 1] * current[failed]
     exhausted = np.zeros(trials, dtype=bool)
     exhausted[alive] = True
+    kept[alive] = np.nan
     trial_log = np.concatenate(trial_log)
     return BatchRun(
         attempts=np.bincount(trial_log, minlength=trials),
         exhausted=exhausted,
-        finals=frame.success @ np.ascontiguousarray(kept.T),
+        finals=frame.success @ (kept / np.sqrt(kept_mass)[:, None]).T,
         trial_log=trial_log,
         outcome_log=np.concatenate(outcome_log),
     )
+
+
+def _check_start(frame: RetryFrame, state: np.ndarray, total: float) -> None:
+    """Raise unless ``state`` has norm 1 and the frame's masses sum to 1 on
+    every register entry it touches; ``total`` is the state's total mass."""
+    drift = np.abs(frame.cumulative[-1] - 1.0).max(where=state != 0, initial=0.0)
+    # Written so that NaN masses fail the check.
+    if not drift <= qcore.NORM_ATOL:
+        raise ValueError(
+            f"outcome masses sum to 1 only within {drift} on the state's "
+            f"entries, beyond {qcore.NORM_ATOL}"
+        )
+    qcore.check_norm(math.sqrt(total))
 
 
 def run_rus(

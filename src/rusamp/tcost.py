@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,7 @@ class CostQuery:
         return oaa.plan_deterministic(self.lambda0)
 
 
-@dataclass(frozen=True)
-class CostResult:
+class CostResult(NamedTuple):
     strategy: str
     total_t: float
     params: dict

@@ -223,6 +223,57 @@ def dense_batch_run(
     return np.array(trial_log, dtype=int), np.array(outcome_log, dtype=int), finals
 
 
+def reference_run_batch(
+    frame: rus.RetryFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
+    max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
+) -> rus.BatchRun:
+    """``rus.run_batch`` on normalized states, an oracle for its rounding.
+
+    Every attempt takes two products: the draw reads ``frame.cumulative @
+    |psi|^2`` and checks each live norm, and the chosen outcome's mass comes
+    from ``frame.masses @ |psi|^2``. Failure i sets a trial to ``d_i * psi /
+    sqrt(p_i)``, success keeps ``psi / sqrt(p_0)``. The draws are those of
+    ``rus.run_batch``; the finals differ from it by rounding only, one
+    rounding per attempt.
+    """
+    register = frame.success.shape[1]
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (register,):
+        raise ValueError("state does not match the frame's register")
+    current = np.repeat(state[None], trials, axis=0)
+    kept = np.full((trials, register), np.nan, dtype=np.complex128)
+    alive = np.arange(trials)
+    trial_log, outcome_log = [alive[:0]], [alive[:0]]
+    for _ in range(max_attempts):
+        if alive.size == 0:
+            break
+        sq = (np.abs(current) ** 2).T
+        cdf = frame.cumulative @ sq
+        norms = np.sqrt(cdf[-1])
+        qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
+        outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
+        inv = 1.0 / np.sqrt((frame.masses @ sq)[outcome, np.arange(alive.size)])
+        trial_log.append(alive)
+        outcome_log.append(outcome)
+        done = np.flatnonzero(outcome == 0)
+        failed = np.flatnonzero(outcome)
+        kept[alive[done]] = current[done] * inv[done, None]
+        alive = alive[failed]
+        current = (
+            frame.diagonals[outcome[failed] - 1] * current[failed] * inv[failed, None]
+        )
+    exhausted = np.zeros(trials, dtype=bool)
+    exhausted[alive] = True
+    trial_log = np.concatenate(trial_log)
+    return rus.BatchRun(
+        attempts=np.bincount(trial_log, minlength=trials),
+        exhausted=exhausted,
+        finals=frame.success @ np.ascontiguousarray(kept.T),
+        trial_log=trial_log,
+        outcome_log=np.concatenate(outcome_log),
+    )
+
+
 def _single_run(attempt, start, rng, max_attempts) -> tuple[tuple[int, ...], np.ndarray]:
     _, outcomes, finals = dense_batch_run(attempt, start, 1, rng, max_attempts)
     if outcomes[-1] != 0:
@@ -316,6 +367,41 @@ def dense_conditional_run(
         dense_conditional_attempt(cc), conditional_start(cfg), rng, cfg.max_attempts
     )
     return outcomes, qcore.StateVector(2, final)
+
+
+def history_fidelities(
+    cc: distortion.ConditionalCircuit, cfg: distortion.DistortionConfig,
+    batch: rus.BatchRun, atol: float = 1e-12,
+) -> np.ndarray:
+    """Check every finished trial of a conditional batch against its history.
+
+    Undone, each outcome o weighs the control branches by sqrt(gamma_o) and
+    sqrt(lambda_o), so a trial's final state depends on its outcomes only
+    through g = sqrt(gamma_0) prod sqrt(gamma_o) and l = sqrt(lambda_0) prod
+    sqrt(lambda_o) over its failures o. Its fidelity with the ideal state is
+    then F = (a g + b l)^2 / (a g^2 + b l^2), with a = |alpha|^2 and
+    b = |beta|^2. The products are taken as sums of logs, so histories too
+    long for g and l to be floats are checked too. Reads the outcomes from
+    ``batch.sequences()`` and asserts each realized fidelity equals its F to
+    ``atol``; returns F of every finished trial, in trial order.
+    """
+    lambdas = cc.base.spec.lambdas
+    gammas = np.eye(len(lambdas))[0] if cc.gammas is None else cc.gammas
+    with np.errstate(divide="ignore"):
+        log_g, log_l = np.log(gammas) / 2.0, np.log(lambdas) / 2.0
+    done = ~batch.exhausted
+    seqs = [list(seq) for seq, ok in zip(batch.sequences(), done) if ok]
+    lg = np.array([log_g[seq].sum() for seq in seqs])
+    ll = np.array([log_l[seq].sum() for seq in seqs])
+    top = np.maximum(lg, ll)
+    g, l = np.exp(lg - top), np.exp(ll - top)
+    a, b = abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2
+    want = (a * g + b * l) ** 2 / (a * g * g + b * l * l)
+    ideal = conditional_start(cfg)
+    ideal[1::2] = cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps)
+    got = np.abs(ideal.conj() @ batch.finals[:, done]) ** 2
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+    return want
 
 
 def _csv_cell(value) -> str:

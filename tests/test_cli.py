@@ -213,20 +213,22 @@ class TestSimulate:
 # every manifest's timestamp line removed.  Recorded before the output path
 # was rewritten; any change to a written byte changes a digest.  The
 # standard:1 and exhausted digests were recorded again when phase schedules
-# became SU(2) products (TestScheduleOracle bounds what moved).
+# became SU(2) products (TestScheduleOracle bounds what moved), and none,
+# pi3:2:neg and exhausted when attempts began to draw on unnormalized states
+# (TestKernelOracle bounds what moved).
 OUTPUT_PINS = {
     "none":
-        "8905458f0c0c9b9d8bc238b3a37a659cc9dffb06f7d2cb892f4488091512868f",
+        "31b429e5ac746108d3589d5050ed956938e577c8be5c54d0c63b9a0f5efe2b34",
     "standard:1":
         "9fe9a30000b941f5bcb3898e02d18f4b6c30166b9c1e9fe04b59d09d20a11929",
     "deterministic":
         "00249809e27b1a5918066b2aad2c86487c6296e6b53ba01e6ca0821ae33e5c58",
     "pi3:2:neg":
-        "7b1e083bfe9fdd89072d5446aa6a453901ca9f298adcbaefa367f32d30b424be",
+        "f742dc9b36b0c1aa4605ef23854e3fd63622f8ad4a8f858c18e5349e014a4340",
     "fp:1e-3":
         "c565fd7c679f4c5b2de5e7684c916ccbacf7510720f9b4c29459f3d9777bd345",
     "exhausted":
-        "aa40aa5e607f1ad0690c1564087ac57cf67c9bce46cf870bf405268258ba1661",
+        "3fe4808bb144d7fc07092812a6e27e271b844f1b22ed4a12e94f9e1a946257a7",
     "figure fig2":
         "039cf41ef6f149a8333b9a8df082159ecb4cc596cc6323608a97c0c2dd11dc58",
     "tcost":
@@ -428,6 +430,19 @@ class TestScheduleOracle:
         _assert_outputs_agree(tmp_path / "su2", tmp_path / "batched")
 
 
+class TestKernelOracle:
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_normalized_kernel_gives_the_same_outputs(self, tmp_path, monkeypatch, case):
+        # Drawing on unnormalized states moved none, pi3:2:neg and
+        # exhausted: 18, 6 and 12 fidelity cells by at most 4.4e-16, with
+        # the same outcome sequences.
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        code = cli.main(_pinned_argv(spec, case, tmp_path / "kernel"))
+        monkeypatch.setattr(rus, "run_batch", conftest.reference_run_batch)
+        assert cli.main(_pinned_argv(spec, case, tmp_path / "reference")) == code
+        _assert_outputs_agree(tmp_path / "kernel", tmp_path / "reference")
+
+
 class TestConfigErrors:
     def test_missing_spec_file(self, tmp_path):
         assert cli.main(
@@ -521,6 +536,23 @@ class TestConfigErrors:
         )
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_trials_beyond_the_batch_budget(self, tmp_path, capsys, monkeypatch):
+        # The budget is lowered so that a regression allocates nothing big:
+        # 51 trials of a 2-entry register exceed 100 entries.
+        monkeypatch.setattr(rus, "MAX_BATCH_ENTRIES", 100)
+        spec = _write_spec(tmp_path)
+        argv = ["simulate", "--spec", str(spec), "--trials", "51",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --trials 51 needs more memory than there is: 51 trials of 2 "
+            "amplitudes exceed the batch limit of 100 state entries\n"
+        )
+        assert not (tmp_path / "out").exists()
+        argv[4] = "50"
+        assert cli.main(argv) == 0
 
     @pytest.mark.parametrize("protocol", ["deterministic", "fp:1e-3"])
     def test_zero_lambda0_is_named(self, tmp_path, capsys, protocol):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -399,3 +400,63 @@ class TestFigureData:
             (r for r in rows if r.curve_id == "gamma_under"), key=lambda r: r.x
         )
         assert under.mean == pytest.approx(0.5 + 0.5 * math.sqrt(0.7), abs=1e-3)
+
+
+def _history_case(m: int, distorted: bool, lambda0: float = 0.3, gamma0: float = 0.4):
+    """A conditional circuit at ``m`` and a start with both branches weighted."""
+    rng = qcore.rng_stream(60 + m)
+    base = conftest.make_circuit(lambda0, m=m, rng=rng)
+    gammas = None
+    if distorted:
+        rest = rng.random(2**m - 1)
+        gammas = np.concatenate(([gamma0], rest * (1.0 - gamma0) / rest.sum()))
+    cc = distortion.build_conditional(base, gammas, seed=m)
+    cfg = distortion.DistortionConfig(
+        alpha=math.sqrt(0.4), beta=math.sqrt(0.6) * 1j, psi0=qcore.random_state(1, rng),
+        psi1=qcore.random_state(1, rng), trials=2_000, seed=m,
+    )
+    return cc, cfg
+
+
+class TestHistories:
+    @pytest.mark.parametrize("distorted", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_trial_matches_its_history(self, m, distorted):
+        cc, cfg = _history_case(m, distorted)
+        batch = rus.run_batch(cc.frame, conftest.conditional_start(cfg), cfg.trials,
+                              qcore.rng_stream(cfg.seed), 40)
+        fids = conftest.history_fidelities(cc, cfg, batch)
+        assert batch.exhausted.sum() < cfg.trials // 10
+        assert len(np.unique(batch.attempts)) >= 5
+        # Distorted histories spread F over many values; an undistorted
+        # failure leaves only the control-|1> branch, F = |beta|^2.
+        values = np.unique(fids.round(12))
+        if distorted:
+            assert len(values) >= 5
+        else:
+            assert len(values) == 2 and values[0] == round(abs(cfg.beta) ** 2, 12)
+
+    def test_std_error_is_the_series_spread(self):
+        # At m = 1 the history is its failure count n, with probability
+        # P(n) = a g_n^2 + b l_n^2: the series give F's mean, variance and
+        # fourth central moment exactly.
+        cc, cfg = _history_case(1, True)
+        cfg = dataclasses.replace(cfg, trials=20_000, seed=71)
+        est = distortion.monte_carlo_fidelity(cc, cfg)
+        assert (est.trials, est.exhausted) == (20_000, 0)
+        (gamma0, gamma1), (lambda0, lambda1) = cc.gammas, cc.base.spec.lambdas
+        n = np.arange(2_000)
+        g = math.sqrt(gamma0) * np.sqrt(gamma1) ** n
+        l = math.sqrt(lambda0) * np.sqrt(lambda1) ** n
+        a, b = abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2
+        prob = a * g * g + b * l * l
+        fid = (a * g + b * l) ** 2 / prob
+        mean = prob @ fid
+        assert mean == pytest.approx(distortion.average_fidelity_m1(
+            cfg.alpha, cfg.beta, gamma0, lambda0), abs=1e-15)
+        var = prob @ (fid - mean) ** 2
+        fourth = prob @ (fid - mean) ** 4
+        sample_var = est.std_error**2 * est.trials
+        # The sample variance spreads by sqrt((mu_4 - sigma^4) / N).
+        assert abs(sample_var - var) <= 5.0 * math.sqrt((fourth - var**2) / est.trials)
+        assert abs(est.mean - mean) <= 5.0 * math.sqrt(var / est.trials)

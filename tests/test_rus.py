@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -349,6 +350,140 @@ class TestWideBatches:
         np.testing.assert_allclose(batch.finals, finals, rtol=0, atol=1e-14)
         if width == 300 and kind in ("plain", "distorted"):
             assert 0 < batch.exhausted.sum() < width
+
+
+def _final_tolerance(attempts: np.ndarray) -> np.ndarray:
+    """How far a trial's final may sit from ``conftest.reference_run_batch``'s.
+
+    Both kernels round once per attempt, and the differences add up like a
+    random walk: after 3,000 to 7,000 attempts they reached 1.8e-14, at most
+    2.5e-16 * sqrt(attempts).
+    """
+    return 1e-15 * np.sqrt(attempts)
+
+
+def _assert_matches_reference(frame, start, trials, seed, max_attempts=rus.DEFAULT_MAX_ATTEMPTS):
+    """Run both kernels from equal streams; the same draws, finals to rounding."""
+    batch = rus.run_batch(frame, start, trials, qcore.rng_stream(seed), max_attempts)
+    ref = conftest.reference_run_batch(
+        frame, start, trials, qcore.rng_stream(seed), max_attempts
+    )
+    np.testing.assert_array_equal(batch.trial_log, ref.trial_log)
+    np.testing.assert_array_equal(batch.outcome_log, ref.outcome_log)
+    np.testing.assert_array_equal(batch.exhausted, ref.exhausted)
+    done = ~batch.exhausted
+    assert np.isnan(batch.finals[:, ~done]).all()
+    error = np.abs(batch.finals - ref.finals).max(axis=0)[done]
+    assert np.all(error <= _final_tolerance(batch.attempts[done]))
+    return batch
+
+
+def _deepest_log2_mass(masses: np.ndarray, batch: rus.BatchRun) -> float:
+    """Least log2 of a trial's total mass over its failures, for a frame whose
+    failure masses do not depend on the register entry (a plain frame)."""
+    with np.errstate(divide="ignore"):
+        logs = np.log2(masses)
+    return min(logs[list(seq[:-1])].sum() for seq in batch.sequences())
+
+
+class TestUnnormalizedStates:
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_deep_plain_runs_rescale(self, m):
+        circ = conftest.make_circuit(1e-3, m=m, rng=qcore.rng_stream(50 + m))
+        psi = qcore.random_state(1, qcore.rng_stream(5))
+        batch = _assert_matches_reference(circ.frame, psi.amps, 50, m)
+        assert not batch.exhausted.any()
+        assert batch.attempts.max() > 3_000
+        # Unscaled, the deepest states would have underflowed to zero many
+        # times over.
+        assert _deepest_log2_mass(circ.spec.lambdas, batch) < -4 * 1074
+        expect = circ.spec.target.mat @ psi.amps
+        assert np.all(np.abs(expect.conj() @ batch.finals) ** 2 > 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_deep_conditional_runs_rescale(self, m):
+        rng = qcore.rng_stream(80 + m)
+        base = conftest.make_circuit(1e-3, m=m, rng=rng)
+        rest = rng.random(2**m - 1)
+        gammas = np.concatenate(([1e-3], rest * 0.999 / rest.sum()))
+        cc = distortion.build_conditional(base, gammas, seed=m)
+        cfg = distortion.DistortionConfig(
+            alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
+            psi1=qcore.random_state(1, rng), trials=50, seed=m,
+        )
+        batch = _assert_matches_reference(cc.frame, conftest.conditional_start(cfg), 50, m)
+        assert not batch.exhausted.any()
+        assert max(_deepest_log2_mass(gammas, batch),
+                   _deepest_log2_mass(base.spec.lambdas, batch)) < -1074
+        conftest.history_fidelities(cc, cfg, batch)
+
+    @pytest.mark.parametrize("width", [1, 7, 3_000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["plain", "distorted", "undistorted"])
+    def test_capped_batches_match_reference(self, kind, m, width):
+        frame, start, _ = _batch_case(kind, m)
+        batch = _assert_matches_reference(frame, start, width, m, 6)
+        if width == 3_000 and kind != "undistorted":
+            assert 0 < batch.exhausted.sum() < width
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.0])
+    def test_nan_or_zero_state_is_rejected(self, fill):
+        circ = conftest.make_circuit(0.3, m=1)
+        with pytest.raises(ValueError, match="state norm"):
+            rus.run_batch(circ.frame, np.full(2, fill, dtype=complex), 3, qcore.rng_stream(0))
+
+    def test_unnormalized_start_is_rejected(self):
+        circ = conftest.make_circuit(0.3, m=1)
+        with pytest.raises(ValueError, match="state norm"):
+            rus.run_batch(circ.frame, np.array([1.0, 1e-5]), 3, qcore.rng_stream(0))
+
+    def test_live_state_turned_zero_is_rejected(self):
+        # A trial's total can only reach zero through a draw on an outcome
+        # with no mass on its state; a frame whose failure leaves nothing
+        # stands in for that draw.
+        columns = np.zeros((4, 2), dtype=complex)
+        columns[0, 0] = columns[1, 1] = np.sqrt(0.5)
+        columns[2:] = np.sqrt(0.5) * np.eye(2)
+        frame = rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+        frame = dataclasses.replace(frame, diagonals=np.zeros_like(frame.diagonals))
+        with pytest.raises(ValueError, match="not positive"):
+            rus.run_batch(frame, np.array([0.6, 0.8]), 200, qcore.rng_stream(0))
+
+    def test_masses_must_sum_to_one_on_the_state(self):
+        # The failure keeps half the mass of entry 1 only; a state on entry
+        # 0 alone never sees it.
+        columns = np.zeros((4, 2), dtype=complex)
+        columns[0, 0] = columns[1, 1] = np.sqrt(0.5)
+        columns[2, 0] = np.sqrt(0.5)
+        columns[3, 1] = 0.5
+        frame = rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+        rus.run_batch(frame, np.array([1.0, 0.0]), 20, qcore.rng_stream(0))
+        with pytest.raises(ValueError, match="sum to 1 only within"):
+            rus.run_batch(frame, np.array([0.6, 0.8]), 20, qcore.rng_stream(0))
+
+
+class TestBatchMemory:
+    def test_budget_rejects_before_allocating(self, monkeypatch):
+        circ = conftest.make_circuit(0.3, m=1)
+        monkeypatch.setattr(rus, "MAX_BATCH_ENTRIES", 64)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a state array")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "repeat", refuse)
+            patched.setattr(np, "full", refuse)
+            with pytest.raises(MemoryError, match="batch limit of 64 state entries"):
+                rus.run_batch(circ.frame, np.array([1.0, 0.0]), 33, qcore.rng_stream(0))
+        batch = rus.run_batch(circ.frame, np.array([1.0, 0.0]), 32, qcore.rng_stream(0))
+        assert batch.attempts.size == 32
+
+    def test_default_budget_is_a_gibibyte(self):
+        # Live and kept states take 16 bytes per entry each.  At m = 1,
+        # --trials 100000000 would need 6.4 GB for the two; the budget
+        # rejects it.
+        assert 2 * 16 * rus.MAX_BATCH_ENTRIES == 2**30
+        assert 10**8 * 2 > rus.MAX_BATCH_ENTRIES
 
 
 class TestZeroMassOutcomes:
