@@ -233,22 +233,20 @@ class RetryFrame:
     register, and so is the success block's Gram matrix ``U_0^dag U_0``.
     Every outcome's mass is then linear in the squared moduli of the state,
     and the history of a run survives as per-outcome weights.  ``success``
-    is ``U_0``; row 0 of ``masses`` is the diagonal of ``U_0^dag U_0`` and
-    row i is ``|d_i|^2``, where ``d_i``, row ``i - 1`` of ``diagonals``,
-    is the diagonal of failure outcome i's undone block.  ``cumulative``
-    sums ``masses`` over the outcomes ``reachable`` lists, those whose mass
-    row is not all zero, so a draw can never land on the others; its last
-    row, the total mass of each register entry, is 1 on every entry a run's
-    state may touch, which ``run_batch`` checks once per call.  The draw
-    reads one product of ``cumulative`` per attempt and nothing else of
-    the frame.  An outcome whose row is zero only on a trial's support keeps
-    its row; the product can round it a few ulp above the one before it, so
-    a draw may reach it with odds near 1e-16, and that trial's state turns
-    all zero, which the next attempt's positive-total guard rejects.
+    is ``U_0``, and ``d_i``, row ``i - 1`` of ``diagonals``, is the diagonal
+    of failure outcome i's undone block.  An outcome's mass row is the
+    diagonal of ``U_0^dag U_0`` for success and ``|d_i|^2`` for failure i;
+    ``cumulative`` sums these rows over the outcomes ``reachable`` lists,
+    those whose row is not all zero, so a draw can never land on the others.
+    Its last row, the total mass of each register entry, is 1 on every entry
+    a run's state may touch, which ``run_batch`` checks once per call.  An
+    outcome whose row is zero only on a trial's support keeps its row; the
+    product can round it a few ulp above the one before it, so a draw may
+    reach it with odds near 1e-16, and that trial's state turns all zero,
+    which the next attempt's positive-total guard rejects.
     """
 
     success: np.ndarray
-    masses: np.ndarray
     diagonals: np.ndarray
     cumulative: np.ndarray
     reachable: np.ndarray
@@ -285,7 +283,7 @@ def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
     # to the last one.
     reachable = np.flatnonzero(masses.any(axis=1))
     return RetryFrame(
-        blocks[0], masses, np.ascontiguousarray(diagonals[1:]),
+        blocks[0], np.ascontiguousarray(diagonals[1:]),
         np.cumsum(masses[reachable], axis=0), reachable,
     )
 
@@ -315,9 +313,8 @@ def run_batch(
     or all-zero state raises ``ValueError``.  Once the smallest live total
     falls below ``RESCALE_BELOW`` (2**-600), every live state is scaled
     back up by a power of two, which is exact: it changes no draw and no
-    final bit.  A batch over
-    ``MAX_BATCH_ENTRIES`` state entries raises ``MemoryError`` before it
-    allocates anything.
+    final bit.  A batch over ``MAX_BATCH_ENTRIES`` state entries raises
+    ``MemoryError`` before it allocates anything.
     """
     register = frame.success.shape[1]
     state = np.asarray(state, dtype=np.complex128)

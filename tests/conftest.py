@@ -223,6 +223,13 @@ def dense_batch_run(
     return np.array(trial_log, dtype=int), np.array(outcome_log, dtype=int), finals
 
 
+def frame_masses(frame: rus.RetryFrame) -> np.ndarray:
+    """Every outcome's mass row, as ``rus.retry_frame`` computes them: the
+    diagonal of ``U_0^dag U_0`` for success, ``|d_i|^2`` for failure i."""
+    gram = frame.success.conj().T @ frame.success
+    return np.concatenate((np.diagonal(gram).real[None], np.abs(frame.diagonals) ** 2))
+
+
 def reference_run_batch(
     frame: rus.RetryFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
@@ -231,7 +238,7 @@ def reference_run_batch(
 
     Every attempt takes two products: the draw reads ``frame.cumulative @
     |psi|^2`` and checks each live norm, and the chosen outcome's mass comes
-    from ``frame.masses @ |psi|^2``. Failure i sets a trial to ``d_i * psi /
+    from ``frame_masses(frame) @ |psi|^2``. Failure i sets a trial to ``d_i * psi /
     sqrt(p_i)``, success keeps ``psi / sqrt(p_0)``. The draws are those of
     ``rus.run_batch``; the finals differ from it by rounding only, one
     rounding per attempt.
@@ -240,6 +247,7 @@ def reference_run_batch(
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (register,):
         raise ValueError("state does not match the frame's register")
+    masses = frame_masses(frame)
     current = np.repeat(state[None], trials, axis=0)
     kept = np.full((trials, register), np.nan, dtype=np.complex128)
     alive = np.arange(trials)
@@ -252,7 +260,7 @@ def reference_run_batch(
         norms = np.sqrt(cdf[-1])
         qcore.check_norm(norms[np.argmax(np.abs(norms - 1.0))])  # farthest or NaN
         outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
-        inv = 1.0 / np.sqrt((frame.masses @ sq)[outcome, np.arange(alive.size)])
+        inv = 1.0 / np.sqrt((masses @ sq)[outcome, np.arange(alive.size)])
         trial_log.append(alive)
         outcome_log.append(outcome)
         done = np.flatnonzero(outcome == 0)

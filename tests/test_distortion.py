@@ -64,7 +64,8 @@ def _assert_frame(cc, gammas):
     masses = np.empty((len(lambdas), 4))
     masses[:, 0::2] = np.asarray(gammas)[:, None]
     masses[:, 1::2] = lambdas[:, None]
-    np.testing.assert_allclose(cc.frame.masses, masses, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.diff(cc.frame.cumulative, axis=0, prepend=0.0),
+                               masses[cc.frame.reachable], rtol=0, atol=1e-12)
     for row in (0, 2):
         np.testing.assert_allclose(
             cc.frame.diagonals[:, row], np.sqrt(gammas[1:]), atol=1e-12

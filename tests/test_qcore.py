@@ -227,3 +227,20 @@ class TestCompleteIsometry:
             np.testing.assert_allclose(
                 u.mat @ u.mat.conj().T, np.eye(8), atol=1e-10
             )
+
+
+@pytest.mark.parametrize("rows", [2, 16, 255, 256, 300])
+def test_draw_outcomes_counts_every_row(rows):
+    # Half the mass on the last outcome, so draws reach it; counts past 255
+    # need a wider type than one byte.
+    rng = qcore.rng_stream(rows)
+    masses = rng.random((rows, 500)) / rows
+    masses[rows // 3] = 0.0
+    masses[-1] = 0.5 + rng.random(500)
+    cdf = np.cumsum(masses, axis=0)
+    u = qcore.rng_stream(7).random(500) * cdf[-1]
+    want = np.minimum((cdf <= u).sum(axis=0), rows - 1)
+    got = qcore.draw_outcomes(cdf, qcore.rng_stream(7))
+    np.testing.assert_array_equal(got, want)
+    assert want.max() == rows - 1
+    assert rows // 3 not in got

@@ -227,8 +227,8 @@ class TestRetryFrame:
         assert circ.frame is frame
         np.testing.assert_array_equal(frame.success, circ.a_matrix.mat[:2, :2])
         np.testing.assert_allclose(
-            frame.masses, np.tile(circ.spec.lambdas[:, None], (1, 2)),
-            rtol=0, atol=1e-12,
+            np.diff(frame.cumulative, axis=0, prepend=0.0),
+            np.tile(circ.spec.lambdas[:, None], (1, 2)), rtol=0, atol=1e-12,
         )
         np.testing.assert_allclose(
             np.abs(frame.diagonals) ** 2,
