@@ -6,12 +6,16 @@ Each ``LABEL=PATH`` names a checkout whose ``src/rusamp`` is imported into
 this one process under its own module name, so every checkout runs on the
 same interpreter, cache and load. For every shape in ``SHAPES`` each
 checkout builds its own frame from the spec seeded with ``SEED`` and times
-``rusamp.rus.run_batch`` on it. For every ancilla count in
+``rusamp.rus.run_batch`` on it; a conditional shape draws its lambda0 and
+gamma0 from ``CONDITIONAL_WEIGHTS``. For every ancilla count in
 ``COMPOSE_SHAPES`` each checkout times ``build_rus_unitary`` on that spec,
 then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
 ``frame``. For every (m, L) in ``FP_SHAPES`` each checkout builds the
 circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
-``oaa.fp_compose`` with it. For every name in ``FIGURES`` each checkout times the
+``oaa.fp_compose`` with it. For every protocol in ``PROTOCOLS`` and ancilla
+count in ``PROTOCOL_SHAPES`` each checkout builds the circuit and the plan
+once and times the composition alone. For every name in ``FIGURES`` each
+checkout times the
 ``rusamp.distortion`` call that builds that figure's rows at ``SEED``. Each
 checkout times ``tcost.all_strategies`` over the ``STRATEGY_GRID`` of
 lambda0 at ``STRATEGY_DELTA`` with kmm reflections, and, for every name in
@@ -48,8 +52,22 @@ SHAPES = (
     ("conditional", 4, 1), ("conditional", 4, 3_000), ("conditional", 4, 8_000),
     ("plain", 1, 50), ("plain", 1, 250), ("plain", 3, 50), ("plain", 3, 250),
 )
+# The range of lambda0 and gamma0 of the conditional shapes, as in
+# perfbench's Monte Carlo operations.
+CONDITIONAL_WEIGHTS = (0.25, 0.5)
 # Ancilla counts m of the composition shapes.
 COMPOSE_SHAPES = (1, 4, 6, 8)
+# Composition-only shapes: each protocol's composition of a prebuilt circuit
+# with a prebuilt plan, at every m in PROTOCOL_SHAPES.
+PROTOCOLS = {
+    "standard:2": lambda oaa, c: functools.partial(oaa.standard_compose, c, 2),
+    "deterministic": lambda oaa, c: functools.partial(
+        oaa.deterministic_compose, c, oaa.plan_deterministic(c.spec.lambda0)),
+    "pi3:5": lambda oaa, c: functools.partial(oaa.pi3_compose, c, oaa.Pi3Plan(k=5)),
+    "fp:L=13": lambda oaa, c: functools.partial(
+        oaa.fp_compose, c, oaa.fp_plan(13, FP_DELTA)),
+}
+PROTOCOL_SHAPES = (1, 4)
 # (m, L) of the fixed-point shapes: schedule lengths of the benchmark's
 # fp block, and a deep one.
 FP_SHAPES = ((1, 320), (1, 2_000), (1, 100_000), (4, 320), (4, 2_000), (4, 100_000))
@@ -100,13 +118,17 @@ def load_package(init: str, name: str):
     return package
 
 
-def make_spec(pkg, m: int, rng):
-    """A spec with success probability ``LAMBDA0`` and gates drawn from ``rng``."""
-    qcore = pkg.qcore
+def split(rng, m: int, first: float) -> np.ndarray:
+    """2**m weights summing to 1: ``first``, then the rest drawn from ``rng``."""
     rest = rng.random(2**m - 1)
-    lambdas = np.concatenate(([LAMBDA0], rest * (1.0 - LAMBDA0) / rest.sum()))
+    return np.concatenate(([first], rest * (1.0 - first) / rest.sum()))
+
+
+def make_spec(pkg, m: int, rng, lambda0: float = LAMBDA0):
+    """A spec with success probability ``lambda0`` and gates drawn from ``rng``."""
+    qcore = pkg.qcore
     return pkg.rus.RusSpec(
-        m=m, lambdas=lambdas, target=qcore.random_unitary(1, rng),
+        m=m, lambdas=split(rng, m, lambda0), target=qcore.random_unitary(1, rng),
         recoveries=tuple(qcore.random_unitary(1, rng) for _ in range(2**m - 1)),
         seed=SEED,
     )
@@ -116,12 +138,13 @@ def batch_input(pkg, kind: str, m: int):
     """The frame and start state of one shape, built by the checkout ``pkg``."""
     qcore, rus, distortion = pkg.qcore, pkg.rus, pkg.distortion
     rng = qcore.rng_stream(SEED)
-    circuit = rus.build_rus_unitary(make_spec(pkg, m, rng))
-    psi = qcore.random_state(1, rng)
     if kind == "plain":
-        return circuit.frame, psi.amps
-    gammas = rng.random(2**m) + 0.1
-    cc = distortion.build_conditional(circuit, gammas / gammas.sum(), seed=SEED)
+        circuit = rus.build_rus_unitary(make_spec(pkg, m, rng))
+        return circuit.frame, qcore.random_state(1, rng).amps
+    lambda0, gamma0 = rng.uniform(*CONDITIONAL_WEIGHTS, size=2).tolist()
+    circuit = rus.build_rus_unitary(make_spec(pkg, m, rng, lambda0))
+    psi = qcore.random_state(1, rng)
+    cc = distortion.build_conditional(circuit, split(rng, m, gamma0), seed=SEED)
     state = np.zeros(4, dtype=np.complex128)
     state[0::2] = 0.6 * psi.amps
     state[1::2] = 0.8j * qcore.random_state(1, rng).amps
@@ -198,6 +221,11 @@ def main(argv=None) -> int:
          [functools.partial(fixed_point, pkg, pkg.rus.build_rus_unitary(
              make_spec(pkg, m, pkg.qcore.rng_stream(SEED))), length) for pkg in packages])
         for m, length in FP_SHAPES
+    ] + [
+        (f"{name} m={m}",
+         [call(pkg.oaa, pkg.rus.build_rus_unitary(
+             make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))) for pkg in packages])
+        for name, call in PROTOCOLS.items() for m in PROTOCOL_SHAPES
     ] + [
         (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
         for name, call in FIGURES.items()

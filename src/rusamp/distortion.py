@@ -241,7 +241,9 @@ def monte_carlo_fidelity(
     if count == 0:
         return FidelityEstimate(math.nan, math.nan, 0, exhausted)
     ideal = ideal_conditional_state(cc, cfg).amps
-    sample = np.abs(ideal.conj() @ batch.finals[:, ~batch.exhausted]) ** 2
+    # Index out the exhausted trials' NaN columns only when there are any.
+    finals = batch.finals[:, ~batch.exhausted] if exhausted else batch.finals
+    sample = np.abs(ideal.conj() @ finals) ** 2
     mean = float(sample.mean())
     std_error = float(sample.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return FidelityEstimate(mean, std_error, count, exhausted)

@@ -20,10 +20,12 @@ rebuilds t once from the normalized product: t is unitary to rounding at
 any schedule length up to FP_MAX_LENGTH, where full 2x2 products drift in
 proportion to the length.
 
-The composed spec is lambda'_0 = |t00|^2, lambda'_i = |t10|^2 lambda_i /
-(1 - lambda0), W'_0 = (t00/|t00|) W_0, W'_i = (t10/|t10|) W_i.  Its columns
-are (a t)_00 C + (a t)_10 P, with C those of A and P = c |0^m> W_0 - s Phi;
-its full matrix, A X with X = (a t) (x) I on the input plane and the
+t's first column fixes the composed circuit: lambda'_0 = |t00|^2,
+lambda'_i = |t10|^2 lambda_i / (1 - lambda0), W'_0 = (t00/|t00|) W_0 and
+W'_i = (t10/|t10|) W_i, with phase 1 for a zero entry.  Its columns are the
+closed form sqrt(lambda'_i) W'_i of ``rus.build_rus_unitary``; they equal
+(a t)_00 C + (a t)_10 P, with C those of A and P = c |0^m> W_0 - s Phi.
+Its full matrix, A X with X = (a t) (x) I on the input plane and the
 identity elsewhere, is built only when read.
 """
 
@@ -65,8 +67,7 @@ _IDENTITY_COLUMN = np.array([[1.0], [0.0]], dtype=np.complex128)
 
 def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
     """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in array order after A."""
-    a = _plane(c.spec)
-    return _composed(c, a, _schedule(a, phis, varphis))
+    return _composed(c, _schedule(_plane(c.spec), phis, varphis))
 
 
 def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
@@ -119,63 +120,69 @@ def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
 class Composition:
     """How a composed circuit's full unitary A X is built, on demand.
 
-    ``plane`` is a t, the input-plane action of X in the basis of
-    ``|0^m>|psi>`` and ``V psi``, and ``pulled`` is ``c |0^m> W_0 - s Phi``
-    block by block, which ``A^dag`` takes to V.
+    ``t`` is the 2x2 unitary the circuit acts as on the OAA planes of
+    ``base``; X acts on the input plane of ``|0^m>|psi>`` and ``V psi`` as
+    the polar factor of a t, and as the identity elsewhere.
     """
 
     base: RusCircuit
-    plane: np.ndarray
-    pulled: np.ndarray
+    t: np.ndarray
 
     def matrix(self) -> UnitaryMatrix:
         """A X, checked, with X = I + B ((a t - I) (x) I_2) B^dag on the
-        input-plane isometry B = [U0, V]."""
+        input-plane isometry B = [U0, V], V = A^dag P and P = c |0^m> W_0 -
+        s Phi, block by block."""
+        spec = self.base.spec
+        a = _plane(spec)
+        # A deep cube-law level may leave t up to UNITARY_ATOL from unitary.
+        u, _, vh = np.linalg.svd(a @ self.t)
+        gates = spec.gates
+        pulled = np.empty_like(gates)
+        pulled[0] = a[1, 0] * gates[0]
+        pulled[1:] = (-a[0, 0] * np.sqrt(_failure_share(spec)))[:, None, None] * gates[1:]
         a_mat = self.base.a_matrix.mat
         basis = np.stack(
-            [np.eye(len(a_mat), 2), a_mat.conj().T @ self.pulled.reshape(-1, 2)], 1
+            [np.eye(len(a_mat), 2), a_mat.conj().T @ pulled.reshape(-1, 2)], 1
         )
-        y = self.plane - np.eye(2)
+        y = u @ vh - np.eye(2)
         x = np.eye(len(a_mat)) + np.einsum("pq,ipk,jqk->ij", y, basis, basis.conj())
         return UnitaryMatrix(a_mat @ x)
 
 
-def _composed(c: RusCircuit, a: np.ndarray, t: np.ndarray) -> RusCircuit:
-    """The circuit acting as the 2x2 unitary t on the OAA planes a of c.
-
-    Its columns are A X on ``|0^m>``: X takes it to ``(a t)_00 |0^m> +
-    (a t)_10 V``, and A V = A A^dag P = P, so they are ``(a t)_00 C +
-    (a t)_10 P`` with C the columns of c and P the pulled blocks.
-    """
-    # A deep cube-law level may leave t up to UNITARY_ATOL from unitary; its
-    # nearest unitary keeps the composed columns, and the states they
-    # produce, within the state-norm tolerance.
-    u, _, vh = np.linalg.svd(UnitaryMatrix(t).mat)
-    t = u @ vh
-    spec = c.spec
-    gates = np.array([g.mat for g in spec.branch_gates()])
+def _failure_share(spec: RusSpec) -> np.ndarray:
+    """Failure weights over their sum: how Phi splits over the outcomes."""
     failures = spec.lambdas[1:]
     rest = failures.sum()
     # Without failure weight any unit failure block spans Phi; t10 is then 0.
-    share = failures / rest if rest > 0 else np.eye(len(failures))[0]
-    # P = c |0^m> W_0 - s Phi, block by block.
-    pulled = np.empty_like(gates)
-    pulled[0] = a[1, 0] * gates[0]
-    pulled[1:] = (-a[0, 0] * np.sqrt(share))[:, None, None] * gates[1:]
-    plane = a @ t
-    columns = plane[0, 0] * c.columns + plane[1, 0] * pulled.reshape(-1, 2)
-    qcore.check_isometry(columns)
-    columns.setflags(write=False)
-    lambdas = np.concatenate([[abs(t[0, 0]) ** 2], abs(t[1, 0]) ** 2 * share])
-    phases = np.exp(1j * np.angle(t[:, 0]))
+    return failures / rest if rest > 0 else np.eye(len(failures))[0]
+
+
+def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
+    """The circuit acting as the 2x2 unitary t on the OAA planes of c.
+
+    t's first column fixes it: lambda'_0 = |t00|^2, lambda'_i = |t10|^2
+    lambda_i / (1 - lambda0), and W'_i is W_i times the unit phase of t00
+    (success) or t10 (failure), 1 where that entry is zero.  Its columns are
+    the closed form sqrt(lambda'_i) W'_i, which equal A X on ``|0^m>``.
+    """
+    t00, t10 = complex(t[0, 0]), complex(t[1, 0])
+    residual = abs(abs(t00) ** 2 + abs(t10) ** 2 - 1.0)
+    # Written so that NaN entries fail the check.
+    if not residual <= qcore.UNITARY_ATOL:
+        raise ValueError(
+            f"unitarity residual {residual} exceeds {qcore.UNITARY_ATOL}"
+        )
+    spec = c.spec
+    lambdas = np.concatenate([[abs(t00) ** 2], abs(t10) ** 2 * _failure_share(spec)])
+    phases = [z / abs(z) if z else 1.0 for z in (t00, t10)]
     # Unit phases times checked gates: one check covers the whole stack.
-    phased = phases[1] * gates
-    phased[0] = phases[0] * gates[0]
+    phased = phases[1] * spec.gates
+    phased[0] = phases[0] * spec.gates[0]
     branch = qcore.unitary_stack(phased)
     composed = RusSpec(
         spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
     )
-    return RusCircuit(composed, columns, Composition(c, plane, pulled))
+    return RusCircuit(composed, composed.closed_form_columns(), Composition(c, t))
 
 
 class DeterministicPlan(NamedTuple):
@@ -300,12 +307,13 @@ def apply_deterministic(
 def pi3_compose(c: RusCircuit, plan: Pi3Plan) -> RusCircuit:
     """Level-k cube-law composition A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
     refl = np.array([np.exp(1j * plan.sign * math.pi / 3.0), 1.0])
-    a = t = _plane(c.spec)
-    # A deep level can overflow; _composed then rejects the non-finite t.
+    t = _plane(c.spec)
+    # A deep level can overflow; the unitarity check then rejects the
+    # non-finite t.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(plan.k):
             t = -(t * refl) @ (t.conj().T * refl) @ t
-    return _composed(c, a, t)
+    return _composed(c, UnitaryMatrix(t).mat)
 
 
 def pi3_level_for(epsilon: float, delta: float) -> int:

@@ -104,15 +104,29 @@ class RusSpec:
         """All outcome gates W_i, with the target in slot 0."""
         return (self.target, *self.recoveries)
 
+    @cached_property
+    def gates(self) -> np.ndarray:
+        """The branch gates as one read-only (2**m, 2, 2) stack, built once."""
+        stack = np.array([g.mat for g in self.branch_gates()])
+        stack.setflags(write=False)
+        return stack
+
+    def closed_form_columns(self) -> np.ndarray:
+        """The closed-form columns, read-only: block i is sqrt(lambda_i) W_i."""
+        columns = (np.sqrt(self.lambdas)[:, None, None] * self.gates).reshape(-1, 2)
+        columns.setflags(write=False)
+        return columns
+
 
 @dataclass(frozen=True, eq=False)
 class RusCircuit:
     """A circuit as its spec and its ``columns``, its action on ``|0^m>|psi>``.
 
     ``columns`` holds the first two columns of the circuit's unitary, one
-    (2, 2) block per outcome; runs, success probabilities and retry frames
-    read nothing else.  The full unitary ``a_matrix`` is built and checked
-    only when read, from ``source``: ``None`` for a synthesized circuit, the
+    (2, 2) block per outcome, checked orthonormal at construction; runs,
+    success probabilities and retry frames read nothing else.  The full
+    unitary ``a_matrix`` is built and checked only when read, from
+    ``source``: ``None`` for a synthesized circuit, the
     checked ``UnitaryMatrix`` the circuit was read from, or an object whose
     ``matrix()`` builds it (``oaa.Composition`` for a composed circuit).
     """
@@ -124,6 +138,7 @@ class RusCircuit:
     def __post_init__(self) -> None:
         if self.columns.shape != (2 ** (self.spec.m + 1), 2):
             raise ValueError("columns do not match spec")
+        qcore.check_isometry(self.columns)
 
     @cached_property
     def a_matrix(self) -> UnitaryMatrix:
@@ -193,11 +208,7 @@ def build_rus_unitary(spec: RusSpec) -> RusCircuit:
     matrix and its adjoint carry exact block structure, so the inverse
     circuit is runnable as well.
     """
-    gates = np.array([g.mat for g in spec.branch_gates()])
-    amplitudes = np.sqrt(spec.lambdas).astype(np.complex128)
-    columns = (amplitudes[:, None, None] * gates).reshape(-1, 2)
-    columns.setflags(write=False)
-    return RusCircuit(spec, columns)
+    return RusCircuit(spec, spec.closed_form_columns())
 
 
 def _synthesized_matrix(spec: RusSpec) -> UnitaryMatrix:
@@ -208,8 +219,8 @@ def _synthesized_matrix(spec: RusSpec) -> UnitaryMatrix:
         [amplitudes], dim_anc, qcore.rng_stream(spec.seed)
     )
     branch = np.zeros((2 * dim_anc, 2 * dim_anc), dtype=np.complex128)
-    for i, gate in enumerate(spec.branch_gates()):
-        branch[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = gate.mat
+    for i, gate in enumerate(spec.gates):
+        branch[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = gate
     return UnitaryMatrix(branch @ np.kron(rotation.mat, np.eye(2)))
 
 
@@ -222,7 +233,7 @@ def success_probability(c: RusCircuit, psi: StateVector) -> float:
 
 def undo_gates(spec: RusSpec) -> np.ndarray:
     """Inverse recovery gates stacked in failure-outcome order."""
-    return np.stack([r.mat for r in spec.recoveries]).conj().transpose(0, 2, 1)
+    return spec.gates[1:].conj().transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from rusamp import distortion, qcore, rus
+from rusamp import distortion, oaa, qcore, rus
 
 
 def make_circuit(
@@ -102,7 +102,7 @@ def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
     left, in ceil(log2(L + 1)) batched ``matmul`` passes; an odd last factor
     is carried to the next pass. This is the order of ``oaa._schedule``, but
     the product keeps no SU(2) structure, so its rounding drifts from unitary
-    in proportion to L; ``oaa._composed`` takes its polar factor.
+    in proportion to L.
     """
     # Row [e^{i phi}, 1] scales the columns of a as a @ D_phi does.
     outer = np.ones((len(phis), 1, 2), dtype=np.complex128)
@@ -114,6 +114,38 @@ def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
         paired = g[1::2] @ g[:-1:2]
         g = np.concatenate([paired, g[-1:]]) if len(g) % 2 else paired
     return g[0]
+
+
+def reference_composed(c: rus.RusCircuit, t: np.ndarray) -> rus.RusCircuit:
+    """``oaa._composed`` as it was before it read t's first column alone, an
+    oracle for its rounding.
+
+    It takes t's polar factor, builds the pulled blocks P = c |0^m> W_0 -
+    s Phi and forms the columns as ``(a t)_00 C + (a t)_10 P`` from the
+    columns C of c; the phases are ``exp(i angle(t_i0))``.
+    """
+    t = polar(qcore.UnitaryMatrix(t).mat)
+    a = oaa._plane(c.spec)
+    spec = c.spec
+    gates = np.array([g.mat for g in spec.branch_gates()])
+    failures = spec.lambdas[1:]
+    rest = failures.sum()
+    share = failures / rest if rest > 0 else np.eye(len(failures))[0]
+    pulled = np.empty_like(gates)
+    pulled[0] = a[1, 0] * gates[0]
+    pulled[1:] = (-a[0, 0] * np.sqrt(share))[:, None, None] * gates[1:]
+    plane = a @ t
+    columns = plane[0, 0] * c.columns + plane[1, 0] * pulled.reshape(-1, 2)
+    columns.setflags(write=False)
+    lambdas = np.concatenate([[abs(t[0, 0]) ** 2], abs(t[1, 0]) ** 2 * share])
+    phases = np.exp(1j * np.angle(t[:, 0]))
+    phased = phases[1] * gates
+    phased[0] = phases[0] * gates[0]
+    branch = qcore.unitary_stack(phased)
+    composed = rus.RusSpec(
+        spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
+    )
+    return rus.RusCircuit(composed, columns, oaa.Composition(c, t))
 
 
 def polar(t: np.ndarray) -> np.ndarray:

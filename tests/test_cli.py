@@ -215,18 +215,20 @@ class TestSimulate:
 # standard:1 and exhausted digests were recorded again when phase schedules
 # became SU(2) products (TestScheduleOracle bounds what moved), and none,
 # pi3:2:neg and exhausted when attempts began to draw on unnormalized states
-# (TestKernelOracle bounds what moved).
+# (TestKernelOracle bounds what moved), and standard:1, deterministic,
+# pi3:2:neg and fp:1e-3 when composed columns took their closed form
+# (TestComposeOracle bounds what moved).
 OUTPUT_PINS = {
     "none":
         "31b429e5ac746108d3589d5050ed956938e577c8be5c54d0c63b9a0f5efe2b34",
     "standard:1":
-        "9fe9a30000b941f5bcb3898e02d18f4b6c30166b9c1e9fe04b59d09d20a11929",
+        "80237c9cba6f8a22e9123aa67d8589ac4dedcc1133d4a2997ff7debc334b1736",
     "deterministic":
-        "00249809e27b1a5918066b2aad2c86487c6296e6b53ba01e6ca0821ae33e5c58",
+        "aec12b6ff41baab6a3897238eb6d7bcd42e9f38204d577f72feba77892ed066e",
     "pi3:2:neg":
-        "f742dc9b36b0c1aa4605ef23854e3fd63622f8ad4a8f858c18e5349e014a4340",
+        "a51de5fdaa60c1838c88da9c1d0ad4f7558898b2ad80a0306b511a3e19b4dc60",
     "fp:1e-3":
-        "c565fd7c679f4c5b2de5e7684c916ccbacf7510720f9b4c29459f3d9777bd345",
+        "1385440083d8c415bd75bb0cec5f66ec79a24396b804a4911cbef9f481a7b936",
     "exhausted":
         "3fe4808bb144d7fc07092812a6e27e271b844f1b22ed4a12e94f9e1a946257a7",
     "figure fig2":
@@ -441,6 +443,19 @@ class TestKernelOracle:
         monkeypatch.setattr(rus, "run_batch", conftest.reference_run_batch)
         assert cli.main(_pinned_argv(spec, case, tmp_path / "reference")) == code
         _assert_outputs_agree(tmp_path / "kernel", tmp_path / "reference")
+
+
+class TestComposeOracle:
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_parent_composition_gives_the_same_outputs(self, tmp_path, monkeypatch, case):
+        # Closed-form columns moved standard:1, deterministic, pi3:2:neg and
+        # fp:1e-3: 46 cells by at most 6.7e-16, with the same outcome
+        # sequences.
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        code = cli.main(_pinned_argv(spec, case, tmp_path / "closed"))
+        monkeypatch.setattr(oaa, "_composed", conftest.reference_composed)
+        assert cli.main(_pinned_argv(spec, case, tmp_path / "reference")) == code
+        _assert_outputs_agree(tmp_path / "closed", tmp_path / "reference")
 
 
 class TestConfigErrors:

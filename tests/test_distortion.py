@@ -283,6 +283,25 @@ class TestMonteCarlo:
         # per-attempt success probability 0.5 gamma_0 + 0.5 lambda_0 = 0.2
         assert est.exhausted == pytest.approx(2_000 * 0.8, abs=4 * math.sqrt(2000 * 0.16))
 
+    @pytest.mark.parametrize("max_attempts", [1, rus.DEFAULT_MAX_ATTEMPTS])
+    def test_estimate_is_the_masked_sample(self, max_attempts):
+        # Bit for bit the mean and spread over the finished trials' columns,
+        # with and without exhausted trials to leave out.
+        rng = qcore.rng_stream(44)
+        base = conftest.make_circuit(0.35, m=4, rng=rng)
+        gammas = rng.random(16) + 0.1
+        cc = distortion.build_conditional(base, gammas / gammas.sum(), seed=2)
+        cfg = _config(trials=3_000, seed=9, max_attempts=max_attempts)
+        est = distortion.monte_carlo_fidelity(cc, cfg)
+        batch = rus.run_batch(cc.frame, conftest.conditional_start(cfg), cfg.trials,
+                              qcore.rng_stream(cfg.seed), max_attempts)
+        ideal = distortion.ideal_conditional_state(cc, cfg).amps
+        sample = np.abs(ideal.conj() @ batch.finals[:, ~batch.exhausted]) ** 2
+        assert (est.trials, est.exhausted) == (sample.size, cfg.trials - sample.size)
+        assert (est.exhausted > 0) == (max_attempts == 1)
+        assert est.mean == float(sample.mean())
+        assert est.std_error == float(sample.std(ddof=1) / math.sqrt(sample.size))
+
     def test_deterministic_for_fixed_seed(self):
         base = conftest.make_circuit(0.3, m=1)
         cc = distortion.build_conditional(base, np.array([0.5, 0.5]))

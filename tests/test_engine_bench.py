@@ -18,9 +18,10 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 3 + 2 + 2 * 2
+    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 8 + 2 * 3 + 2 + 2 * 2
     batches, composes, fixed = rows[:20], rows[20:28], rows[28:40]
-    figures, costs = rows[40:46] + rows[48:], rows[46:48]
+    protocols = rows[40:56]
+    figures, costs = rows[56:62] + rows[64:], rows[62:64]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
     for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
@@ -37,6 +38,13 @@ def test_times_every_shape_for_every_label():
         kind, m_text, l_text, name, per_call, per_step = row.split()
         assert (kind, m_text, l_text, name, per_step) == (
             "fp", f"m={m}", f"L={length}", label, "-")
+        assert float(per_call) > 0.0
+    names = [(name, m) for name in ("standard:2", "deterministic", "pi3:5", "fp:L=13")
+             for m in (1, 4)]
+    for row, (protocol, m), label in zip(protocols, [s for s in names for _ in range(2)],
+                                         ["one", "two"] * 8):
+        kind, shape, name, per_call, per_step = row.split()
+        assert (kind, shape, name, per_step) == (protocol, f"m={m}", label, "-")
         assert float(per_call) > 0.0
     for row, label in zip(costs, ["one", "two"]):
         kind, shape, name, per_call, per_step = row.split()

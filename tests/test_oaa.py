@@ -418,7 +418,7 @@ class TestComposedColumns:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("protocol", list(COMPOSITIONS))
     def test_match_the_dense_composition(self, protocol, m):
-        # (a t)_00 C + (a t)_10 P against the first two columns of A X.
+        # sqrt(lambda'_i) W'_i against the first two columns of A X.
         for seed in range(4):
             rng = qcore.rng_stream(70 + 10 * m + seed)
             base = conftest.make_circuit(float(rng.uniform(0.05, 0.6)), m=m, rng=rng)
@@ -429,6 +429,28 @@ class TestComposedColumns:
         base = conftest.make_circuit(0.1, m=2, rng=qcore.rng_stream(3))
         grown = oaa.fp_compose(oaa.standard_compose(base, 1), oaa.fp_plan(5, 1e-3))
         assert np.abs(grown.columns - grown.a_matrix.mat[:, :2]).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("protocol", list(COMPOSITIONS))
+    def test_inverse_bases_match_the_dense_composition(self, protocol, m):
+        # An inverse's gates and weights come from its extracted matrix.
+        for seed in range(4):
+            rng = qcore.rng_stream(170 + 10 * m + seed)
+            base = conftest.make_circuit(float(rng.uniform(0.05, 0.6)), m=m, rng=rng)
+            grown = COMPOSITIONS[protocol](rus.inverse_rus(base))
+            assert np.abs(grown.columns - grown.a_matrix.mat[:, :2]).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("outer", list(COMPOSITIONS))
+    @pytest.mark.parametrize("inner", list(COMPOSITIONS))
+    def test_nested_compositions_match_the_dense_ones(self, inner, outer, m):
+        # The outer composition's A is the inner one's A X, built on demand,
+        # so the dense reference rounds twice: at m = 3 the columns formed
+        # as (a t)_00 C + (a t)_10 P differ from it by up to 1.2e-15 too.
+        rng = qcore.rng_stream(270 + m)
+        base = conftest.make_circuit(float(rng.uniform(0.05, 0.6)), m=m, rng=rng)
+        grown = COMPOSITIONS[outer](COMPOSITIONS[inner](base))
+        assert np.abs(grown.columns - grown.a_matrix.mat[:, :2]).max() <= 2e-15
 
     def test_state_helpers_read_the_columns(self):
         rng = qcore.rng_stream(31)
@@ -442,15 +464,15 @@ class TestComposedColumns:
             assert np.array_equal(state.amps, grown.columns @ psi.amps)
 
     def test_rejects_columns_that_are_not_orthonormal(self):
+        # Every circuit checks its columns, so no composition can read these.
         base = conftest.make_circuit(0.3, m=1)
-        broken = rus.RusCircuit(base.spec, np.full((4, 2), np.nan, dtype=complex))
         with pytest.raises(ValueError, match="isometry residual nan"):
-            oaa.standard_compose(broken, 1)
+            rus.RusCircuit(base.spec, np.full((4, 2), np.nan, dtype=complex))
 
 
 class TestSu2Kernel:
-    """``oaa._schedule`` against ``conftest.batched_schedule``, the batched
-    2x2 products it replaced, after the polar step ``oaa._composed`` takes."""
+    """``oaa._schedule`` against the polar factor of
+    ``conftest.batched_schedule``, the batched 2x2 products it replaced."""
 
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 50, 320, 999, 2000])

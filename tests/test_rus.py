@@ -131,6 +131,20 @@ class TestColumns:
         with pytest.raises(ValueError, match="columns do not match spec"):
             rus.RusCircuit(spec, np.eye(4, 2))
 
+    def test_rejects_columns_that_are_not_an_isometry(self):
+        spec = _spec(2, [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match="isometry residual 3.0 exceeds"):
+            rus.RusCircuit(spec, 2.0 * np.eye(8, 2))
+
+    def test_gate_stack_is_built_once_and_read_only(self):
+        circ = conftest.make_circuit(0.35, m=2, rng=qcore.rng_stream(9))
+        spec = circ.spec
+        assert spec.gates is spec.gates and not spec.gates.flags.writeable
+        assert np.array_equal(spec.gates, [g.mat for g in spec.branch_gates()])
+        assert np.array_equal(
+            rus.undo_gates(spec), [r.mat.conj().T for r in spec.recoveries]
+        )
+
     def test_success_probability_reads_the_success_block(self):
         rng = qcore.rng_stream(8)
         circ = conftest.make_circuit(0.35, m=3, rng=rng)
