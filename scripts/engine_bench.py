@@ -15,8 +15,8 @@ circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
 ``oaa.fp_compose`` with it. For every protocol in ``PROTOCOLS`` and ancilla
 count in ``PROTOCOL_SHAPES`` each checkout builds the circuit and the plan
 once and times the composition alone. For every name in ``FIGURES`` each
-checkout times the
-``rusamp.distortion`` call that builds that figure's rows at ``SEED``. Each
+checkout times the ``rusamp.distortion`` call that builds that figure's rows
+at ``SEED``. Each
 checkout times ``tcost.all_strategies`` over the ``STRATEGY_GRID`` of
 lambda0 at ``STRATEGY_DELTA`` with kmm reflections, and, for every name in
 ``CLI_FIGURES``, ``cli.main(["figure", name, ...])`` into a temporary
