@@ -14,7 +14,9 @@ then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
 circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
 ``oaa.fp_compose`` with it. For every protocol in ``PROTOCOLS`` and ancilla
 count in ``PROTOCOL_SHAPES`` each checkout builds the circuit and the plan
-once and times the composition alone. For every name in ``FIGURES`` each
+once and times the composition alone. For every ancilla count in
+``INVERSE_SHAPES`` each checkout builds the circuit and its ``a_matrix``
+once and times ``rus.inverse_rus`` alone. For every name in ``FIGURES`` each
 checkout times the ``rusamp.distortion`` call that builds that figure's rows
 at ``SEED``. Each
 checkout times ``tcost.all_strategies`` over the ``STRATEGY_GRID`` of
@@ -68,6 +70,8 @@ PROTOCOLS = {
         oaa.fp_compose, c, oaa.fp_plan(13, FP_DELTA)),
 }
 PROTOCOL_SHAPES = (1, 4)
+# Ancilla counts of the inverse shapes.
+INVERSE_SHAPES = (1, 4)
 # (m, L) of the fixed-point shapes: schedule lengths of the benchmark's
 # fp block, and a deep one.
 FP_SHAPES = ((1, 320), (1, 2_000), (1, 100_000), (4, 320), (4, 2_000), (4, 100_000))
@@ -187,6 +191,14 @@ def fixed_point(pkg, circuit, length: int):
     return pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
 
 
+def inverse_input(pkg, m: int):
+    """The circuit of the inverse shape, its full matrix already built, as
+    the benchmark's inverse operations find it."""
+    circuit = pkg.rus.build_rus_unitary(make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
+    circuit.a_matrix
+    return circuit
+
+
 def strategies(pkg):
     """Every strategy's cost over the grid: the cost-table shape's timed call."""
     tcost = pkg.tcost
@@ -226,6 +238,10 @@ def main(argv=None) -> int:
          [call(pkg.oaa, pkg.rus.build_rus_unitary(
              make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))) for pkg in packages])
         for name, call in PROTOCOLS.items() for m in PROTOCOL_SHAPES
+    ] + [
+        (f"inverse m={m}",
+         [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m)) for pkg in packages])
+        for m in INVERSE_SHAPES
     ] + [
         (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
         for name, call in FIGURES.items()

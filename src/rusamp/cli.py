@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -52,18 +53,65 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+_json_string = json.encoder.encode_basestring_ascii
+_float_text = float.__repr__
+
+
+def _json_leaves(value):
+    """``value`` as JSON leaf texts, encoded as ``json.dumps`` would: a leaf
+    is a str, a list stays a list, and a dict becomes a tuple of
+    (key text, value) pairs in key order.  Dict keys must be strings."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        # Finite floats, most leaves of a spec, are formatted in line.
+        return [_float_text(v) if type(v) is float and math.isfinite(v) else _json_leaves(v)
+                for v in value]
+    if isinstance(value, dict):
+        return tuple([(_json_string(k), _json_leaves(v)) for k, v in sorted(value.items())])
+    return json.dumps(value)
+
+
+def _json_layout(tree, pad: str, step: str, colon: str) -> str:
+    """The text of ``json.dumps(value, sort_keys=True, ...)`` from the
+    leaves of ``value``.  ``pad`` is ``tree``'s line start and ``step`` one
+    indentation level, both empty for the compact layout; ``colon`` follows
+    each key."""
+    if isinstance(tree, str):
+        return tree
+    if not tree:
+        return "[]" if isinstance(tree, list) else "{}"
+    inner = pad + step
+    if isinstance(tree, list):
+        items = [v if type(v) is str else _json_layout(v, inner, step, colon) for v in tree]
+        ends = "[]"
+    else:
+        items = [k + colon + (v if type(v) is str else _json_layout(v, inner, step, colon))
+                 for k, v in tree]
+        ends = "{}"
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def _manifest(command: str, config: dict, seed) -> str:
-    """Manifest text; ``config_hash`` hashes the compact canonical encoding."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "tool_version": __version__,
-    }
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    """Manifest text; ``config_hash`` hashes the compact canonical encoding.
+
+    Both encodings of ``config`` are laid out from one formatting of its
+    leaves.
+    """
+    config = _json_leaves(config)
+    canonical = _json_layout(config, "", "", ":")
+    # The manifest's keys, in sorted order.
+    manifest = (
+        ('"command"', _json_string(command)),
+        ('"config"', config),
+        ('"config_hash"', _json_string(hashlib.sha256(canonical.encode()).hexdigest())),
+        ('"seed"', _json_leaves(seed)),
+        ('"timestamp"', _json_string(datetime.now(timezone.utc).isoformat())),
+        ('"tool_version"', _json_string(__version__)),
+    )
+    return _json_layout(manifest, "\n", "  ", ": ") + "\n"
 
 
 def _parse_psi(text: str) -> qcore.StateVector:
@@ -133,7 +181,7 @@ def cmd_simulate(args) -> int:
     circuit = rus.build_rus_unitary(spec)
     composed = _compose_protocol(circuit, args.protocol)
     psi = _parse_psi(args.psi)
-    target = composed.spec.target.mat @ psi.amps
+    target = composed.spec.gates[0] @ psi.amps
 
     try:
         batch = rus.run_batch(composed.frame, psi.amps, args.trials,
@@ -169,12 +217,16 @@ def cmd_simulate(args) -> int:
     _write_text(runs_path, "trial,attempts,success,outcomes,fidelity\n" + runs)
     _write_text(runs_path + ".manifest.json", manifest)
 
-    basis = qcore.basis_state(1)
     exhaustion_rate = exhausted / args.trials
+    # Success probabilities on the data input |0>, read off the success
+    # block's first column.
+    success_input, success_composed = (
+        float(np.sum(np.abs(c.columns[:2, 0]) ** 2)) for c in (circuit, composed)
+    )
     summary = [
         ["trials", args.trials],
-        ["success_probability_input", rus.success_probability(circuit, basis)],
-        ["success_probability_composed", rus.success_probability(composed, basis)],
+        ["success_probability_input", success_input],
+        ["success_probability_composed", success_composed],
         ["mean_attempts", float(np.mean(batch.attempts[done])) if finished else None],
         ["mean_fidelity", float(np.mean(fids[done])) if finished else None],
         ["min_fidelity", float(np.min(fids[done])) if finished else None],

@@ -207,7 +207,7 @@ def ideal_conditional_state(
 ) -> StateVector:
     """Distortion-free reference: the target applied on the control-|1> branch."""
     amps = _initial_pair(cfg)
-    amps[1::2] = cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps)
+    amps[1::2] = cfg.beta * (cc.base.spec.gates[0] @ cfg.psi1.amps)
     return StateVector(2, amps)
 
 

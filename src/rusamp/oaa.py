@@ -175,14 +175,11 @@ def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
     spec = c.spec
     lambdas = np.concatenate([[abs(t00) ** 2], abs(t10) ** 2 * _failure_share(spec)])
     phases = [z / abs(z) if z else 1.0 for z in (t00, t10)]
-    # Unit phases times checked gates: one check covers the whole stack.
+    # Unit phases times a checked stack are unitary: not checked again.
     phased = phases[1] * spec.gates
     phased[0] = phases[0] * spec.gates[0]
-    branch = qcore.unitary_stack(phased)
-    composed = RusSpec(
-        spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
-    )
-    return RusCircuit(composed, composed.closed_form_columns(), Composition(c, t))
+    composed = RusSpec.from_gates(spec.m, lambdas / lambdas.sum(), phased, spec.seed)
+    return RusCircuit(composed, source=Composition(c, t))
 
 
 class DeterministicPlan(NamedTuple):

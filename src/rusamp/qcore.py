@@ -145,15 +145,21 @@ def _trusted(mat: np.ndarray) -> UnitaryMatrix:
     return u
 
 
-def unitary_stack(mats) -> tuple[UnitaryMatrix, ...]:
-    """Validate an (n, d, d) stack of unitaries at once.
+def unitary_stack(mats) -> np.ndarray:
+    """Validate an (n, d, d) stack of unitaries at once; return it frozen.
 
-    The checks of ``UnitaryMatrix`` run once over the whole stack; the
-    results are read-only views of one frozen copy of it, not checked again
-    one by one.
+    The checks of ``UnitaryMatrix`` run once over the whole stack, on a
+    read-only complex copy of ``mats``, which is returned.
     """
     stack = _frozen_complex(mats)
     _check_unitary(stack, 3)
+    return stack
+
+
+def unitary_views(stack: np.ndarray) -> tuple[UnitaryMatrix, ...]:
+    """The members of a read-only stack known to be unitary, such as one
+    ``unitary_stack`` returned, as ``UnitaryMatrix`` views not checked
+    again."""
     return tuple(map(_trusted, stack))
 
 

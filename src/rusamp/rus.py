@@ -9,6 +9,13 @@ with W_0 the target gate and W_i (i >= 1) the recoverable failure gates.
 Measuring the ancillas and obtaining the all-zero outcome applies the target;
 any other outcome i is undone by the inverse of the recovery gate, and the
 attempt repeats with fresh ancillas.
+
+A spec holds its branch gates W_i as one read-only (2**m, 2, 2) stack,
+checked unitary once, where the gates enter: as ``UnitaryMatrix`` objects,
+by ``spec_from_dict`` or by ``circuit_from_matrix``.  Specs and circuits
+derived from a checked stack (compositions, closed-form columns, columns
+read off a checked matrix) are built without a second check; the outcome
+weights are checked on every path.
 """
 
 from __future__ import annotations
@@ -49,67 +56,97 @@ class MaxAttemptsExceeded(RuntimeError):
     """Raised when a run exhausts its attempt cap without a success outcome."""
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_lambdas(m: int, lambdas) -> np.ndarray:
+    """``lambdas`` as a read-only float copy; raises unless it holds 2**m
+    non-negative outcome probabilities summing to 1."""
+    if m < 1:
+        raise ValueError("need at least one ancilla qubit")
+    lambdas = np.array(lambdas, dtype=float, copy=True)
+    lambdas.setflags(write=False)
+    # No array has 2**64 entries; the cap keeps a huge m from building a
+    # huge integer, and the message from printing one.
+    if lambdas.shape != (2 ** min(m, 64),):
+        raise ValueError(f"m={m} needs 2**m outcome probabilities, got {lambdas.size}")
+    # Both checks are written so that NaN entries fail them; entries of at
+    # most 1 keep the sum from overflowing.
+    if not lambdas.min() >= 0:
+        raise ValueError("outcome probabilities must be non-negative")
+    if not (lambdas.max() <= 1.0 and abs(lambdas.sum() - 1.0) <= qcore.NORM_ATOL):
+        raise ValueError("outcome probabilities must sum to 1")
+    return lambdas
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RusSpec:
     """Declarative description of a repeat-until-success circuit.
 
     ``lambdas`` lists the outcome probabilities (success first) and must sum
-    to one; ``recoveries`` holds one gate per failure outcome and defaults to
-    identities.  ``seed`` fixes the random completion of the synthesized
-    unitary outside the prescribed block.
+    to one.  ``gates`` is the read-only (2**m, 2, 2) stack of branch gates
+    W_i: the target in slot 0, then one recovery per failure outcome.
+    ``seed`` fixes the random completion of the synthesized unitary outside
+    the prescribed block.
+
+    ``RusSpec(m, lambdas, target, recoveries=None, seed=0)`` stacks the
+    matrices of ``UnitaryMatrix`` gates, checked when they were built;
+    recoveries default to identities.  ``RusSpec.from_gates`` takes a stack
+    already known to be unitary.  Both check ``lambdas``, and neither checks
+    a gate again.
     """
 
     m: int
     lambdas: np.ndarray
-    target: UnitaryMatrix
-    recoveries: tuple[UnitaryMatrix, ...] | None = None
+    gates: np.ndarray
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("need at least one ancilla qubit")
-        lambdas = np.array(self.lambdas, dtype=float, copy=True)
-        lambdas.setflags(write=False)
-        # No array has 2**64 entries; the cap keeps a huge m from building a
-        # huge integer, and the message from printing one.
-        if lambdas.shape != (2 ** min(self.m, 64),):
-            raise ValueError(
-                f"m={self.m} needs 2**m outcome probabilities, got {lambdas.size}"
-            )
-        # Both checks are written so that NaN entries fail them; entries of
-        # at most 1 keep the sum from overflowing.
-        if not lambdas.min() >= 0:
-            raise ValueError("outcome probabilities must be non-negative")
-        if not (lambdas.max() <= 1.0 and abs(lambdas.sum() - 1.0) <= qcore.NORM_ATOL):
-            raise ValueError("outcome probabilities must sum to 1")
-        if self.target.dim != 2:
+    def __init__(self, m: int, lambdas, target: UnitaryMatrix,
+                 recoveries: tuple[UnitaryMatrix, ...] | None = None, seed: int = 0) -> None:
+        # The lambdas' shape is checked before 2**m - 1 recoveries are listed.
+        lambdas = _checked_lambdas(m, lambdas)
+        if target.dim != 2:
             raise ValueError("target must be a single-qubit gate")
-        recoveries = self.recoveries
         if recoveries is None:
-            recoveries = tuple(qcore.identity(1) for _ in range(2**self.m - 1))
-        else:
-            recoveries = tuple(recoveries)
-        if len(recoveries) != 2**self.m - 1:
-            raise ValueError(f"expected {2**self.m - 1} recovery gates")
+            recoveries = (qcore.identity(1),) * (len(lambdas) - 1)
+        recoveries = tuple(recoveries)
+        if len(recoveries) != len(lambdas) - 1:
+            raise ValueError(f"expected {len(lambdas) - 1} recovery gates")
         if any(r.dim != 2 for r in recoveries):
             raise ValueError("recovery gates must be single-qubit")
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "recoveries", recoveries)
+        self._set(m, lambdas, np.array([target.mat, *(r.mat for r in recoveries)]), seed)
+
+    @classmethod
+    def from_gates(cls, m: int, lambdas, gates: np.ndarray, seed: int = 0) -> RusSpec:
+        """The spec over ``gates``, a complex (2**m, 2, 2) stack already known
+        to be unitary: one ``qcore.unitary_stack`` returned, or unit phases
+        times one.  The stack is frozen in place, not copied or checked
+        again; ``lambdas`` is checked."""
+        lambdas = _checked_lambdas(m, lambdas)
+        if gates.shape != (len(lambdas), 2, 2):
+            raise ValueError(f"expected {len(lambdas) - 1} recovery gates")
+        spec = object.__new__(cls)
+        spec._set(m, lambdas, gates, seed)
+        return spec
+
+    def _set(self, m: int, lambdas: np.ndarray, gates: np.ndarray, seed: int) -> None:
+        gates.setflags(write=False)
+        # A frozen dataclass's fields are set through its __dict__.
+        self.__dict__.update(m=m, lambdas=lambdas, gates=gates, seed=seed)
 
     @property
     def lambda0(self) -> float:
         return float(self.lambdas[0])
 
     def branch_gates(self) -> tuple[UnitaryMatrix, ...]:
-        """All outcome gates W_i, with the target in slot 0."""
-        return (self.target, *self.recoveries)
+        """All outcome gates W_i, with the target in slot 0: views of
+        ``gates``."""
+        return qcore.unitary_views(self.gates)
 
-    @cached_property
-    def gates(self) -> np.ndarray:
-        """The branch gates as one read-only (2**m, 2, 2) stack, built once."""
-        stack = np.array([g.mat for g in self.branch_gates()])
-        stack.setflags(write=False)
-        return stack
+    @property
+    def target(self) -> UnitaryMatrix:
+        return self.branch_gates()[0]
+
+    @property
+    def recoveries(self) -> tuple[UnitaryMatrix, ...]:
+        return self.branch_gates()[1:]
 
     def closed_form_columns(self) -> np.ndarray:
         """The closed-form columns, read-only: block i is sqrt(lambda_i) W_i."""
@@ -123,22 +160,31 @@ class RusCircuit:
     """A circuit as its spec and its ``columns``, its action on ``|0^m>|psi>``.
 
     ``columns`` holds the first two columns of the circuit's unitary, one
-    (2, 2) block per outcome, checked orthonormal at construction; runs,
-    success probabilities and retry frames read nothing else.  The full
-    unitary ``a_matrix`` is built and checked only when read, from
-    ``source``: ``None`` for a synthesized circuit, the
-    checked ``UnitaryMatrix`` the circuit was read from, or an object whose
+    (2, 2) block per outcome; runs, success probabilities and retry frames
+    read nothing else.  Columns given explicitly are checked orthonormal.
+    Left out, they are taken, without a second check, from a checked
+    ``UnitaryMatrix`` source, and otherwise from the spec in closed form,
+    whose unit-weighted unitary blocks are orthonormal by construction.
+    The full unitary ``a_matrix`` is built and checked only when read, from
+    ``source``: ``None`` for a synthesized circuit, the checked
+    ``UnitaryMatrix`` the circuit was read from, or an object whose
     ``matrix()`` builds it (``oaa.Composition`` for a composed circuit).
     """
 
     spec: RusSpec
-    columns: np.ndarray
+    columns: np.ndarray | None = None
     source: object = None
 
     def __post_init__(self) -> None:
+        given = self.columns is not None
+        if not given:
+            source = self.source
+            object.__setattr__(self, "columns", source.mat[:, :2] if isinstance(
+                source, UnitaryMatrix) else self.spec.closed_form_columns())
         if self.columns.shape != (2 ** (self.spec.m + 1), 2):
             raise ValueError("columns do not match spec")
-        qcore.check_isometry(self.columns)
+        if given:
+            qcore.check_isometry(self.columns)
 
     @cached_property
     def a_matrix(self) -> UnitaryMatrix:
@@ -208,7 +254,7 @@ def build_rus_unitary(spec: RusSpec) -> RusCircuit:
     matrix and its adjoint carry exact block structure, so the inverse
     circuit is runnable as well.
     """
-    return RusCircuit(spec, spec.closed_form_columns())
+    return RusCircuit(spec)
 
 
 def _synthesized_matrix(spec: RusSpec) -> UnitaryMatrix:
@@ -440,20 +486,17 @@ def circuit_from_matrix(
             "matrix does not realize a repeat-until-success circuit"
         )
     # A block's polar factor does not change when the block is scaled, so
-    # one SVD gives every outcome's gate, stripped of rounding noise.
+    # one SVD gives every outcome's gate, stripped of rounding noise; the
+    # stack is checked once, here.
     u, _, vh = np.linalg.svd(cols)
     gates = qcore.unitary_stack(u @ vh)
-    spec = RusSpec(m, lambdas / lambdas.sum(), gates[0], tuple(gates[1:]), seed)
-    return RusCircuit(spec, matrix.mat[:, :2], matrix)
+    spec = RusSpec.from_gates(m, lambdas / lambdas.sum(), gates, seed)
+    return RusCircuit(spec, source=matrix)
 
 
 def inverse_rus(c: RusCircuit) -> RusCircuit:
     """Circuit realizing the inverse target with the same success probability."""
     return circuit_from_matrix(c.a_matrix.dagger(), c.spec.m, seed=c.spec.seed)
-
-
-def _matrix_to_json(mat: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
 
 
 def _matrix_from_json(pairs: list[list[float]], dim: int) -> np.ndarray:
@@ -467,11 +510,14 @@ _SPEC_FIELDS = ("m", "lambdas", "target", "recoveries", "seed")
 
 
 def spec_to_dict(spec: RusSpec) -> dict:
+    # Each gate as its [re, im] entry pairs, row by row.
+    pairs = np.stack([spec.gates.real, spec.gates.imag], axis=-1)
+    target, *recoveries = pairs.reshape(len(spec.gates), 4, 2).tolist()
     return {
         "m": spec.m,
-        "lambdas": [float(x) for x in spec.lambdas],
-        "target": _matrix_to_json(spec.target.mat),
-        "recoveries": [_matrix_to_json(r.mat) for r in spec.recoveries],
+        "lambdas": spec.lambdas.tolist(),
+        "target": target,
+        "recoveries": recoveries,
         "seed": spec.seed,
     }
 
@@ -494,14 +540,11 @@ def spec_from_dict(data: dict) -> RusSpec:
         raise ValueError(
             f"spec field 'lambdas' must be a flat list of numbers, got shape {lambdas.shape}"
         )
-    return RusSpec(
-        m=qcore.check_integer(data["m"], "spec field 'm'"),
-        lambdas=lambdas,
-        target=gates[0],
-        recoveries=tuple(gates[1:]),
-        seed=qcore.check_integer(
-            data["seed"], "spec field 'seed'", non_negative=True
-        ),
+    return RusSpec.from_gates(
+        qcore.check_integer(data["m"], "spec field 'm'"),
+        lambdas,
+        gates,
+        qcore.check_integer(data["seed"], "spec field 'seed'", non_negative=True),
     )
 
 

@@ -141,9 +141,8 @@ def reference_composed(c: rus.RusCircuit, t: np.ndarray) -> rus.RusCircuit:
     phases = np.exp(1j * np.angle(t[:, 0]))
     phased = phases[1] * gates
     phased[0] = phases[0] * gates[0]
-    branch = qcore.unitary_stack(phased)
-    composed = rus.RusSpec(
-        spec.m, lambdas / lambdas.sum(), branch[0], tuple(branch[1:]), spec.seed
+    composed = rus.RusSpec.from_gates(
+        spec.m, lambdas / lambdas.sum(), qcore.unitary_stack(phased), spec.seed
     )
     return rus.RusCircuit(composed, columns, oaa.Composition(c, t))
 

@@ -360,6 +360,58 @@ class TestRowFormatters:
         assert cli._figure_text(rows) == conftest.figure_table(rows)
 
 
+def _json_values():
+    """JSON-encodable values: every leaf kind, NaN, infinities, non-ASCII
+    text, empty and nested containers, tuples, NumPy floats."""
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+        st.text(),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ), max_leaves=20)
+
+
+class TestManifestText:
+    """Both encodings of a manifest's config come from one formatting of its
+    leaves; each must read as ``json.dumps`` wrote it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(value=_json_values())
+    @example(value={"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0})
+    @example(value={"": [], "{}": {}, "\u00e9\u6f22\U0001f600": ["\"\\\n\x00"],
+                    "b": (True, False, None)})
+    @example(value=[[], {}, [[]], [{}]])
+    def test_layouts_match_json_dumps(self, value):
+        leaves = cli._json_leaves(value)
+        assert cli._json_layout(leaves, "", "", ":") == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))
+        assert cli._json_layout(leaves, "\n", "  ", ": ") == json.dumps(
+            value, indent=2, sort_keys=True)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(config=st.dictionaries(st.text(), _json_values(), max_size=5),
+           seed=st.one_of(st.none(), st.integers(0, 2**40)))
+    def test_manifest_matches_json_dumps(self, config, seed):
+        text = cli._manifest("simulate \u00e9", config, seed)
+        manifest = json.loads(text)
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert manifest["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert (manifest["command"], manifest["seed"]) == ("simulate \u00e9", seed)
+        want = {**manifest, "config": config}
+        assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    def test_spec_config_round_trips(self, tmp_path):
+        spec = rus.load_spec(_write_spec(tmp_path, m=3))
+        config = {"spec": rus.spec_to_dict(spec), "protocol": "none", "trials": 4}
+        text = cli._manifest("simulate", config, 7)
+        assert json.loads(text)["config"] == config
+
+
 def _pinned_argv(spec, case, out) -> list[str]:
     """The ``simulate`` arguments of ``TestOutputBytes`` for ``case``."""
     return ["simulate", "--spec", str(spec), "--psi", "0.6,0.8j", "--trials", "40",

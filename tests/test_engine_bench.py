@@ -18,10 +18,10 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 8 + 2 * 3 + 2 + 2 * 2
+    assert len(rows) == 2 * 10 + 2 * 4 + 2 * 6 + 2 * 8 + 2 * 2 + 2 * 3 + 2 + 2 * 2
     batches, composes, fixed = rows[:20], rows[20:28], rows[28:40]
-    protocols = rows[40:56]
-    figures, costs = rows[56:62] + rows[64:], rows[62:64]
+    protocols, inverses = rows[40:56], rows[56:60]
+    figures, costs = rows[60:66] + rows[68:], rows[66:68]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
     for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
@@ -45,6 +45,10 @@ def test_times_every_shape_for_every_label():
                                          ["one", "two"] * 8):
         kind, shape, name, per_call, per_step = row.split()
         assert (kind, shape, name, per_step) == (protocol, f"m={m}", label, "-")
+        assert float(per_call) > 0.0
+    for row, m, label in zip(inverses, [1, 1, 4, 4], ["one", "two"] * 2):
+        kind, shape, name, per_call, per_step = row.split()
+        assert (kind, shape, name, per_step) == ("inverse", f"m={m}", label, "-")
         assert float(per_call) > 0.0
     for row, label in zip(costs, ["one", "two"]):
         kind, shape, name, per_call, per_step = row.split()

@@ -464,7 +464,7 @@ class TestComposedColumns:
             assert np.array_equal(state.amps, grown.columns @ psi.amps)
 
     def test_rejects_columns_that_are_not_orthonormal(self):
-        # Every circuit checks its columns, so no composition can read these.
+        # Columns given explicitly are checked, so no composition can read these.
         base = conftest.make_circuit(0.3, m=1)
         with pytest.raises(ValueError, match="isometry residual nan"):
             rus.RusCircuit(base.spec, np.full((4, 2), np.nan, dtype=complex))

@@ -27,7 +27,8 @@ def test_state_amps_read_only():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_unitary_validation():
     # One matrix, and the same matrix as a one-member stack.
-    for build in (qcore.UnitaryMatrix, lambda mat: qcore.unitary_stack([mat])[0]):
+    for build in (qcore.UnitaryMatrix,
+                  lambda mat: qcore.unitary_views(qcore.unitary_stack([mat]))[0]):
         with pytest.raises(ValueError, match="unitarity residual"):
             build(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="must be square"):
@@ -59,14 +60,16 @@ class TestUnitaryStack:
         rng = qcore.rng_stream(5)
         mats = np.stack([qcore.random_unitary(2, rng).mat for _ in range(3)])
         stack = qcore.unitary_stack(mats)
-        assert len(stack) == 3
-        for u, mat in zip(stack, mats):
+        assert stack.tobytes() == mats.tobytes() and not stack.flags.writeable
+        views = qcore.unitary_views(stack)
+        assert len(views) == 3
+        for u, mat in zip(views, mats):
             assert isinstance(u, qcore.UnitaryMatrix)
             assert u.mat.tobytes() == mat.tobytes()
             with pytest.raises(ValueError):
                 u.mat[0, 0] = 0.0
         mats[0, 0, 0] = 0.0
-        assert stack[0].mat[0, 0] != 0.0
+        assert stack[0, 0, 0] != 0.0 and views[0].mat[0, 0] != 0.0
 
 
 def test_dagger_is_the_frozen_adjoint():

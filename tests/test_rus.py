@@ -630,6 +630,134 @@ class TestInverse:
             assert np.array_equal(got.mat, want.mat)
 
 
+def _assert_orthonormal(columns):
+    gram = columns.conj().T @ columns
+    assert np.abs(gram - np.eye(2)).max() <= qcore.UNITARY_ATOL
+
+
+def _weights(rng, m: int) -> np.ndarray:
+    raw = rng.random(2**m) + 0.01
+    return raw / raw.sum()
+
+
+class TestCheckedOnce:
+    """Gates are checked once, where they enter: a spec from ``UnitaryMatrix``
+    gates, ``spec_from_dict`` and ``circuit_from_matrix``.  Derived specs and
+    circuits are built without a second check, so their columns must stay
+    orthonormal without one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+        lambda0=st.floats(0.01, 0.99),
+        first=st.sampled_from(list(PROTOCOLS)),
+        second=st.sampled_from(list(PROTOCOLS)),
+    )
+    def test_derived_columns_stay_orthonormal(self, m, seed, lambda0, first, second):
+        rng = qcore.rng_stream(seed)
+        base = conftest.make_circuit(lambda0, m=m, rng=rng, seed=seed % 7)
+        once = PROTOCOLS[first](base)
+        twice = PROTOCOLS[second](once)
+        for circ in (base, once, twice):
+            _assert_orthonormal(circ.columns)
+            assert circ.columns.shape == (2 ** (m + 1), 2)
+        # The dense matrix is checked when it is built; the unchecked
+        # columns must be its first two.
+        np.testing.assert_allclose(twice.columns, twice.a_matrix.mat[:, :2], atol=1e-12)
+        _assert_orthonormal(rus.inverse_rus(twice).columns)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 4), seed=st.integers(0, 2**31), identity=st.booleans())
+    def test_both_entries_build_identical_specs(self, m, seed, identity):
+        rng = qcore.rng_stream(seed)
+        lambdas = _weights(rng, m)
+        gates = [qcore.random_unitary(1, rng) for _ in range(2**m)]
+        if identity:
+            gates[1:] = [qcore.identity(1)] * (2**m - 1)
+        keyword = rus.RusSpec(
+            m=m, lambdas=lambdas, target=gates[0],
+            recoveries=None if identity else tuple(gates[1:]), seed=seed,
+        )
+        stacked = rus.RusSpec.from_gates(
+            m, lambdas, qcore.unitary_stack([g.mat for g in gates]), seed
+        )
+        assert (keyword.m, keyword.seed) == (stacked.m, stacked.seed)
+        for spec in (keyword, stacked):
+            assert not spec.gates.flags.writeable and not spec.lambdas.flags.writeable
+        assert keyword.gates.tobytes() == stacked.gates.tobytes()
+        assert keyword.lambdas.tobytes() == stacked.lambdas.tobytes()
+        columns = [rus.build_rus_unitary(s).columns for s in (keyword, stacked)]
+        assert columns[0].tobytes() == columns[1].tobytes()
+        assert keyword.target.mat.tobytes() == gates[0].mat.tobytes()
+        assert [r.mat.tobytes() for r in stacked.recoveries] == [
+            g.mat.tobytes() for g in gates[1:]
+        ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+        slot=st.integers(0, 15),
+        bad=st.sampled_from(["nan", "negative", "unnormalized", "inf"]),
+    )
+    def test_both_entries_reject_bad_weights(self, m, seed, slot, bad):
+        rng = qcore.rng_stream(seed)
+        lambdas = _weights(rng, m)
+        slot %= 2**m
+        if bad == "nan":
+            lambdas[slot] = np.nan
+        elif bad == "negative":
+            lambdas[slot] = -lambdas[slot]
+        elif bad == "unnormalized":
+            lambdas[slot] *= 1.0 + 1e-9
+        else:
+            lambdas[slot] = np.inf
+        target = qcore.random_unitary(1, rng)
+        stack = qcore.unitary_stack(
+            [target.mat, *[np.eye(2)] * (2**m - 1)]
+        )
+        with pytest.raises(ValueError, match="outcome probabilities must"):
+            rus.RusSpec(m=m, lambdas=lambdas, target=target)
+        with pytest.raises(ValueError, match="outcome probabilities must"):
+            rus.RusSpec.from_gates(m, lambdas, stack)
+
+    def test_stack_entry_checks_its_shape(self):
+        with pytest.raises(ValueError, match="m=2 needs 2\\*\\*m outcome"):
+            rus.RusSpec.from_gates(2, [0.5, 0.5], qcore.unitary_stack([np.eye(2)] * 4))
+        with pytest.raises(ValueError, match="expected 3 recovery gates"):
+            rus.RusSpec.from_gates(2, [0.25] * 4, qcore.unitary_stack([np.eye(2)] * 3))
+
+    def test_each_entry_checks_once(self, monkeypatch):
+        calls = []
+        check = qcore._check_gram
+        monkeypatch.setattr(
+            qcore, "_check_gram", lambda mats, what: calls.append(what) or check(mats, what)
+        )
+
+        def checks(build):
+            calls.clear()
+            result = build()
+            return result, list(calls)
+
+        data = rus.spec_to_dict(_spec(2, [0.4, 0.3, 0.2, 0.1], seed=3))
+        spec, seen = checks(lambda: rus.spec_from_dict(data))
+        assert seen == ["unitarity"]
+        circ, seen = checks(lambda: rus.build_rus_unitary(spec))
+        assert seen == []
+        for protocol in ("standard:2", "deterministic", "fp"):
+            assert checks(lambda: PROTOCOLS[protocol](circ))[1] == []
+        # The cube law checks its 2x2 t, not the stack.
+        assert checks(lambda: PROTOCOLS["pi3:3"](circ))[1] == ["unitarity"]
+        circ.a_matrix
+        inverse, seen = checks(lambda: rus.inverse_rus(circ))
+        assert seen == ["unitarity"]
+        matrix = inverse.a_matrix
+        assert checks(lambda: rus.circuit_from_matrix(matrix, 2))[1] == ["unitarity"]
+        # Columns given explicitly are checked.
+        assert checks(lambda: rus.RusCircuit(spec, circ.columns))[1] == ["isometry"]
+
+
 class TestSerialization:
     def test_round_trip_identical_circuit(self, tmp_path):
         spec = _spec(2, [0.4, 0.3, 0.2, 0.1], seed=3)
