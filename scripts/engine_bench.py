@@ -16,7 +16,12 @@ circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
 count in ``PROTOCOL_SHAPES`` each checkout builds the circuit and the plan
 once and times the composition alone. For every ancilla count in
 ``INVERSE_SHAPES`` each checkout builds the circuit and its ``a_matrix``
-once and times ``rus.inverse_rus`` alone. For every name in ``FIGURES`` each
+once and times ``rus.inverse_rus`` alone. For every ancilla count in
+``DENSE_SHAPES`` each checkout times ``rus.inverse_rus`` of a circuit it
+builds in the timed call, so its ``a_matrix`` is built there too. For every
+ancilla count in ``CONDITIONAL_BUILD_SHAPES`` each checkout builds the
+circuit and its distorter weights once and times
+``distortion.build_conditional`` with them. For every name in ``FIGURES`` each
 checkout times the ``rusamp.distortion`` call that builds that figure's rows
 at ``SEED``. Each
 checkout times ``tcost.all_strategies`` over the ``STRATEGY_GRID`` of
@@ -72,6 +77,10 @@ PROTOCOLS = {
 PROTOCOL_SHAPES = (1, 4)
 # Ancilla counts of the inverse shapes.
 INVERSE_SHAPES = (1, 4)
+# Ancilla counts of the dense shapes: build, full matrix and inverse.
+DENSE_SHAPES = (4, 6, 8)
+# Ancilla counts of the distorted conditional builds.
+CONDITIONAL_BUILD_SHAPES = (4,)
 # (m, L) of the fixed-point shapes: schedule lengths of the benchmark's
 # fp block, and a deep one.
 FP_SHAPES = ((1, 320), (1, 2_000), (1, 100_000), (4, 320), (4, 2_000), (4, 100_000))
@@ -199,6 +208,19 @@ def inverse_input(pkg, m: int):
     return circuit
 
 
+def dense(pkg, spec):
+    """Build, read the full matrix and invert: the dense shape's timed call."""
+    return pkg.rus.inverse_rus(pkg.rus.build_rus_unitary(spec))
+
+
+def conditional_build_input(pkg, m: int):
+    """The circuit and distorter weights of the conditional build shape."""
+    rng = pkg.qcore.rng_stream(SEED)
+    lambda0, gamma0 = rng.uniform(*CONDITIONAL_WEIGHTS, size=2).tolist()
+    circuit = pkg.rus.build_rus_unitary(make_spec(pkg, m, rng, lambda0))
+    return circuit, split(rng, m, gamma0)
+
+
 def strategies(pkg):
     """Every strategy's cost over the grid: the cost-table shape's timed call."""
     tcost = pkg.tcost
@@ -242,6 +264,17 @@ def main(argv=None) -> int:
         (f"inverse m={m}",
          [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m)) for pkg in packages])
         for m in INVERSE_SHAPES
+    ] + [
+        (f"dense m={m}",
+         [functools.partial(dense, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
+          for pkg in packages])
+        for m in DENSE_SHAPES
+    ] + [
+        (f"conditional build m={m}",
+         [functools.partial(pkg.distortion.build_conditional,
+                            *conditional_build_input(pkg, m), seed=SEED)
+          for pkg in packages])
+        for m in CONDITIONAL_BUILD_SHAPES
     ] + [
         (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
         for name, call in FIGURES.items()

@@ -47,8 +47,10 @@ def _check_control(alpha: complex, beta: complex) -> None:
 
 
 def _check_weights(weights: np.ndarray) -> None:
-    # Written so that NaN weights fail both checks.
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= qcore.NORM_ATOL):
+    # Written so that NaN weights fail the checks; entries of at most 1 keep
+    # the sum from overflowing.
+    if not (np.all((weights >= 0) & (weights <= 1.0))
+            and abs(weights.sum() - 1.0) <= qcore.NORM_ATOL):
         raise ValueError("weights must be non-negative and sum to 1")
 
 
@@ -80,12 +82,12 @@ class FidelityEstimate:
     exhausted: int = 0
 
 
-def build_distorter(gammas: np.ndarray, seed: int) -> UnitaryMatrix:
+def build_distorter(gammas: np.ndarray) -> UnitaryMatrix:
     """Ancilla unitary sending |0^m> to sum_i sqrt(gamma_i) |i>.
 
     For a single ancilla this is exactly the y-rotation with
-    cos(pi/2 - theta') = sqrt(gamma_0); larger registers complete the first
-    column with seeded random vectors.
+    cos(pi/2 - theta') = sqrt(gamma_0); on larger registers it is the real
+    symmetric reflection ``qcore.householder(sqrt(gamma))``.
     """
     gammas = np.asarray(gammas, dtype=float)
     dim = gammas.shape[0]
@@ -102,7 +104,7 @@ def build_distorter(gammas: np.ndarray, seed: int) -> UnitaryMatrix:
             ]
         )
         return UnitaryMatrix(mat)
-    return qcore.complete_isometry([column], dim, qcore.rng_stream(seed))
+    return UnitaryMatrix(qcore.householder(column))
 
 
 def build_conditional(
@@ -113,7 +115,8 @@ def build_conditional(
     Every attempt starts on fresh all-zero ancillas, so the frame needs only
     the operator's columns on that input: the distorter's first column (or
     ``|0^m>``) times the data identity on control |0>, and A's columns on
-    control |1>.
+    control |1>.  ``seed`` is accepted for callers that pass one; no matrix
+    depends on it.
     """
     m = base.spec.m
     if gammas is None:
@@ -123,7 +126,7 @@ def build_conditional(
         gammas = np.asarray(gammas, dtype=float)
         if gammas.shape != (2**m,):
             raise ValueError(f"expected {2**m} distorter weights")
-        distorter = build_distorter(gammas, seed)
+        distorter = build_distorter(gammas)
         idle = distorter.mat[:, :1]
         gammas = gammas.copy()
         gammas.setflags(write=False)

@@ -131,7 +131,8 @@ class Composition:
     def matrix(self) -> UnitaryMatrix:
         """A X, checked, with X = I + B ((a t - I) (x) I_2) B^dag on the
         input-plane isometry B = [U0, V], V = A^dag P and P = c |0^m> W_0 -
-        s Phi, block by block."""
+        s Phi, block by block.  Since A B = [A U0, P], it is formed as
+        A + [A U0, P] ((a t - I) (x) I_2) B^dag, with no dense product."""
         spec = self.base.spec
         a = _plane(spec)
         # A deep cube-law level may leave t up to UNITARY_ATOL from unitary.
@@ -141,12 +142,13 @@ class Composition:
         pulled[0] = a[1, 0] * gates[0]
         pulled[1:] = (-a[0, 0] * np.sqrt(_failure_share(spec)))[:, None, None] * gates[1:]
         a_mat = self.base.a_matrix.mat
-        basis = np.stack(
-            [np.eye(len(a_mat), 2), a_mat.conj().T @ pulled.reshape(-1, 2)], 1
-        )
+        pulled = pulled.reshape(-1, 2)
+        basis = np.stack([np.eye(len(a_mat), 2), a_mat.conj().T @ pulled], 1)
+        # P itself, not A A^dag P: a small failure block keeps its relative
+        # accuracy.
+        image = np.stack([a_mat[:, :2], pulled], 1)
         y = u @ vh - np.eye(2)
-        x = np.eye(len(a_mat)) + np.einsum("pq,ipk,jqk->ij", y, basis, basis.conj())
-        return UnitaryMatrix(a_mat @ x)
+        return UnitaryMatrix(a_mat + np.einsum("pq,ipk,jqk->ij", y, image, basis.conj()))
 
 
 def _failure_share(spec: RusSpec) -> np.ndarray:

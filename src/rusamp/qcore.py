@@ -9,14 +9,12 @@ an optional control qubit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # Tolerances used by every validating constructor in the package.
 NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
-ORTHO_ATOL = 1e-10
 
 # All stochastic operations take an explicit stream; streams are counter-based
 # (Philox) so seeds and spawned substreams are reproducible across platforms.
@@ -183,8 +181,43 @@ def random_state(num_qubits: int, rng: RngStream) -> StateVector:
 
 
 def random_unitary(num_qubits: int, rng: RngStream) -> UnitaryMatrix:
-    """Haar-random unitary, obtained by completing an empty column set."""
-    return complete_isometry([], 2**num_qubits, rng)
+    """Haar-random unitary: Gram-Schmidt of complex Gaussian columns drawn
+    from ``rng``, bit-for-bit reproducible for a fixed stream state."""
+    dim = 2**num_qubits
+    basis: list[np.ndarray] = []
+    while len(basis) < dim:
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        # Two projection passes keep the columns orthogonal to working precision.
+        for _ in range(2):
+            for b in basis:
+                v = v - b * np.vdot(b, v)
+        norm = np.linalg.norm(v)
+        if norm < 1e-6:
+            continue
+        basis.append(v / norm)
+    return UnitaryMatrix(np.column_stack(basis))
+
+
+def householder(column: np.ndarray) -> np.ndarray:
+    """The real symmetric reflection whose first column is ``column``, a real
+    unit vector, bit for bit.
+
+    With ``column = (s, w)`` it is ``[[s, w^T], [w, I - (1 + s) w w^T / |w|^2]]``,
+    ``I - 2 u u^T / u^T u`` for ``u = e_0 - column`` written so that nothing
+    cancels as s nears 1; ``diag(s, 1, ..., 1)`` when w = 0.  It is
+    orthogonal to within ``|s^2 + |w|^2 - 1|``.
+    """
+    column = np.asarray(column, dtype=float)
+    s, w = column[0], column[1:]
+    h = np.eye(len(column))
+    h[0] = h[:, 0] = column
+    scale = np.abs(w).max(initial=0.0)
+    if scale > 0.0:
+        # w w^T / |w|^2 does not change with w's scale; scaling it to a unit
+        # maximum keeps |w|^2 from underflowing.
+        v = w / scale
+        h[1:, 1:] -= ((1.0 + s) / (v @ v)) * np.outer(v, v)
+    return h
 
 
 def apply(u: UnitaryMatrix, s: StateVector) -> StateVector:
@@ -213,36 +246,6 @@ def draw_outcomes(cdf: np.ndarray, rng: RngStream) -> np.ndarray:
     # A one-byte count holds up to 255 rows and is the cheapest to sum.
     count = np.add.reduce(cdf <= u, axis=0, dtype=np.uint8 if rows <= 255 else np.intp)
     return np.minimum(count, rows - 1)
-
-
-def complete_isometry(
-    cols: Sequence[np.ndarray], dim: int, rng: RngStream
-) -> UnitaryMatrix:
-    """Extend orthonormal columns to a full unitary with seeded random vectors.
-
-    The first ``len(cols)`` columns of the result equal ``cols`` exactly; the
-    remainder are Gram-Schmidt completions of Gaussian draws from ``rng``, so
-    the output is bit-for-bit reproducible for a fixed stream state.
-    """
-    basis = [np.asarray(c, dtype=np.complex128).reshape(dim) for c in cols]
-    for i, v in enumerate(basis):
-        # Both checks are written so that NaN entries fail them.
-        if not abs(np.linalg.norm(v) - 1.0) <= ORTHO_ATOL:
-            raise ValueError(f"input column {i} is not normalized")
-        for j in range(i):
-            if not abs(np.vdot(basis[j], v)) <= ORTHO_ATOL:
-                raise ValueError(f"input columns {j} and {i} are not orthogonal")
-    while len(basis) < dim:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        # Two projection passes keep the completion orthogonal to working precision.
-        for _ in range(2):
-            for b in basis:
-                v = v - b * np.vdot(b, v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            continue
-        basis.append(v / norm)
-    return UnitaryMatrix(np.column_stack(basis))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

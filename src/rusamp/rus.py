@@ -83,8 +83,8 @@ class RusSpec:
     ``lambdas`` lists the outcome probabilities (success first) and must sum
     to one.  ``gates`` is the read-only (2**m, 2, 2) stack of branch gates
     W_i: the target in slot 0, then one recovery per failure outcome.
-    ``seed`` fixes the random completion of the synthesized unitary outside
-    the prescribed block.
+    ``seed`` is carried through the spec JSON and derived specs; no matrix
+    depends on it.
 
     ``RusSpec(m, lambdas, target, recoveries=None, seed=0)`` stacks the
     matrices of ``UnitaryMatrix`` gates, checked when they were built;
@@ -247,27 +247,25 @@ def build_rus_unitary(spec: RusSpec) -> RusCircuit:
     """Synthesize a circuit with the prescribed block action.
 
     Its columns are block i = sqrt(lambda_i) W_i in closed form.  The full
-    unitary factors as (outcome-controlled branch gates) after an ancilla
-    rotation whose first column is the amplitude vector sqrt(lambda); the
-    rotation's remaining columns come from ``qcore.complete_isometry``
-    seeded with ``spec.seed``, when ``a_matrix`` is first read.  Both the
-    matrix and its adjoint carry exact block structure, so the inverse
-    circuit is runnable as well.
+    unitary, built when ``a_matrix`` is first read, factors as
+    (outcome-controlled branch gates) after the ancilla rotation
+    ``qcore.householder(sqrt(lambda))``, a real symmetric reflection whose
+    first column and first row are the amplitude vector sqrt(lambda); no
+    random stream is drawn, so ``spec.seed`` changes nothing.  The adjoint's
+    block i on the all-zero ancilla input is sqrt(lambda_i) W_0^dag, so the
+    inverse circuit keeps the weights and runs as well.
     """
     return RusCircuit(spec)
 
 
 def _synthesized_matrix(spec: RusSpec) -> UnitaryMatrix:
-    """The full unitary of ``build_rus_unitary(spec)``, checked."""
-    dim_anc = 2**spec.m
-    amplitudes = np.sqrt(spec.lambdas).astype(np.complex128)
-    rotation = qcore.complete_isometry(
-        [amplitudes], dim_anc, qcore.rng_stream(spec.seed)
-    )
-    branch = np.zeros((2 * dim_anc, 2 * dim_anc), dtype=np.complex128)
-    for i, gate in enumerate(spec.gates):
-        branch[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = gate
-    return UnitaryMatrix(branch @ np.kron(rotation.mat, np.eye(2)))
+    """The full unitary of ``build_rus_unitary(spec)``, checked: block (i, j)
+    is H_ij W_i for the reflection H = ``qcore.householder(sqrt(lambda))``."""
+    rotation = qcore.householder(np.sqrt(spec.lambdas))
+    dim = 2 ** (spec.m + 1)
+    # Indexed (outcome i, data out, ancilla in j, data in).
+    blocks = rotation[:, None, :, None] * spec.gates[:, :, None, :]
+    return UnitaryMatrix(blocks.reshape(dim, dim))
 
 
 def success_probability(c: RusCircuit, psi: StateVector) -> float:

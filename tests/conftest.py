@@ -41,6 +41,23 @@ def make_circuit(
     return rus.build_rus_unitary(spec)
 
 
+def synthesized_matrix(spec: rus.RusSpec) -> np.ndarray:
+    """The synthesized circuit's unitary as the textbook product
+    Branch (H (x) I): Branch holds W_i on the diagonal, and H = I - 2 u u^T /
+    u^T u is the Householder reflection for u = e_0 - sqrt(lambda), the
+    identity when u = 0.  An oracle for ``rus._synthesized_matrix``; its
+    reflection cancels as lambda_0 nears 1."""
+    dim = 2**spec.m
+    u = -np.sqrt(spec.lambdas)
+    u[0] += 1.0
+    norm2 = float(u @ u)
+    h = np.eye(dim) - (2.0 * np.outer(u, u) / norm2 if norm2 > 0.0 else 0.0)
+    branch = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for i, gate in enumerate(spec.gates):
+        branch[2 * i:2 * i + 2, 2 * i:2 * i + 2] = gate
+    return branch @ np.kron(h, np.eye(2))
+
+
 def two_level_amplitudes(
     lambda0: float, phase_pairs: list[tuple[float, float]]
 ) -> tuple[complex, complex]:

@@ -428,9 +428,9 @@ class TestColumnsFirst:
     def test_simulate_never_builds_a_dense_matrix(self, tmp_path, monkeypatch, case):
         spec = _write_spec(tmp_path, lambda0=0.2)
         calls = []
-        complete = qcore.complete_isometry
+        build = rus._synthesized_matrix
         monkeypatch.setattr(
-            qcore, "complete_isometry", lambda *a: calls.append(a) or complete(*a)
+            rus, "_synthesized_matrix", lambda *a: calls.append(a) or build(*a)
         )
         code = cli.main(_pinned_argv(spec, case, tmp_path / "out"))
         assert code == SIMULATE_CASES[case][1]

@@ -27,26 +27,34 @@ def _config(trials=1, seed=0, alpha=BALANCED, beta=BALANCED, **kw):
 
 class TestBuildDistorter:
     def test_single_ancilla_exact_rotation(self):
-        d = distortion.build_distorter(np.array([0.36, 0.64]), seed=0)
+        d = distortion.build_distorter(np.array([0.36, 0.64]))
         np.testing.assert_allclose(
             d.mat, np.array([[0.6, -0.8], [0.8, 0.6]]), atol=1e-12
         )
 
     def test_larger_register_first_column(self):
-        gammas = np.array([0.4, 0.3, 0.2, 0.1])
-        d = distortion.build_distorter(gammas, seed=3)
-        np.testing.assert_allclose(d.mat[:, 0], np.sqrt(gammas), atol=1e-12)
-        np.testing.assert_allclose(d.mat @ d.mat.conj().T, np.eye(4), atol=1e-10)
+        # The real symmetric reflection with first column sqrt(gamma), exactly.
+        for m in (2, 3, 4):
+            gammas = qcore.rng_stream(m).random(2**m)
+            gammas /= gammas.sum()
+            d = distortion.build_distorter(gammas)
+            assert np.array_equal(d.mat, qcore.householder(np.sqrt(gammas)))
+            assert d.mat[:, 0].real.tobytes() == np.sqrt(gammas).tobytes()
+            assert np.array_equal(d.mat, d.mat.T) and not d.mat.imag.any()
+            np.testing.assert_allclose(d.mat @ d.mat.conj().T, np.eye(2**m), atol=1e-14)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            distortion.build_distorter(np.array([0.5, 0.6]), seed=0)
+            distortion.build_distorter(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
-            distortion.build_distorter(np.array([-0.1, 1.1]), seed=0)
+            distortion.build_distorter(np.array([-0.1, 1.1]))
         with pytest.raises(ValueError):
-            distortion.build_distorter(np.array([0.2, 0.3, 0.5]), seed=0)
+            distortion.build_distorter(np.array([0.2, 0.3, 0.5]))
         with pytest.raises(ValueError, match="non-negative and sum to 1"):
-            distortion.build_distorter(np.array([np.nan, 0.5]), seed=0)
+            distortion.build_distorter(np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            distortion.build_distorter(np.array([1e308, 1e308, 0.0, 0.0]))
 
 
 def _assert_frame(cc, gammas):
@@ -135,10 +143,12 @@ class TestClosedForms:
             BALANCED, BALANCED, 1.0, 0.25
         ) == pytest.approx(0.75, abs=1e-14)
 
+    # Warnings as errors: huge weights are rejected before their sum overflows.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "gammas",
-        [[np.nan, 0.5], [-0.2, 1.2], [1.0, 1.0], [0.5, 0.5 + 1e-9]],
-        ids=["nan", "negative", "sum-two", "sum-off"],
+        [[np.nan, 0.5], [-0.2, 1.2], [1.0, 1.0], [0.5, 0.5 + 1e-9], [1e308, 1e308]],
+        ids=["nan", "negative", "sum-two", "sum-off", "overflow"],
     )
     def test_rejects_bad_weights(self, gammas):
         lambdas = np.array([0.3, 0.7])

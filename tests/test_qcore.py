@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,57 +181,42 @@ class TestCheckIsometry:
             qcore.check_isometry(cols)
 
 
-class TestCompleteIsometry:
-    def test_full_basis_passthrough(self):
-        cols = [np.eye(4)[:, i] for i in range(4)]
-        u = qcore.complete_isometry(cols, 4, qcore.rng_stream(0))
-        np.testing.assert_allclose(u.mat, np.eye(4))
+class TestHouseholder:
+    @pytest.mark.parametrize("lambda0", [1e-9, 0.3, 1.0 - 1e-12, 1.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_reflection_of_a_weight_column(self, m, lambda0):
+        rest = qcore.rng_stream(m).random(2**m - 1)
+        column = np.sqrt(np.concatenate(([lambda0], rest * (1.0 - lambda0) / rest.sum())))
+        h = qcore.householder(column)
+        assert h.dtype == float and h[:, 0].tobytes() == column.tobytes()
+        assert np.array_equal(h, h.T)
+        assert np.abs(h.T @ h - np.eye(2**m)).max() <= 1e-14
+        if lambda0 == 1.0:
+            assert np.array_equal(h, np.eye(2**m))
+        elif m == 1:
+            # The OAA plane matrix [[s, c], [c, -s]].
+            np.testing.assert_allclose(h, [[column[0], column[1]], [column[1], -column[0]]],
+                                       rtol=0, atol=1e-16)
 
-    def test_single_column(self):
-        col = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        u = qcore.complete_isometry([col], 4, qcore.rng_stream(1))
-        np.testing.assert_allclose(u.mat[:, 0], col, atol=1e-12)
-        np.testing.assert_allclose(u.mat @ u.mat.conj().T, np.eye(4), atol=1e-10)
+    def test_tail_too_small_to_square(self):
+        # |w|^2 would underflow to a subnormal 1e-320 and 2 / |w|^2 overflow.
+        column = np.array([1.0, 1e-160, 0.0, 1e-161])
+        h = qcore.householder(column)
+        assert h[:, 0].tobytes() == column.tobytes()
+        assert np.abs(h.T @ h - np.eye(4)).max() <= 1e-15
 
-    def test_reproducible_and_seed_sensitive(self):
-        col = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        a = qcore.complete_isometry([col], 4, qcore.rng_stream(5))
-        b = qcore.complete_isometry([col], 4, qcore.rng_stream(5))
-        c = qcore.complete_isometry([col], 4, qcore.rng_stream(6))
-        assert np.array_equal(a.mat, b.mat)
-        assert not np.allclose(a.mat, c.mat)
 
-    def test_rejects_non_orthonormal(self):
-        cols = [
-            np.array([1.0, 0.0], dtype=complex),
-            np.array([0.9, 0.1], dtype=complex),
-        ]
-        with pytest.raises(ValueError):
-            qcore.complete_isometry(cols, 2, qcore.rng_stream(0))
-
-    @pytest.mark.parametrize(
-        "cols",
-        [
-            [[np.nan, 0.0, 0.0, 0.0]],
-            [[1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]],
-        ],
-        ids=["first-column", "second-column"],
+def test_random_unitary_keeps_its_bits():
+    # random_unitary draws the pinned recoveries: its Gram-Schmidt of Gaussian
+    # columns must keep every bit.
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 5):
+        rng = qcore.rng_stream(n)
+        for _ in range(4):
+            digest.update(qcore.random_unitary(n, rng).mat.tobytes())
+    assert digest.hexdigest() == (
+        "3968921269b07ecd6cc2897843f816024555eeff3cefeb8793f00bdb7100accf"
     )
-    def test_rejects_nan_columns(self, cols):
-        with pytest.raises(ValueError, match=f"input column {len(cols) - 1} is not"):
-            qcore.complete_isometry(np.array(cols), 4, qcore.rng_stream(0))
-
-    def test_random_prefixes_stay_exact(self):
-        rng = qcore.rng_stream(12)
-        for _ in range(20):
-            ref = qcore.random_unitary(3, rng).mat
-            cols = [ref[:, 0], ref[:, 1]]
-            u = qcore.complete_isometry(cols, 8, rng)
-            np.testing.assert_allclose(u.mat[:, 0], cols[0], atol=1e-12)
-            np.testing.assert_allclose(u.mat[:, 1], cols[1], atol=1e-12)
-            np.testing.assert_allclose(
-                u.mat @ u.mat.conj().T, np.eye(8), atol=1e-10
-            )
 
 
 @pytest.mark.parametrize("rows", [2, 16, 255, 256, 300])

@@ -80,13 +80,19 @@ class TestBuild:
         assert max(probs) - min(probs) < 1e-12
         assert probs[0] == pytest.approx(0.4, abs=1e-12)
 
-    def test_completion_varies_with_seed_blocks_do_not(self):
-        a = rus.build_rus_unitary(_spec(2, [0.4, 0.3, 0.2, 0.1], seed=1))
-        b = rus.build_rus_unitary(_spec(2, [0.4, 0.3, 0.2, 0.1], seed=2))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matrix_is_the_reflected_branch_gates_for_every_seed(self, m):
+        # Block (i, j) is H_ij W_i for the Householder reflection H of
+        # sqrt(lambda); the completion draws nothing, so the seed changes no bit.
+        rng = qcore.rng_stream(70 + m)
+        lambdas = rng.random(2**m)
+        lambdas /= lambdas.sum()
+        a = rus.build_rus_unitary(_spec(m, lambdas, seed=1))
+        b = rus.build_rus_unitary(_spec(m, lambdas, seed=2))
+        assert a.a_matrix.mat.tobytes() == b.a_matrix.mat.tobytes()
         np.testing.assert_allclose(
-            a.a_matrix.mat[:, :2], b.a_matrix.mat[:, :2], atol=1e-12
+            a.a_matrix.mat, conftest.synthesized_matrix(a.spec), rtol=0, atol=1e-15
         )
-        assert not np.allclose(a.a_matrix.mat, b.a_matrix.mat)
 
     def test_matrix_is_unitary(self):
         rng = qcore.rng_stream(5)
@@ -113,9 +119,9 @@ class TestColumns:
     def test_dense_matrix_is_built_once_and_only_when_read(self, monkeypatch):
         spec = _spec(2, [0.4, 0.3, 0.2, 0.1], seed=3)
         calls = []
-        complete = qcore.complete_isometry
+        build = rus._synthesized_matrix
         monkeypatch.setattr(
-            qcore, "complete_isometry", lambda *a: calls.append(a) or complete(*a)
+            rus, "_synthesized_matrix", lambda *a: calls.append(a) or build(*a)
         )
         circ = rus.build_rus_unitary(spec)
         composed = oaa.standard_compose(circ, 1)
@@ -592,6 +598,21 @@ class TestInverse:
         twice = rus.inverse_rus(rus.inverse_rus(circ))
         np.testing.assert_allclose(
             twice.a_matrix.mat, circ.a_matrix.mat, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_synthesized_inverse_keeps_the_weights(self, m):
+        # H is symmetric, so the adjoint's block i on |0^m> is
+        # sqrt(lambda_i) W_0^dag: the weights return, and every gate is
+        # W_0^dag up to a phase.
+        circ = conftest.make_circuit(0.3, m=m, rng=qcore.rng_stream(80 + m))
+        inv = rus.inverse_rus(circ)
+        np.testing.assert_allclose(inv.spec.lambdas, circ.spec.lambdas, rtol=0, atol=1e-15)
+        turns = circ.spec.gates[0] @ inv.spec.gates
+        phases = turns[:, 0, 0]
+        np.testing.assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            turns, phases[:, None, None] * np.eye(2), rtol=0, atol=1e-14
         )
 
     @pytest.mark.parametrize("compose", [None, "fp"])
