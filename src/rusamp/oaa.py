@@ -144,8 +144,8 @@ class Composition:
         a_mat = self.base.a_matrix.mat
         pulled = pulled.reshape(-1, 2)
         basis = np.stack([np.eye(len(a_mat), 2), a_mat.conj().T @ pulled], 1)
-        # P itself, not A A^dag P: a small failure block keeps its relative
-        # accuracy.
+        # P itself, not A A^dag P, which would add the rounding of two dense
+        # products to the small failure blocks.
         image = np.stack([a_mat[:, :2], pulled], 1)
         y = u @ vh - np.eye(2)
         return UnitaryMatrix(a_mat + np.einsum("pq,ipk,jqk->ij", y, image, basis.conj()))

@@ -194,9 +194,9 @@ class TestHouseholder:
         if lambda0 == 1.0:
             assert np.array_equal(h, np.eye(2**m))
         elif m == 1:
-            # The OAA plane matrix [[s, c], [c, -s]].
+            # The OAA plane matrix [[s, c], [c, -s]], to one rounding of 1 + s.
             np.testing.assert_allclose(h, [[column[0], column[1]], [column[1], -column[0]]],
-                                       rtol=0, atol=1e-16)
+                                       rtol=0, atol=2.3e-16)
 
     def test_tail_too_small_to_square(self):
         # |w|^2 would underflow to a subnormal 1e-320 and 2 / |w|^2 overflow.
