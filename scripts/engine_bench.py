@@ -16,9 +16,12 @@ circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
 count in ``PROTOCOL_SHAPES`` each checkout builds the circuit and the plan
 once and times the composition alone. For every ancilla count in
 ``INVERSE_SHAPES`` each checkout builds the circuit and its ``a_matrix``
-once and times ``rus.inverse_rus`` alone. For every ancilla count in
+once and times ``rus.inverse_rus`` alone; for every ancilla count in
+``INVERSE_COMPOSED_SHAPES`` it does the same for that circuit's fixed-point
+composition at length ``INVERSE_FP_LENGTH``. For every ancilla count in
 ``DENSE_SHAPES`` each checkout times ``rus.inverse_rus`` of a circuit it
-builds in the timed call, so its ``a_matrix`` is built there too. For every
+builds in the timed call, so a checkout that inverts through the full
+matrix builds its ``a_matrix`` there too. For every
 ancilla count in ``CONDITIONAL_BUILD_SHAPES`` each checkout builds the
 circuit and its distorter weights once and times
 ``distortion.build_conditional`` with them. For every name in ``FIGURES`` each
@@ -75,9 +78,13 @@ PROTOCOLS = {
         oaa.fp_compose, c, oaa.fp_plan(13, FP_DELTA)),
 }
 PROTOCOL_SHAPES = (1, 4)
-# Ancilla counts of the inverse shapes.
+# Ancilla counts of the inverse shapes, of synthesized circuits and of
+# their fixed-point compositions.
 INVERSE_SHAPES = (1, 4)
-# Ancilla counts of the dense shapes: build, full matrix and inverse.
+INVERSE_COMPOSED_SHAPES = (4,)
+INVERSE_FP_LENGTH = 13
+# Ancilla counts of the dense shapes: build and invert in one call; a
+# checkout that inverts through the full matrix builds it there.
 DENSE_SHAPES = (4, 6, 8)
 # Ancilla counts of the distorted conditional builds.
 CONDITIONAL_BUILD_SHAPES = (4,)
@@ -200,16 +207,19 @@ def fixed_point(pkg, circuit, length: int):
     return pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
 
 
-def inverse_input(pkg, m: int):
-    """The circuit of the inverse shape, its full matrix already built, as
-    the benchmark's inverse operations find it."""
+def inverse_input(pkg, m: int, composed: bool = False):
+    """The circuit of the inverse shape, or its fixed-point composition, its
+    full matrix already built, as the benchmark's inverse operations find
+    it."""
     circuit = pkg.rus.build_rus_unitary(make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
+    if composed:
+        circuit = pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(INVERSE_FP_LENGTH, FP_DELTA))
     circuit.a_matrix
     return circuit
 
 
 def dense(pkg, spec):
-    """Build, read the full matrix and invert: the dense shape's timed call."""
+    """Build and invert: the dense shape's timed call."""
     return pkg.rus.inverse_rus(pkg.rus.build_rus_unitary(spec))
 
 
@@ -264,6 +274,11 @@ def main(argv=None) -> int:
         (f"inverse m={m}",
          [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m)) for pkg in packages])
         for m in INVERSE_SHAPES
+    ] + [
+        (f"inverse composed m={m}",
+         [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m, composed=True))
+          for pkg in packages])
+        for m in INVERSE_COMPOSED_SHAPES
     ] + [
         (f"dense m={m}",
          [functools.partial(dense, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))

@@ -25,8 +25,9 @@ lambda'_i = |t10|^2 lambda_i / (1 - lambda0), W'_0 = (t00/|t00|) W_0 and
 W'_i = (t10/|t10|) W_i, with phase 1 for a zero entry.  Its columns are the
 closed form sqrt(lambda'_i) W'_i of ``rus.build_rus_unitary``; they equal
 (a t)_00 C + (a t)_10 P, with C those of A and P = c |0^m> W_0 - s Phi.
-Its full matrix, A X with X = (a t) (x) I on the input plane and the
-identity elsewhere, is built only when read.
+Its complement is A's, V, times one unit phase.  Its full matrix, A X with
+X = (a t) (x) I on the input plane and the identity elsewhere, is built
+only when read.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import qcore
 from .qcore import StateVector, UnitaryMatrix
-from .rus import RusCircuit, RusSpec
+from .rus import Complement, RusCircuit, RusSpec
 
 # Residual angles below this count as an exact pi/2 hit; the trailing
 # generalized iterate is then skipped rather than solved near a 0/0.
@@ -118,7 +119,8 @@ def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Composition:
-    """How a composed circuit's full unitary A X is built, on demand.
+    """How a composed circuit's full unitary A X and complement follow from
+    its ``base``.
 
     ``t`` is the 2x2 unitary the circuit acts as on the OAA planes of
     ``base``; X acts on the input plane of ``|0^m>|psi>`` and ``V psi`` as
@@ -130,33 +132,43 @@ class Composition:
 
     def matrix(self) -> UnitaryMatrix:
         """A X, checked, with X = I + B ((a t - I) (x) I_2) B^dag on the
-        input-plane isometry B = [U0, V], V = A^dag P and P = c |0^m> W_0 -
-        s Phi, block by block.  Since A B = [A U0, P], it is formed as
-        A + [A U0, P] ((a t - I) (x) I_2) B^dag, with no dense product."""
+        input-plane isometry B = [U0, V], block by block.  Since A B =
+        [A U0, P] with P = c |0^m> W_0 - s Phi, it is formed as
+        A + [A U0, P] ((a t - I) (x) I_2) B^dag, with no dense product
+        while A has failure weight.  Without it c = 0, and Phi, with it V,
+        is a free choice that no circuit's columns read: P is then taken as
+        A V, which keeps A X unitary."""
         spec = self.base.spec
         a = _plane(spec)
         # A deep cube-law level may leave t up to UNITARY_ATOL from unitary.
         u, _, vh = np.linalg.svd(a @ self.t)
-        gates = spec.gates
-        pulled = np.empty_like(gates)
-        pulled[0] = a[1, 0] * gates[0]
-        pulled[1:] = (-a[0, 0] * np.sqrt(_failure_share(spec)))[:, None, None] * gates[1:]
         a_mat = self.base.a_matrix.mat
-        pulled = pulled.reshape(-1, 2)
-        basis = np.stack([np.eye(len(a_mat), 2), a_mat.conj().T @ pulled], 1)
-        # P itself, not A A^dag P, which would add the rounding of two dense
-        # products to the small failure blocks.
+        complement = self.base.complement.columns()
+        if spec.lambdas[1:].any():
+            pulled = -a[0, 0] * Complement(spec.failure_share(), spec.gates[1:]).columns()
+            pulled[:2] = a[1, 0] * spec.gates[0]
+        else:
+            pulled = a_mat @ complement
+        basis = np.stack([np.eye(len(a_mat), 2), complement], 1)
         image = np.stack([a_mat[:, :2], pulled], 1)
         y = u @ vh - np.eye(2)
         return UnitaryMatrix(a_mat + np.einsum("pq,ipk,jqk->ij", y, image, basis.conj()))
 
+    def complement(self) -> Complement:
+        """kappa V, with kappa = -conj(det t) p0 p1 for the unit phases p0
+        and p1 of t00 and t10, rescaled to modulus 1: t need only be
+        unitary to UNITARY_ATOL."""
+        p0, p1 = _unit_phases(self.t)
+        kappa = -np.conj(np.linalg.det(self.t)) * p0 * p1
+        weights, gates = self.base.complement
+        gates = kappa / abs(kappa) * gates
+        gates.setflags(write=False)
+        return Complement(weights, gates)
 
-def _failure_share(spec: RusSpec) -> np.ndarray:
-    """Failure weights over their sum: how Phi splits over the outcomes."""
-    failures = spec.lambdas[1:]
-    rest = failures.sum()
-    # Without failure weight any unit failure block spans Phi; t10 is then 0.
-    return failures / rest if rest > 0 else np.eye(len(failures))[0]
+
+def _unit_phases(t: np.ndarray) -> list[complex]:
+    """The unit phases of t00 and t10, 1 for a zero entry."""
+    return [z / abs(z) if z else 1.0 for z in (complex(t[0, 0]), complex(t[1, 0]))]
 
 
 def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
@@ -175,13 +187,13 @@ def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
             f"unitarity residual {residual} exceeds {qcore.UNITARY_ATOL}"
         )
     spec = c.spec
-    lambdas = np.concatenate([[abs(t00) ** 2], abs(t10) ** 2 * _failure_share(spec)])
-    phases = [z / abs(z) if z else 1.0 for z in (t00, t10)]
+    lambdas = np.concatenate([[abs(t00) ** 2], abs(t10) ** 2 * spec.failure_share()])
+    phases = _unit_phases(t)
     # Unit phases times a checked stack are unitary: not checked again.
     phased = phases[1] * spec.gates
     phased[0] = phases[0] * spec.gates[0]
     composed = RusSpec.from_gates(spec.m, lambdas / lambdas.sum(), phased, spec.seed)
-    return RusCircuit(composed, source=Composition(c, t))
+    return RusCircuit(composed, Composition(c, t))
 
 
 class DeterministicPlan(NamedTuple):

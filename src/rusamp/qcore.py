@@ -72,8 +72,14 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
+# Gates and OAA planes have 2x2 Gram matrices.
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
+
 def _check_unitary(mats: np.ndarray, ndim: int) -> None:
-    """Raise unless ``mats`` holds unitaries of one power-of-two dimension.
+    """Raise unless ``mats`` holds unitaries of one power-of-two dimension,
+    their columns orthonormal to within ``UNITARY_ATOL``.
 
     ``mats`` is one matrix (``ndim`` 2) or a stack of them (``ndim`` 3); one
     residual covers the whole stack.
@@ -84,29 +90,11 @@ def _check_unitary(mats: np.ndarray, ndim: int) -> None:
     dim = mats.shape[-1]
     if dim & (dim - 1) or dim == 0:
         raise ValueError(f"dimension {dim} is not a power of two")
-    _check_gram(mats, "unitarity")
-
-
-# Gates, circuit columns and OAA planes all have 2x2 Gram matrices.
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
-
-
-def _check_gram(mats: np.ndarray, what: str) -> None:
-    """Raise unless the columns of every matrix in ``mats`` are orthonormal
-    to within ``UNITARY_ATOL``; one residual covers the whole stack."""
     gram = mats.conj().swapaxes(-1, -2) @ mats
-    dim = mats.shape[-1]
     residual = np.abs(gram - (_EYE2 if dim == 2 else np.eye(dim))).max()
     # Written so that NaN entries fail the check.
     if not residual <= UNITARY_ATOL:
-        raise ValueError(f"{what} residual {residual} exceeds {UNITARY_ATOL}")
-
-
-def check_isometry(cols: np.ndarray) -> None:
-    """Raise unless the columns of ``cols`` are orthonormal to within
-    ``UNITARY_ATOL``."""
-    _check_gram(cols, "isometry")
+        raise ValueError(f"unitarity residual {residual} exceeds {UNITARY_ATOL}")
 
 
 @dataclass(frozen=True, eq=False)

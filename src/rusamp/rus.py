@@ -11,11 +11,19 @@ any other outcome i is undone by the inverse of the recovery gate, and the
 attempt repeats with fresh ancillas.
 
 A spec holds its branch gates W_i as one read-only (2**m, 2, 2) stack,
-checked unitary once, where the gates enter: as ``UnitaryMatrix`` objects,
-by ``spec_from_dict`` or by ``circuit_from_matrix``.  Specs and circuits
-derived from a checked stack (compositions, closed-form columns, columns
-read off a checked matrix) are built without a second check; the outcome
-weights are checked on every path.
+checked unitary once, where the gates enter: as ``UnitaryMatrix`` objects
+or by ``spec_from_dict``.  Specs derived from a checked stack (compositions
+and inverses) are built without a second check; the outcome weights are
+checked on every path.  A circuit's columns are always its spec's closed
+form.
+
+On the oblivious amplitude-amplification (OAA) planes a circuit with
+s^2 = lambda_0 and c^2 = 1 - lambda_0 maps |0^m> psi and V psi to
+|0^m> W_0 psi and Phi psi as a = [[s, c], [c, -s]], where Phi psi =
+sum_{i >= 1} sqrt(lambda_i / c^2) |i> W_i psi and V, the circuit's
+``complement``, is sum_{i >= 1} sqrt(v_i) |i> G_i (Berry, Childs, Cleve,
+Kothari & Somma, arXiv:1312.1414).  So the inverse circuit follows from
+a, W_0 and V in closed form, with no matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +40,6 @@ from . import qcore
 from .qcore import RngStream, StateVector, UnitaryMatrix
 
 DEFAULT_MAX_ATTEMPTS = 10_000
-
-# Residual threshold for recognizing the exact block structure above when
-# deriving specs from inverted matrices.
-STRUCTURE_ATOL = 1e-8
-
-# Outcome weights below this are treated as exactly zero during extraction.
-# Adjoints of amplified circuits leave residual blocks this small, where
-# rounding noise would otherwise dominate the proportionality check.
-ZERO_WEIGHT_ATOL = 1e-12
 
 # Live states are unnormalized; once the smallest live total mass falls
 # below this, far above the subnormal range (2**-1022), ``run_batch`` scales
@@ -154,51 +154,95 @@ class RusSpec:
         columns.setflags(write=False)
         return columns
 
+    def failure_share(self) -> np.ndarray:
+        """How the failure state Phi splits over the failure outcomes: each
+        failure weight over their sum, read-only.  Without failure weight
+        Phi is the first failure block."""
+        failures = self.lambdas[1:]
+        share = failures / failures.sum() if failures.any() else np.eye(len(failures))[0]
+        share.setflags(write=False)
+        return share
+
+
+class Complement(NamedTuple):
+    """A unit state off the all-zero outcome, sum_{i >= 1} sqrt(v_i) |i> G_i:
+    a circuit's plane complement V, or its failure state Phi.
+
+    ``weights`` holds v, summing to 1, and ``gates`` the unitary
+    (2**m - 1, 2, 2) stack G; a circuit's V keeps both read-only.
+    """
+
+    weights: np.ndarray
+    gates: np.ndarray
+
+    def columns(self) -> np.ndarray:
+        """The state as one (2, 2) block per outcome, block 0 zero."""
+        blocks = np.zeros((len(self.gates) + 1, 2, 2), dtype=np.complex128)
+        blocks[1:] = np.sqrt(self.weights)[:, None, None] * self.gates
+        return blocks.reshape(-1, 2)
+
 
 @dataclass(frozen=True, eq=False)
 class RusCircuit:
-    """A circuit as its spec and its ``columns``, its action on ``|0^m>|psi>``.
+    """A circuit as its spec and the ``source`` its full unitary comes from.
 
-    ``columns`` holds the first two columns of the circuit's unitary, one
-    (2, 2) block per outcome; runs, success probabilities and retry frames
-    read nothing else.  Columns given explicitly are checked orthonormal.
-    Left out, they are taken, without a second check, from a checked
-    ``UnitaryMatrix`` source, and otherwise from the spec in closed form,
-    whose unit-weighted unitary blocks are orthonormal by construction.
-    The full unitary ``a_matrix`` is built and checked only when read, from
-    ``source``: ``None`` for a synthesized circuit, the checked
-    ``UnitaryMatrix`` the circuit was read from, or an object whose
-    ``matrix()`` builds it (``oaa.Composition`` for a composed circuit).
+    ``columns``, the first two columns of the circuit's unitary (its action
+    on ``|0^m>|psi>``, one (2, 2) block per outcome), are the spec's closed
+    form; runs, success probabilities and retry frames read nothing else.
+    ``complement`` is V on the OAA planes, derived on first read.  The full
+    unitary ``a_matrix`` is built and checked only when read, from
+    ``source``: ``None`` for a synthesized circuit, otherwise an object
+    whose ``matrix()`` builds it and whose ``complement()`` derives V
+    (``oaa.Composition`` for a composed circuit, ``Adjoint`` for an
+    inverse).
     """
 
     spec: RusSpec
-    columns: np.ndarray | None = None
     source: object = None
 
-    def __post_init__(self) -> None:
-        given = self.columns is not None
-        if not given:
-            source = self.source
-            object.__setattr__(self, "columns", source.mat[:, :2] if isinstance(
-                source, UnitaryMatrix) else self.spec.closed_form_columns())
-        if self.columns.shape != (2 ** (self.spec.m + 1), 2):
-            raise ValueError("columns do not match spec")
-        if given:
-            qcore.check_isometry(self.columns)
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return self.spec.closed_form_columns()
+
+    @cached_property
+    def complement(self) -> Complement:
+        if self.source is not None:
+            return self.source.complement()
+        # V = A^dag (c |0^m> W_0 - s Phi) is sqrt(v_i) |i> on each failure
+        # outcome, v being the failure share.  Without failure weight no
+        # column reads V, and this unit state serves.
+        identities = np.broadcast_to(np.eye(2, dtype=np.complex128), self.spec.gates[1:].shape)
+        return Complement(self.spec.failure_share(), identities)
 
     @cached_property
     def a_matrix(self) -> UnitaryMatrix:
         """The full unitary, built and checked on first read."""
         if self.source is None:
             return _synthesized_matrix(self.spec)
-        if isinstance(self.source, UnitaryMatrix):
-            return self.source
         return self.source.matrix()
 
     @cached_property
     def frame(self) -> RetryFrame:
         """The circuit's retry loop, built on first use."""
         return retry_frame(self.columns, undo_gates(self.spec))
+
+
+@dataclass(frozen=True, eq=False)
+class Adjoint:
+    """How an inverse circuit's full unitary and complement follow from
+    its ``base``."""
+
+    base: RusCircuit
+
+    def matrix(self) -> UnitaryMatrix:
+        return self.base.a_matrix.dagger()
+
+    def complement(self) -> Complement:
+        """V' = Phi W_0^dag: the base's failure share, and G'_i = W_i W_0^dag."""
+        spec = self.base.spec
+        gates = spec.gates[1:] @ spec.gates[0].conj().T
+        gates.setflags(write=False)
+        return Complement(spec.failure_share(), gates)
 
 
 @dataclass(frozen=True)
@@ -453,48 +497,21 @@ def run_rus(
     return run_batch(c.frame, psi.amps, 1, rng, max_attempts).first_record()
 
 
-def circuit_from_matrix(
-    matrix: UnitaryMatrix, m: int, seed: int = 0
-) -> RusCircuit:
-    """Derive the spec realized by ``matrix`` from its all-zero-ancilla block.
-
-    Valid whenever the matrix carries exact block structure, i.e. each
-    outcome block of its action on |0^m>|psi> is proportional to a unitary;
-    this holds for synthesized and amplified circuits and for their
-    adjoints.  Branch phases are kept on the extracted gates.
-    """
-    if matrix.dim != 2 ** (m + 1):
-        raise ValueError("matrix dimension does not match ancilla count")
-    cols = matrix.mat[:, 0:2].reshape(2**m, 2, 2)  # [outcome, data-out, data-in]
-    lambdas = np.sum(np.abs(cols) ** 2, axis=(1, 2)) / 2.0
-    # Blocks too small to test for structure count as zero; their polar
-    # factors still undo them, which keeps the retry frame's undone blocks
-    # diagonal.
-    small = lambdas < ZERO_WEIGHT_ATOL
-    lambdas[small] = 0.0
-    grams = cols.conj().transpose(0, 2, 1) @ cols
-    residual = np.abs(
-        grams / np.where(small, 1.0, lambdas)[:, None, None] - np.eye(2)
-    ).max(axis=(1, 2))
-    # Written so that NaN fails the check.
-    broken = np.flatnonzero(~small & ~(residual <= STRUCTURE_ATOL))
-    if broken.size:
-        raise ValueError(
-            f"outcome block {broken[0]} is not proportional to a unitary; "
-            "matrix does not realize a repeat-until-success circuit"
-        )
-    # A block's polar factor does not change when the block is scaled, so
-    # one SVD gives every outcome's gate, stripped of rounding noise; the
-    # stack is checked once, here.
-    u, _, vh = np.linalg.svd(cols)
-    gates = qcore.unitary_stack(u @ vh)
-    spec = RusSpec.from_gates(m, lambdas / lambdas.sum(), gates, seed)
-    return RusCircuit(spec, source=matrix)
-
-
 def inverse_rus(c: RusCircuit) -> RusCircuit:
-    """Circuit realizing the inverse target with the same success probability."""
-    return circuit_from_matrix(c.a_matrix.dagger(), c.spec.m, seed=c.spec.seed)
+    """Circuit realizing the inverse target with the same success probability.
+
+    On its OAA planes the circuit maps s |0^m> psi + c V psi to
+    |0^m> W_0 psi, so its adjoint maps |0^m> chi to
+    s |0^m> W_0^dag chi + c V W_0^dag chi: block 0 is sqrt(lambda_0) W_0^dag
+    and block i is sqrt(f v_i) G_i W_0^dag, for the failure mass f, the sum
+    of the failure weights.  No matrix is built.
+    """
+    spec, complement = c.spec, c.complement
+    target = spec.gates[0].conj().T
+    gates = np.concatenate([target[None], complement.gates @ target])
+    lambdas = np.concatenate(([spec.lambdas[0]], spec.lambdas[1:].sum() * complement.weights))
+    # Products of checked unitaries: not checked again.
+    return RusCircuit(RusSpec.from_gates(spec.m, lambdas, gates, spec.seed), Adjoint(c))
 
 
 def _matrix_from_json(pairs: list[list[float]], dim: int) -> np.ndarray:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
 import math
 
@@ -133,7 +135,20 @@ def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
     return g[0]
 
 
-def reference_composed(c: rus.RusCircuit, t: np.ndarray) -> rus.RusCircuit:
+@dataclasses.dataclass(frozen=True, eq=False)
+class ColumnsCircuit:
+    """A stand-in circuit that reads the columns it is given: the ``spec``,
+    ``columns`` and retry ``frame`` that a ``rusamp simulate`` run reads."""
+
+    spec: rus.RusSpec
+    columns: np.ndarray
+
+    @functools.cached_property
+    def frame(self) -> rus.RetryFrame:
+        return rus.retry_frame(self.columns, rus.undo_gates(self.spec))
+
+
+def reference_composed(c: rus.RusCircuit, t: np.ndarray) -> ColumnsCircuit:
     """``oaa._composed`` as it was before it read t's first column alone, an
     oracle for its rounding.
 
@@ -161,7 +176,7 @@ def reference_composed(c: rus.RusCircuit, t: np.ndarray) -> rus.RusCircuit:
     composed = rus.RusSpec.from_gates(
         spec.m, lambdas / lambdas.sum(), qcore.unitary_stack(phased), spec.seed
     )
-    return rus.RusCircuit(composed, columns, oaa.Composition(c, t))
+    return ColumnsCircuit(composed, columns)
 
 
 def polar(t: np.ndarray) -> np.ndarray:
@@ -178,31 +193,43 @@ def dense_reflection(m: int, phi: float) -> np.ndarray:
 
 
 def dense_phase_schedule(
-    c: rus.RusCircuit, phase_pairs: list[tuple[float, float]]
+    a: np.ndarray, phase_pairs: list[tuple[float, float]]
 ) -> np.ndarray:
-    """Iterates -A S_phi A^dag S_varphi applied in list order after A, as one
-    dense product over the whole register.
+    """Iterates -A S_phi A^dag S_varphi applied in list order after the
+    dense circuit matrix A = ``a``, as one dense product over the whole
+    register.
 
     This is the composition the protocols reduce to 2x2 algebra; it never
     uses the invariant subspace, which makes it an independent reference for
     the standard, deterministic and fixed-point compositions.
     """
-    a = c.a_matrix.mat
+    m = len(a).bit_length() - 2
     total = a
     for phi, varphi in phase_pairs:
-        outer = dense_reflection(c.spec.m, phi)
-        inner = dense_reflection(c.spec.m, varphi)
+        outer = dense_reflection(m, phi)
+        inner = dense_reflection(m, varphi)
         total = -(a @ outer @ a.conj().T @ inner) @ total
     return total
 
 
-def dense_pi3(c: rus.RusCircuit, k: int, sign: int = 1) -> np.ndarray:
-    """Dense cube-law recursion A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
-    refl = dense_reflection(c.spec.m, sign * math.pi / 3.0)
-    current = c.a_matrix.mat
+def dense_pi3(a: np.ndarray, k: int, sign: int = 1) -> np.ndarray:
+    """Dense cube-law recursion A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1} from
+    the dense circuit matrix A_0 = ``a``."""
+    refl = dense_reflection(len(a).bit_length() - 2, sign * math.pi / 3.0)
+    current = a
     for _ in range(k):
         current = -(current @ refl @ current.conj().T @ refl @ current)
     return current
+
+
+def dense_complement(a: np.ndarray, spec: rus.RusSpec) -> np.ndarray:
+    """V = A^dag P for the dense circuit matrix A = ``a`` of ``spec``, with
+    P = c |0^m> W_0 - s Phi built from the spec's weights and gates."""
+    s, c = math.sqrt(spec.lambda0), math.sqrt(spec.lambdas[1:].sum())
+    pulled = np.empty_like(spec.gates)
+    pulled[0] = c * spec.gates[0]
+    pulled[1:] = (-s * np.sqrt(spec.failure_share()))[:, None, None] * spec.gates[1:]
+    return a.conj().T @ pulled.reshape(-1, 2)
 
 
 def success_block(state_amps: np.ndarray) -> np.ndarray:

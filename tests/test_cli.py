@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -418,9 +417,9 @@ def _pinned_argv(spec, case, out) -> list[str]:
             "--seed", "5", "--out", str(out), *SIMULATE_CASES[case][0]]
 
 
-def _with_dense_columns(circuit: rus.RusCircuit) -> rus.RusCircuit:
-    """``circuit`` reading the first two columns of its dense matrix."""
-    return dataclasses.replace(circuit, columns=circuit.a_matrix.mat[:, :2])
+def _with_dense_columns(circuit: rus.RusCircuit) -> conftest.ColumnsCircuit:
+    """``circuit``'s spec with the first two columns of its dense matrix."""
+    return conftest.ColumnsCircuit(circuit.spec, circuit.a_matrix.mat[:, :2])
 
 
 class TestColumnsFirst:
@@ -444,8 +443,9 @@ class TestColumnsFirst:
         build, compose = rus.build_rus_unitary, cli._compose_protocol
         monkeypatch.setattr(rus, "build_rus_unitary",
                             lambda spec: _with_dense_columns(build(spec)))
+        # Each protocol composes the circuit that the stand-in's spec gives.
         monkeypatch.setattr(cli, "_compose_protocol",
-                            lambda c, text: _with_dense_columns(compose(c, text)))
+                            lambda c, text: _with_dense_columns(compose(build(c.spec), text)))
         assert cli.main(_pinned_argv(spec, case, tmp_path / "dense")) == code
         _assert_outputs_agree(tmp_path / "columns", tmp_path / "dense")
 

@@ -18,11 +18,12 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == (2 * 10 + 2 * 4 + 2 * 6 + 2 * 8 + 2 * 2 + 2 * 3 + 2 * 1
-                         + 2 * 3 + 2 + 2 * 2)
+    assert len(rows) == (2 * 10 + 2 * 4 + 2 * 6 + 2 * 8 + 2 * 2 + 2 * 1 + 2 * 3
+                         + 2 * 1 + 2 * 3 + 2 + 2 * 2)
     batches, composes, fixed = rows[:20], rows[20:28], rows[28:40]
-    protocols, inverses, denses = rows[40:56], rows[56:60], rows[60:66]
-    builds, figures, costs = rows[66:68], rows[68:74] + rows[76:], rows[74:76]
+    protocols, inverses, composed = rows[40:56], rows[56:60], rows[60:62]
+    denses, builds = rows[62:68], rows[68:70]
+    figures, costs = rows[70:76] + rows[78:], rows[76:78]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
     for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
@@ -50,6 +51,11 @@ def test_times_every_shape_for_every_label():
     for row, m, label in zip(inverses, [1, 1, 4, 4], ["one", "two"] * 2):
         kind, shape, name, per_call, per_step = row.split()
         assert (kind, shape, name, per_step) == ("inverse", f"m={m}", label, "-")
+        assert float(per_call) > 0.0
+    for row, label in zip(composed, ["one", "two"]):
+        kind, which, shape, name, per_call, per_step = row.split()
+        assert (kind, which, shape, name, per_step) == (
+            "inverse", "composed", "m=4", label, "-")
         assert float(per_call) > 0.0
     for row, m, label in zip(denses, [4, 4, 6, 6, 8, 8], ["one", "two"] * 3):
         kind, shape, name, per_call, per_step = row.split()

@@ -167,20 +167,6 @@ class TestMeasureAncillas:
         assert np.all(np.abs(counts - n * 0.25) < 4.0 * sigma)
 
 
-class TestCheckIsometry:
-    def test_accepts_orthonormal_columns(self):
-        qcore.check_isometry(qcore.random_unitary(3, qcore.rng_stream(2)).mat[:, :2])
-
-    @pytest.mark.parametrize(
-        "cols",
-        [np.eye(4, 2) * 1.1, np.ones((4, 2)) / 2.0, np.full((4, 2), np.nan)],
-        ids=["long", "parallel", "nan"],
-    )
-    def test_rejects_other_columns(self, cols):
-        with pytest.raises(ValueError, match="isometry residual"):
-            qcore.check_isometry(cols)
-
-
 class TestHouseholder:
     @pytest.mark.parametrize("lambda0", [1e-9, 0.3, 1.0 - 1e-12, 1.0])
     @pytest.mark.parametrize("m", range(1, 9))

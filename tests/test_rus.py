@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,16 +133,6 @@ class TestColumns:
         assert circ.a_matrix is composed.source.base.a_matrix
         assert len(calls) == 1
 
-    def test_rejects_columns_of_the_wrong_shape(self):
-        spec = _spec(2, [0.4, 0.3, 0.2, 0.1])
-        with pytest.raises(ValueError, match="columns do not match spec"):
-            rus.RusCircuit(spec, np.eye(4, 2))
-
-    def test_rejects_columns_that_are_not_an_isometry(self):
-        spec = _spec(2, [0.4, 0.3, 0.2, 0.1])
-        with pytest.raises(ValueError, match="isometry residual 3.0 exceeds"):
-            rus.RusCircuit(spec, 2.0 * np.eye(8, 2))
-
     def test_gate_stack_is_built_once_and_read_only(self):
         circ = conftest.make_circuit(0.35, m=2, rng=qcore.rng_stream(9))
         spec = circ.spec
@@ -211,6 +202,9 @@ class TestRun:
                 rus.run_rus(circ, qcore.basis_state(1, 0), rng, max_attempts=1)
 
 
+FP_PLAN = oaa.fp_plan(6, 1e-3)
+FP_PAIRS = list(zip(FP_PLAN.phis, FP_PLAN.varphis))
+
 # Each protocol kind of ``rusamp simulate``, plus the inverse circuit.
 PROTOCOLS = {
     "none": lambda c: c,
@@ -219,8 +213,21 @@ PROTOCOLS = {
         c, oaa.plan_deterministic(c.spec.lambda0)
     ),
     "pi3:3": lambda c: oaa.pi3_compose(c, oaa.Pi3Plan(k=3)),
-    "fp": lambda c: oaa.fp_compose(c, oaa.fp_plan(6, 1e-3)),
+    "fp": lambda c: oaa.fp_compose(c, FP_PLAN),
     "inverse_rus": rus.inverse_rus,
+}
+
+# The same steps as dense products over the whole register: each maps the
+# circuit before the step and its dense matrix to the dense matrix after it.
+DENSE_PROTOCOLS = {
+    "none": lambda c, a: a,
+    "standard:2": lambda c, a: conftest.dense_phase_schedule(a, [(math.pi, math.pi)] * 2),
+    "deterministic": lambda c, a: conftest.dense_phase_schedule(
+        a, conftest.deterministic_pairs(oaa.plan_deterministic(c.spec.lambda0))
+    ),
+    "pi3:3": lambda c, a: conftest.dense_pi3(a, 3),
+    "fp": lambda c, a: conftest.dense_phase_schedule(a, FP_PAIRS),
+    "inverse_rus": lambda c, a: a.conj().T,
 }
 
 
@@ -290,13 +297,16 @@ class TestRetryFrame:
         rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
 
     def test_inverse_with_vanishing_failure_weight_runs(self):
-        # Composed failure weights fall below ZERO_WEIGHT_ATOL; the inverse
-        # still undoes those blocks, so its frame stays diagonal.
+        # The inverse keeps the composed failure mass, about 9.5e-13, and
+        # still undoes that block, so its frame stays diagonal.
         rng = qcore.rng_stream(8)
         circ = conftest.make_circuit(1e-4, m=1, rng=rng)
-        fp = oaa.fp_compose(circ, oaa.fp_plan(oaa.fp_length_for(1e-4, 1e-12), 1e-12))
+        plan = oaa.fp_plan(oaa.fp_length_for(1e-4, 1e-12), 1e-12)
+        fp = oaa.fp_compose(circ, plan)
         inv = rus.inverse_rus(fp)
-        assert inv.spec.lambdas[1] == 0.0
+        _, fail = conftest.two_level_amplitudes(1e-4, list(zip(plan.phis, plan.varphis)))
+        assert inv.spec.lambdas[1] == fp.spec.lambdas[1]
+        assert inv.spec.lambdas[1] == pytest.approx(abs(fail) ** 2, rel=1e-6)
         psi = qcore.random_state(1, rng)
         record = rus.run_rus(inv, psi, rng)
         expect = inv.spec.target.mat @ psi.amps
@@ -555,24 +565,6 @@ class TestZeroMassOutcomes:
         assert np.isfinite(batch.finals).all()
 
 
-class TestExtraction:
-    def test_round_trip(self):
-        circ = conftest.make_circuit(0.42, m=2)
-        again = rus.circuit_from_matrix(circ.a_matrix, m=2)
-        np.testing.assert_allclose(
-            np.sort(again.spec.lambdas), np.sort(circ.spec.lambdas), atol=1e-10
-        )
-        assert rus.success_probability(again, qcore.basis_state(1)) == pytest.approx(
-            0.42, abs=1e-12
-        )
-
-    def test_rejects_non_rus_matrix(self):
-        # generic unitary has no proportional-to-unitary blocks
-        u = qcore.random_unitary(3, qcore.rng_stream(15))
-        with pytest.raises(ValueError):
-            rus.circuit_from_matrix(u, m=2)
-
-
 class TestInverse:
     def test_inverse_success_probability(self):
         rng = qcore.rng_stream(21)
@@ -617,38 +609,118 @@ class TestInverse:
 
     @pytest.mark.parametrize("compose", [None, "fp"])
     def test_matches_a_checked_adjoint(self, compose):
-        # dagger() skips the unitarity check; the inverse keeps its bits.
+        # The closed form agrees with the dense adjoint and with the adjoint
+        # of an independent dense oracle, and runs on either draw alike.
         rng = qcore.rng_stream(23)
         circ = conftest.make_circuit(0.2, m=2, rng=rng)
+        oracle = conftest.synthesized_matrix(circ.spec)
         if compose:
-            circ = oaa.fp_compose(circ, oaa.fp_plan(8, 1e-3))
+            plan = oaa.fp_plan(8, 1e-3)
+            circ = oaa.fp_compose(circ, plan)
+            oracle = conftest.dense_phase_schedule(oracle, list(zip(plan.phis, plan.varphis)))
         inv = rus.inverse_rus(circ)
-        checked = rus.circuit_from_matrix(
-            qcore.UnitaryMatrix(circ.a_matrix.mat.conj().T), 2, seed=circ.spec.seed
-        )
-        assert np.array_equal(inv.a_matrix.mat, checked.a_matrix.mat)
-        assert np.array_equal(inv.spec.lambdas, checked.spec.lambdas)
-        for got, want in zip(inv.spec.branch_gates(), checked.spec.branch_gates()):
-            assert np.array_equal(got.mat, want.mat)
+        adjoint = circ.a_matrix.mat.conj().T[:, :2]
+        for dense in (adjoint, oracle.conj().T[:, :2]):
+            assert np.abs(inv.columns - dense).max() <= 1e-14
         psi = qcore.random_state(1, rng).amps
-        runs = [rus.run_batch(c.frame, psi, 50, qcore.rng_stream(5)) for c in (inv, checked)]
+        runs = [rus.run_batch(c.frame, psi, 50, qcore.rng_stream(5))
+                for c in (inv, conftest.ColumnsCircuit(inv.spec, adjoint))]
         assert np.array_equal(runs[0].outcome_log, runs[1].outcome_log)
-        assert np.array_equal(runs[0].finals, runs[1].finals)
+        np.testing.assert_allclose(runs[0].finals, runs[1].finals, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("protocol", ["standard:2", "deterministic", "pi3:3", "fp"])
     def test_composed_inverse_matches_a_checked_adjoint(self, protocol, m):
         rng = qcore.rng_stream(60 + m)
-        circ = PROTOCOLS[protocol](conftest.make_circuit(0.15, m=m, rng=rng))
+        base = conftest.make_circuit(0.15, m=m, rng=rng)
+        circ = PROTOCOLS[protocol](base)
+        oracle = DENSE_PROTOCOLS[protocol](base, conftest.synthesized_matrix(base.spec))
         inv = rus.inverse_rus(circ)
-        checked = rus.circuit_from_matrix(
-            qcore.UnitaryMatrix(circ.a_matrix.mat.conj().T), m, seed=circ.spec.seed
+        for dense in (circ.a_matrix.mat, oracle):
+            assert np.abs(inv.columns - dense.conj().T[:, :2]).max() <= 1e-14
+        # The inverse's matrix is its base's, read back as the adjoint.
+        assert np.abs(inv.columns - inv.a_matrix.mat[:, :2]).max() <= 1e-14
+
+
+# Chains that end in an inverse: after each composition, before and after
+# one (a composition of an inverse reads the inverse's complement), twice
+# in a row, and after two compositions.  A cube-law level or a second long
+# schedule after a composition amplifies the first one's rounding, which
+# the dense oracle has as well: pi3:3 after pi3:3 differs from it by up to
+# 1.4e-13 at these inputs, so such pairs are left to
+# ``test_inverse_after_two_compositions_is_the_adjoint``.
+COMPOSITIONS = ["standard:2", "deterministic", "pi3:3", "fp"]
+CHAINS = (
+    [[p, "inverse_rus"] for p in COMPOSITIONS]
+    + [["inverse_rus", p, "inverse_rus"] for p in COMPOSITIONS]
+    + [["inverse_rus", "inverse_rus"]]
+    + [[p, q, "inverse_rus"] for p, q in [
+        ("standard:2", "deterministic"), ("deterministic", "fp"),
+        ("fp", "deterministic"), ("deterministic", "standard:2"),
+    ]]
+)
+
+
+class TestClosedFormInverse:
+    """Inverses from the OAA planes, against dense products that never use
+    them.  Base ``exact`` is one whose deterministic composition has no
+    failure weight at all, and ``certain`` a base with lambda_0 = 1, whose
+    failure share falls back to the first failure block."""
+
+    @pytest.mark.parametrize("kind", ["random", "exact", "certain"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_chains_match_the_dense_oracle(self, m, kind):
+        lambda0 = {"random": 0.15, "exact": 0.59, "certain": 1.0}[kind]
+        base = conftest.make_circuit(lambda0, m=m, rng=qcore.rng_stream(m))
+        if kind == "exact":
+            assert not PROTOCOLS["deterministic"](base).spec.lambdas[1:].any()
+        for steps in CHAINS:
+            circ, dense = base, conftest.synthesized_matrix(base.spec)
+            for step in steps:
+                circ, dense = PROTOCOLS[step](circ), DENSE_PROTOCOLS[step](circ, dense)
+                assert np.abs(circ.columns - dense[:, :2]).max() <= 1e-14, steps
+                _assert_complement(circ, dense)
+            # The chain's own dense matrix, built through every source.
+            assert np.abs(circ.a_matrix.mat[:, :2] - dense[:, :2]).max() <= 1e-14, steps
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_inverse_after_two_compositions_is_the_adjoint(self, m):
+        base = conftest.make_circuit(0.15, m=m, rng=qcore.rng_stream(m))
+        for first in COMPOSITIONS:
+            for second in COMPOSITIONS:
+                circ = PROTOCOLS[second](PROTOCOLS[first](base))
+                adjoint = circ.a_matrix.mat.conj().T[:, :2]
+                assert np.abs(rus.inverse_rus(circ).columns - adjoint).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_inverses_and_compositions_build_no_matrix(self, monkeypatch, m):
+        def refuse(*args):
+            raise AssertionError("a dense matrix was built")
+
+        monkeypatch.setattr(rus, "_synthesized_matrix", refuse)
+        monkeypatch.setattr(oaa.Composition, "matrix", refuse)
+        base = conftest.make_circuit(
+            0.15, m=m, rng=qcore.rng_stream(m), trivial_recoveries=m == 12
         )
-        assert np.array_equal(inv.columns, checked.columns)
-        assert np.array_equal(inv.columns, inv.a_matrix.mat[:, :2])
-        assert np.array_equal(inv.spec.lambdas, checked.spec.lambdas)
-        for got, want in zip(inv.spec.branch_gates(), checked.spec.branch_gates()):
-            assert np.array_equal(got.mat, want.mat)
+        psi = qcore.random_state(1, qcore.rng_stream(0))
+        for steps in CHAINS:
+            circ = base
+            for step in steps:
+                circ = PROTOCOLS[step](circ)
+            rus.run_rus(circ, psi, qcore.rng_stream(1))
+            assert rus.success_probability(circ, psi) == pytest.approx(
+                float(np.sum(np.abs(circ.columns[:2] @ psi.amps) ** 2)), abs=0.0
+            )
+
+
+def _assert_complement(circ, dense):
+    """V is A^dag P to 1e-12 for the dense matrix A of ``circ``; without
+    failure weight, where P is a free choice, V is any unit complement."""
+    v = circ.complement.columns()
+    if circ.spec.lambdas[1:].any():
+        assert np.abs(v - conftest.dense_complement(dense, circ.spec)).max() <= 1e-12
+    assert not v[:2].any()
+    assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-14
 
 
 def _assert_orthonormal(columns):
@@ -663,9 +735,9 @@ def _weights(rng, m: int) -> np.ndarray:
 
 class TestCheckedOnce:
     """Gates are checked once, where they enter: a spec from ``UnitaryMatrix``
-    gates, ``spec_from_dict`` and ``circuit_from_matrix``.  Derived specs and
-    circuits are built without a second check, so their columns must stay
-    orthonormal without one."""
+    gates or ``spec_from_dict``.  Derived specs and circuits (compositions
+    and inverses) are built without a second check, so their columns must
+    stay orthonormal without one."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -750,10 +822,12 @@ class TestCheckedOnce:
             rus.RusSpec.from_gates(2, [0.25] * 4, qcore.unitary_stack([np.eye(2)] * 3))
 
     def test_each_entry_checks_once(self, monkeypatch):
+        # Each unitarity check records the shape it covers.
         calls = []
-        check = qcore._check_gram
+        check = qcore._check_unitary
         monkeypatch.setattr(
-            qcore, "_check_gram", lambda mats, what: calls.append(what) or check(mats, what)
+            qcore, "_check_unitary",
+            lambda mats, ndim: calls.append(mats.shape) or check(mats, ndim),
         )
 
         def checks(build):
@@ -763,20 +837,17 @@ class TestCheckedOnce:
 
         data = rus.spec_to_dict(_spec(2, [0.4, 0.3, 0.2, 0.1], seed=3))
         spec, seen = checks(lambda: rus.spec_from_dict(data))
-        assert seen == ["unitarity"]
+        assert seen == [(4, 2, 2)]
         circ, seen = checks(lambda: rus.build_rus_unitary(spec))
         assert seen == []
         for protocol in ("standard:2", "deterministic", "fp"):
             assert checks(lambda: PROTOCOLS[protocol](circ))[1] == []
         # The cube law checks its 2x2 t, not the stack.
-        assert checks(lambda: PROTOCOLS["pi3:3"](circ))[1] == ["unitarity"]
-        circ.a_matrix
+        assert checks(lambda: PROTOCOLS["pi3:3"](circ))[1] == [(2, 2)]
         inverse, seen = checks(lambda: rus.inverse_rus(circ))
-        assert seen == ["unitarity"]
-        matrix = inverse.a_matrix
-        assert checks(lambda: rus.circuit_from_matrix(matrix, 2))[1] == ["unitarity"]
-        # Columns given explicitly are checked.
-        assert checks(lambda: rus.RusCircuit(spec, circ.columns))[1] == ["isometry"]
+        assert seen == []
+        # The inverse's matrix is the adjoint of its base's, checked once.
+        assert checks(lambda: inverse.a_matrix)[1] == [(8, 8)]
 
 
 class TestSerialization:
