@@ -12,16 +12,19 @@ gamma0 from ``CONDITIONAL_WEIGHTS``. For every ancilla count in
 then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
 ``frame``. For every (m, L) in ``FP_SHAPES`` each checkout builds the
 circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
-``oaa.fp_compose`` with it. For every protocol in ``PROTOCOLS`` and ancilla
-count in ``PROTOCOL_SHAPES`` each checkout builds the circuit and the plan
-once and times the composition alone. For every ancilla count in
+``oaa.fp_compose`` with it. For every protocol in ``PROTOCOLS`` and each of
+its ancilla counts each checkout builds the circuit and the plan once and
+times the composition alone; the fixed-point rows at m = 1 take lengths on
+both sides of ``oaa.SCALAR_SCHEDULE_LENGTH``. For every ancilla count in
 ``INVERSE_SHAPES`` each checkout builds the circuit and its ``a_matrix``
 once and times ``rus.inverse_rus`` alone; for every ancilla count in
 ``INVERSE_COMPOSED_SHAPES`` it does the same for that circuit's fixed-point
 composition at length ``INVERSE_FP_LENGTH``. For every ancilla count in
 ``DENSE_SHAPES`` each checkout times ``rus.inverse_rus`` of a circuit it
 builds in the timed call, so a checkout that inverts through the full
-matrix builds its ``a_matrix`` there too. For every
+matrix builds its ``a_matrix`` there too. For every ancilla count in
+``SYNTHESIZED_SHAPES`` each checkout times reading the ``a_matrix`` of a
+circuit it synthesizes in the timed call. For every
 ancilla count in ``CONDITIONAL_BUILD_SHAPES`` each checkout builds the
 circuit and its distorter weights once and times
 ``distortion.build_conditional`` with them. For every name in ``FIGURES`` each
@@ -67,17 +70,26 @@ SHAPES = (
 CONDITIONAL_WEIGHTS = (0.25, 0.5)
 # Ancilla counts m of the composition shapes.
 COMPOSE_SHAPES = (1, 4, 6, 8)
+
+
+def _fixed_point_call(length: int):
+    """The composition-only call of a length-``length`` fixed-point schedule."""
+    return lambda oaa, c: functools.partial(oaa.fp_compose, c, oaa.fp_plan(length, FP_DELTA))
+
+
 # Composition-only shapes: each protocol's composition of a prebuilt circuit
-# with a prebuilt plan, at every m in PROTOCOL_SHAPES.
+# with a prebuilt plan, at each of its ancilla counts m.  The fixed-point
+# lengths at m = 1 lie on both sides of the length where schedules move from
+# Python scalars to NumPy passes.
 PROTOCOLS = {
-    "standard:2": lambda oaa, c: functools.partial(oaa.standard_compose, c, 2),
-    "deterministic": lambda oaa, c: functools.partial(
-        oaa.deterministic_compose, c, oaa.plan_deterministic(c.spec.lambda0)),
-    "pi3:5": lambda oaa, c: functools.partial(oaa.pi3_compose, c, oaa.Pi3Plan(k=5)),
-    "fp:L=13": lambda oaa, c: functools.partial(
-        oaa.fp_compose, c, oaa.fp_plan(13, FP_DELTA)),
+    "standard:2": ((1, 4), lambda oaa, c: functools.partial(oaa.standard_compose, c, 2)),
+    "deterministic": ((1, 4), lambda oaa, c: functools.partial(
+        oaa.deterministic_compose, c, oaa.plan_deterministic(c.spec.lambda0))),
+    "pi3:5": ((1, 4), lambda oaa, c: functools.partial(oaa.pi3_compose, c, oaa.Pi3Plan(k=5))),
+    "pi3:10": ((1,), lambda oaa, c: functools.partial(oaa.pi3_compose, c, oaa.Pi3Plan(k=10))),
+    "fp:L=13": ((1, 4), _fixed_point_call(13)),
+    **{f"fp:L={length}": ((1,), _fixed_point_call(length)) for length in (5, 32, 64, 128)},
 }
-PROTOCOL_SHAPES = (1, 4)
 # Ancilla counts of the inverse shapes, of synthesized circuits and of
 # their fixed-point compositions.
 INVERSE_SHAPES = (1, 4)
@@ -86,6 +98,9 @@ INVERSE_FP_LENGTH = 13
 # Ancilla counts of the dense shapes: build and invert in one call; a
 # checkout that inverts through the full matrix builds it there.
 DENSE_SHAPES = (4, 6, 8)
+# Ancilla counts of the synthesized-matrix shapes: synthesize, then read the
+# full unitary, built and checked on that read.
+SYNTHESIZED_SHAPES = (8,)
 # Ancilla counts of the distorted conditional builds.
 CONDITIONAL_BUILD_SHAPES = (4,)
 # (m, L) of the fixed-point shapes: schedule lengths of the benchmark's
@@ -223,6 +238,12 @@ def dense(pkg, spec):
     return pkg.rus.inverse_rus(pkg.rus.build_rus_unitary(spec))
 
 
+def synthesized_matrix(pkg, spec):
+    """Synthesize and read the full unitary: the synthesized shape's timed
+    call."""
+    return pkg.rus.build_rus_unitary(spec).a_matrix
+
+
 def conditional_build_input(pkg, m: int):
     """The circuit and distorter weights of the conditional build shape."""
     rng = pkg.qcore.rng_stream(SEED)
@@ -269,7 +290,7 @@ def main(argv=None) -> int:
         (f"{name} m={m}",
          [call(pkg.oaa, pkg.rus.build_rus_unitary(
              make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))) for pkg in packages])
-        for name, call in PROTOCOLS.items() for m in PROTOCOL_SHAPES
+        for name, (shapes, call) in PROTOCOLS.items() for m in shapes
     ] + [
         (f"inverse m={m}",
          [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m)) for pkg in packages])
@@ -284,6 +305,12 @@ def main(argv=None) -> int:
          [functools.partial(dense, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
           for pkg in packages])
         for m in DENSE_SHAPES
+    ] + [
+        (f"synthesized matrix m={m}",
+         [functools.partial(synthesized_matrix, pkg,
+                            make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
+          for pkg in packages])
+        for m in SYNTHESIZED_SHAPES
     ] + [
         (f"conditional build m={m}",
          [functools.partial(pkg.distortion.build_conditional,

@@ -20,6 +20,13 @@ rebuilds t once from the normalized product: t is unitary to rounding at
 any schedule length up to FP_MAX_LENGTH, where full 2x2 products drift in
 proportion to the length.
 
+Every composition is 2x2 algebra, done on Python complex scalars wherever
+NumPy's fixed cost per call would outweigh its work: the plane (s, c),
+t, its determinant, and the whole cube-law recursion, four entries per
+level.  A phase schedule is multiplied in scalars below
+``SCALAR_SCHEDULE_LENGTH`` iterates and in NumPy passes from there on; the
+length is what sets the cost of each, and all the choice reads.
+
 t's first column fixes the composed circuit: lambda'_0 = |t00|^2,
 lambda'_i = |t10|^2 lambda_i / (1 - lambda0), W'_0 = (t00/|t00|) W_0 and
 W'_i = (t10/|t10|) W_i, with phase 1 for a zero entry.  Its columns are the
@@ -52,11 +59,14 @@ CHI_SKIP_ATOL = 1e-9
 FP_MAX_LENGTH = 10**6
 
 
-def _plane(spec: RusSpec) -> np.ndarray:
-    """The circuit on the OAA planes: a = [[s, c], [c, -s]], s^2 = lambda0."""
-    lambdas = spec.lambdas / spec.lambdas.sum()
-    s, c = math.sqrt(lambdas[0]), math.sqrt(lambdas[1:].sum())
-    return np.array([[s, c], [c, -s]], dtype=np.complex128)
+def _plane(spec: RusSpec) -> tuple[float, float, np.ndarray]:
+    """s, c and the failure share of the circuit on the OAA planes,
+    a = [[s, c], [c, -s]] with s^2 = lambda0 / (lambda0 + f) for the failure
+    mass f: one sum of the weights serves all three."""
+    mass, share = spec.failure_split()
+    lambda0 = spec.lambda0
+    total = lambda0 + mass
+    return math.sqrt(lambda0 / total), math.sqrt(mass / total), share
 
 
 # Row signs that turn a left factor's first column [alpha, beta] into its
@@ -65,14 +75,25 @@ _SECOND_COLUMN = np.array([[-1.0], [1.0]], dtype=np.complex128)
 # First column of the identity, which pads a stack to a power of two.
 _IDENTITY_COLUMN = np.array([[1.0], [0.0]], dtype=np.complex128)
 
+# Schedules with fewer iterates than this are multiplied in Python complex
+# scalars, longer ones in NumPy passes.  Per composition on a 2-core x86
+# machine (NumPy 2.4, Python 3.11), scalars cost about 1.1 us an iterate
+# and NumPy about 25 us plus 0.23 us an iterate, for array set-up and one
+# elementwise pass per tree level; the two tie near L = 40 at m = 1 and 4
+# (``scripts/engine_bench.py``'s fp:L=N rows bracket it).  The schedule
+# length is all the choice reads, so it needs no setting.
+SCALAR_SCHEDULE_LENGTH = 40
+
 
 def _phase_schedule(c: RusCircuit, phis, varphis) -> RusCircuit:
     """Iterates G(phi, varphi) = -A S_phi A^dag S_varphi in array order after A."""
-    return _composed(c, _schedule(_plane(c.spec), phis, varphis))
+    s, co, share = _plane(c.spec)
+    return _composed(c, _schedule(s, co, phis, varphis), share)
 
 
-def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
-    """t = G_L ... G_1 a on the OAA planes a, from float arrays of phases.
+def _schedule(s: float, co: float, phis: np.ndarray, varphis: np.ndarray) -> tuple:
+    """t = G_L ... G_1 a on the OAA planes a = [[s, co], [co, -s]], from
+    float arrays of phases, as rows of Python complex numbers.
 
     Every factor is a unit phase times an SU(2) matrix
     [[alpha, -conj(beta)], [beta, conj(alpha)]], which its first column
@@ -82,18 +103,51 @@ def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
     p = e^{i phi / 2} and q = e^{i varphi / 2}.
 
     The first columns of [A, G_1, ..., G_L] are multiplied pairwise, later
-    factors on the left, in ceil(log2(L + 1)) elementwise passes:
+    factors on the left, in ceil(log2(L + 1)) passes:
     alpha = alpha_l alpha_r - conj(beta_l) beta_r and
     beta = beta_l alpha_r + conj(alpha_l) beta_r.  Identity columns pad the
     stack to a power of two, which gives each product exactly as if an odd
-    last factor were carried to the next pass.  t is rebuilt once, from the
-    normalized column and the phase i p_1 q_1 ... p_L q_L, so it is unitary
-    to rounding however long the schedule.  The phase is a product of unit
-    numbers, as accurate as the column; the sum of the L angles, even
-    correctly rounded, is off by half an ulp of about 2 pi L, 4.5e-13 at
-    L = 2000.
+    last factor were carried to the next pass.  A schedule shorter than
+    ``SCALAR_SCHEDULE_LENGTH`` is multiplied in Python complex scalars,
+    where NumPy's fixed cost per call would dominate; a longer one in one
+    elementwise NumPy pass per level.  Both take the same products in the
+    same order, and round apart by about an ulp a level where NumPy fuses a
+    multiply-add.  t is rebuilt once, from the normalized column and the phase
+    i p_1 q_1 ... p_L q_L, so it is unitary to rounding however long the
+    schedule.  The phase is a product of unit numbers, as accurate as the
+    column; the sum of the L angles, even correctly rounded, is off by half
+    an ulp of about 2 pi L, 4.5e-13 at L = 2000.
     """
-    s, co = a[:, 0].real.tolist()
+    if len(phis) < SCALAR_SCHEDULE_LENGTH:
+        alpha, beta, phase = _scalar_columns(s, co, phis.tolist(), varphis.tolist())
+    else:
+        alpha, beta, phase = _array_columns(s, co, phis, varphis)
+    scale = 1j * phase / (abs(phase) * math.hypot(abs(alpha), abs(beta)))
+    return ((scale * alpha, -scale * beta.conjugate()),
+            (scale * beta, scale * alpha.conjugate()))
+
+
+def _scalar_columns(s: float, co: float, phis: list, varphis: list) -> tuple:
+    """``_schedule``'s product of first columns and its phase, in scalars."""
+    weights = -s * s, -co * co, -s * co, s * co
+    columns = [(-1j * s, -1j * co)]
+    phase = 1.0
+    for phi, varphi in zip(phis, varphis):
+        p, q = cmath.exp(0.5j * phi), cmath.exp(0.5j * varphi)
+        turn, back = p * q, p.conjugate() * q
+        columns.append((weights[0] * turn + weights[1] * back,
+                        weights[2] * turn + weights[3] * back))
+        phase *= turn
+    columns += [(1.0, 0.0)] * ((1 << (len(columns) - 1).bit_length()) - len(columns))
+    while len(columns) > 1:
+        columns = [(al * ar - bl.conjugate() * br, bl * ar + al.conjugate() * br)
+                   for (ar, br), (al, bl) in zip(columns[::2], columns[1::2])]
+    (alpha, beta), = columns
+    return alpha, beta, phase
+
+
+def _array_columns(s: float, co: float, phis: np.ndarray, varphis: np.ndarray) -> tuple:
+    """``_schedule``'s product of first columns and its phase, in NumPy passes."""
     # p = e^{i phi / 2} and q = e^{i varphi / 2}, views of one array.
     p, q = halves = np.array([phis, varphis], dtype=np.complex128)
     halves *= 0.5j
@@ -111,10 +165,7 @@ def _schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
         left, right = pairs[:, 1::2], pairs[:, ::2]
         pairs = left * right[0] + _SECOND_COLUMN * left[::-1].conj() * right[1]
     alpha, beta = pairs[:, 0].tolist()
-    phase = complex(np.multiply.reduce(turns[0]))
-    scale = 1j * phase / (abs(phase) * math.hypot(abs(alpha), abs(beta)))
-    return np.array([[scale * alpha, -scale * beta.conjugate()],
-                     [scale * beta, scale * alpha.conjugate()]])
+    return alpha, beta, complex(np.multiply.reduce(turns[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +174,13 @@ class Composition:
     its ``base``.
 
     ``t`` is the 2x2 unitary the circuit acts as on the OAA planes of
-    ``base``; X acts on the input plane of ``|0^m>|psi>`` and ``V psi`` as
-    the polar factor of a t, and as the identity elsewhere.
+    ``base``, as rows of Python complex numbers; X acts on the input plane
+    of ``|0^m>|psi>`` and ``V psi`` as the polar factor of a t, and as the
+    identity elsewhere.
     """
 
     base: RusCircuit
-    t: np.ndarray
+    t: tuple
 
     def matrix(self) -> UnitaryMatrix:
         """A X, checked, with X = I + B ((a t - I) (x) I_2) B^dag on the
@@ -139,14 +191,15 @@ class Composition:
         is a free choice that no circuit's columns read: P is then taken as
         A V, which keeps A X unitary."""
         spec = self.base.spec
-        a = _plane(spec)
+        s, co, share = _plane(spec)
+        a = np.array([[s, co], [co, -s]], dtype=np.complex128)
         # A deep cube-law level may leave t up to UNITARY_ATOL from unitary.
-        u, _, vh = np.linalg.svd(a @ self.t)
+        u, _, vh = np.linalg.svd(a @ np.array(self.t))
         a_mat = self.base.a_matrix.mat
         complement = self.base.complement.columns()
-        if spec.lambdas[1:].any():
-            pulled = -a[0, 0] * Complement(spec.failure_share(), spec.gates[1:]).columns()
-            pulled[:2] = a[1, 0] * spec.gates[0]
+        if co:
+            pulled = -s * Complement(share, spec.gates[1:]).columns()
+            pulled[:2] = co * spec.gates[0]
         else:
             pulled = a_mat @ complement
         basis = np.stack([np.eye(len(a_mat), 2), complement], 1)
@@ -158,28 +211,35 @@ class Composition:
         """kappa V, with kappa = -conj(det t) p0 p1 for the unit phases p0
         and p1 of t00 and t10, rescaled to modulus 1: t need only be
         unitary to UNITARY_ATOL."""
-        p0, p1 = _unit_phases(self.t)
-        kappa = -np.conj(np.linalg.det(self.t)) * p0 * p1
+        (t00, t01), (t10, t11) = self.t
+        p0, p1 = _unit_phases(t00, t10)
+        kappa = -(t00 * t11 - t01 * t10).conjugate() * p0 * p1
         weights, gates = self.base.complement
         gates = kappa / abs(kappa) * gates
         gates.setflags(write=False)
         return Complement(weights, gates)
 
 
-def _unit_phases(t: np.ndarray) -> list[complex]:
-    """The unit phases of t00 and t10, 1 for a zero entry."""
-    return [z / abs(z) if z else 1.0 for z in (complex(t[0, 0]), complex(t[1, 0]))]
+def _unit_phases(*entries: complex) -> list[complex]:
+    """The unit phase of each entry, 1 for a zero entry."""
+    return [z / abs(z) if z else 1.0 for z in entries]
 
 
-def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
-    """The circuit acting as the 2x2 unitary t on the OAA planes of c.
+def _composed(c: RusCircuit, t: tuple, share: np.ndarray) -> RusCircuit:
+    """The circuit acting as the 2x2 unitary t, rows of Python complex
+    numbers, on the OAA planes of c, whose failure share is ``share``.
 
     t's first column fixes it: lambda'_0 = |t00|^2, lambda'_i = |t10|^2
     lambda_i / (1 - lambda0), and W'_i is W_i times the unit phase of t00
     (success) or t10 (failure), 1 where that entry is zero.  Its columns are
     the closed form sqrt(lambda'_i) W'_i, which equal A X on ``|0^m>``.
+
+    Once t's column passes the scalar unitarity check, the new weights are
+    finite, non-negative, at most their sum and divided by it, so they sum
+    to 1 to rounding; the gates are unit phases times a checked stack.  The
+    spec is built without checking either again.
     """
-    t00, t10 = complex(t[0, 0]), complex(t[1, 0])
+    (t00, _), (t10, _) = t
     residual = abs(abs(t00) ** 2 + abs(t10) ** 2 - 1.0)
     # Written so that NaN entries fail the check.
     if not residual <= qcore.UNITARY_ATOL:
@@ -187,12 +247,14 @@ def _composed(c: RusCircuit, t: np.ndarray) -> RusCircuit:
             f"unitarity residual {residual} exceeds {qcore.UNITARY_ATOL}"
         )
     spec = c.spec
-    lambdas = np.concatenate([[abs(t00) ** 2], abs(t10) ** 2 * spec.failure_share()])
-    phases = _unit_phases(t)
-    # Unit phases times a checked stack are unitary: not checked again.
+    lambdas = np.empty(len(spec.lambdas))
+    lambdas[0] = abs(t00) ** 2
+    np.multiply(share, abs(t10) ** 2, out=lambdas[1:])
+    lambdas /= lambdas.sum()
+    phases = _unit_phases(t00, t10)
     phased = phases[1] * spec.gates
     phased[0] = phases[0] * spec.gates[0]
-    composed = RusSpec.from_gates(spec.m, lambdas / lambdas.sum(), phased, spec.seed)
+    composed = RusSpec.derived(spec.m, lambdas, phased, spec.seed)
     return RusCircuit(composed, Composition(c, t))
 
 
@@ -212,8 +274,7 @@ class Pi3Plan:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("recursion depth must be non-negative")
+        qcore.check_integer(self.k, "recursion depth k", non_negative=True)
         if self.sign not in (1, -1):
             raise ValueError("sign selects the +pi/3 or -pi/3 reflection")
 
@@ -223,8 +284,10 @@ class FixedPointPlan:
     """Chebyshev phase schedule of length L for failure tolerance delta.
 
     ``w`` is the amplification threshold: any circuit with lambda0 >= w ends
-    with success probability at least 1 - delta.  The phases are read-only
-    float arrays, and the schedule is symmetric, varphis[i] == phis[L - 1 - i],
+    with success probability at least 1 - delta.  A plan is checked when it
+    is built: L is a non-negative integer, and ``phis`` and ``varphis`` are
+    1-D float arrays of L finite phases each.  ``fp_plan``'s phases are
+    read-only, and its schedule is symmetric, varphis[i] == phis[L - 1 - i],
     by construction.
     """
 
@@ -235,6 +298,18 @@ class FixedPointPlan:
     phis: np.ndarray
     varphis: np.ndarray
 
+    def __post_init__(self) -> None:
+        qcore.check_integer(self.L, "schedule length L", non_negative=True)
+        for name in ("phis", "varphis"):
+            phases = getattr(self, name)
+            # Written so that NaN and inf phases fail the check.
+            if not (isinstance(phases, np.ndarray) and phases.dtype == np.float64
+                    and phases.shape == (self.L,) and np.isfinite(phases).all()):
+                raise ValueError(
+                    f"FixedPointPlan.{name} must be a 1-D float array of "
+                    f"L = {self.L} finite phases"
+                )
+
 
 def standard_oaa_state(c: RusCircuit, j: int, psi: StateVector) -> StateVector:
     """State after j standard iterates following A on ``|0^m>|psi>``."""
@@ -244,8 +319,7 @@ def standard_oaa_state(c: RusCircuit, j: int, psi: StateVector) -> StateVector:
 
 def standard_compose(c: RusCircuit, j: int) -> RusCircuit:
     """The j-iterate standard protocol as a circuit in its own right."""
-    if j < 0:
-        raise ValueError("iteration count must be non-negative")
+    qcore.check_integer(j, "iteration count j", non_negative=True)
     if j > FP_MAX_LENGTH:
         raise ValueError(f"standard schedule needs more than {FP_MAX_LENGTH} steps")
     pis = np.full(j, math.pi)
@@ -316,15 +390,29 @@ def apply_deterministic(
 
 
 def pi3_compose(c: RusCircuit, plan: Pi3Plan) -> RusCircuit:
-    """Level-k cube-law composition A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}."""
-    refl = np.array([np.exp(1j * plan.sign * math.pi / 3.0), 1.0])
-    t = _plane(c.spec)
+    """Level-k cube-law composition A_k = -A_{k-1} S A_{k-1}^dag S A_{k-1}.
+
+    The dense 2x2 recursion runs on four Python complex entries per level,
+    S scaling the first column by e^{+-i pi/3}; its rounding grows threefold
+    per level, so t is checked once, at the end, with ``UnitaryMatrix``.
+    """
+    s, co, share = _plane(c.spec)
+    turn = cmath.exp(1j * plan.sign * math.pi / 3.0)
     # A deep level can overflow; the unitarity check then rejects the
     # non-finite t.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(plan.k):
-            t = -(t * refl) @ (t.conj().T * refl) @ t
-    return _composed(c, UnitaryMatrix(t).mat)
+    t00, t01, t10, t11 = s + 0j, co + 0j, co + 0j, -s + 0j
+    for _ in range(plan.k):
+        # x = -t S and y = t^dag S, then t = (x y) t.
+        x00, x01, x10, x11 = -t00 * turn, -t01, -t10 * turn, -t11
+        y00, y01 = t00.conjugate() * turn, t10.conjugate()
+        y10, y11 = t01.conjugate() * turn, t11.conjugate()
+        z00, z01 = x00 * y00 + x01 * y10, x00 * y01 + x01 * y11
+        z10, z11 = x10 * y00 + x11 * y10, x10 * y01 + x11 * y11
+        t00, t01, t10, t11 = (z00 * t00 + z01 * t10, z00 * t01 + z01 * t11,
+                              z10 * t00 + z11 * t10, z10 * t01 + z11 * t11)
+    t = ((t00, t01), (t10, t11))
+    UnitaryMatrix(t)
+    return _composed(c, t, share)
 
 
 def pi3_level_for(epsilon: float, delta: float) -> int:
@@ -376,6 +464,7 @@ def fp_length_for(w_bound: float, delta: float) -> int:
 
 def fp_plan(L: int, delta: float) -> FixedPointPlan:
     """Chebyshev schedule: gamma^{-1} = T_{1/(2L+1)}(1/sqrt(delta))."""
+    qcore.check_integer(L, "schedule length L")
     if L < 1:
         raise ValueError("schedule length must be positive")
     if L > FP_MAX_LENGTH:

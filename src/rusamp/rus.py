@@ -13,9 +13,10 @@ attempt repeats with fresh ancillas.
 A spec holds its branch gates W_i as one read-only (2**m, 2, 2) stack,
 checked unitary once, where the gates enter: as ``UnitaryMatrix`` objects
 or by ``spec_from_dict``.  Specs derived from a checked stack (compositions
-and inverses) are built without a second check; the outcome weights are
-checked on every path.  A circuit's columns are always its spec's closed
-form.
+and inverses) are built without a second check of it.  The outcome weights
+are checked where they enter and in inverses; a composition divides the
+weights it derives by their sum, so ``RusSpec.derived`` takes them
+unchecked.  A circuit's columns are always its spec's closed form.
 
 On the oblivious amplitude-amplification (OAA) planes a circuit with
 s^2 = lambda_0 and c^2 = 1 - lambda_0 maps |0^m> psi and V psi to
@@ -90,7 +91,7 @@ class RusSpec:
     matrices of ``UnitaryMatrix`` gates, checked when they were built;
     recoveries default to identities.  ``RusSpec.from_gates`` takes a stack
     already known to be unitary.  Both check ``lambdas``, and neither checks
-    a gate again.
+    a gate again; ``RusSpec.derived`` checks neither.
     """
 
     m: int
@@ -122,11 +123,21 @@ class RusSpec:
         lambdas = _checked_lambdas(m, lambdas)
         if gates.shape != (len(lambdas), 2, 2):
             raise ValueError(f"expected {len(lambdas) - 1} recovery gates")
+        return cls.derived(m, lambdas, gates, seed)
+
+    @classmethod
+    def derived(cls, m: int, lambdas: np.ndarray, gates: np.ndarray, seed: int = 0) -> RusSpec:
+        """The spec over a float (2**m,) weight vector and a complex
+        (2**m, 2, 2) gate stack derived from a checked spec by a rule that
+        keeps both checked: weights non-negative and summing to 1 within
+        ``qcore.NORM_ATOL``, gates unitary.  Both are frozen in place, not
+        copied or checked again."""
         spec = object.__new__(cls)
         spec._set(m, lambdas, gates, seed)
         return spec
 
     def _set(self, m: int, lambdas: np.ndarray, gates: np.ndarray, seed: int) -> None:
+        lambdas.setflags(write=False)
         gates.setflags(write=False)
         # A frozen dataclass's fields are set through its __dict__.
         self.__dict__.update(m=m, lambdas=lambdas, gates=gates, seed=seed)
@@ -158,10 +169,21 @@ class RusSpec:
         """How the failure state Phi splits over the failure outcomes: each
         failure weight over their sum, read-only.  Without failure weight
         Phi is the first failure block."""
+        return self.failure_split()[1]
+
+    def failure_split(self) -> tuple[float, np.ndarray]:
+        """The failure mass, the sum of the failure weights, and the failure
+        share, from one sum of the weights."""
         failures = self.lambdas[1:]
-        share = failures / failures.sum() if failures.any() else np.eye(len(failures))[0]
+        mass = float(failures.sum())
+        # The weights are non-negative, so only all-zero ones sum to 0.
+        if mass > 0.0:
+            share = failures / mass
+        else:
+            share = np.zeros(len(failures))
+            share[0] = 1.0
         share.setflags(write=False)
-        return share
+        return mass, share
 
 
 class Complement(NamedTuple):

@@ -113,9 +113,19 @@ def deterministic_pairs(plan) -> list[tuple[float, float]]:
     return pairs
 
 
-def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
+def plane_matrix(spec: rus.RusSpec) -> np.ndarray:
+    """The circuit on the OAA planes, a = [[s, c], [c, -s]], as the 2x2
+    matrix ``oaa._plane`` built before it returned scalars: the weights are
+    divided by their sum, then s^2 is the first and c^2 the sum of the rest."""
+    lambdas = spec.lambdas / spec.lambdas.sum()
+    s, c = math.sqrt(lambdas[0]), math.sqrt(lambdas[1:].sum())
+    return np.array([[s, c], [c, -s]], dtype=np.complex128)
+
+
+def batched_schedule(s: float, c: float, phis, varphis) -> list:
     """The product G_L ... G_1 a of the iterates -a D_phi a D_varphi on the
-    OAA planes a, as full 2x2 matrices multiplied in batched passes.
+    OAA planes a = [[s, c], [c, -s]], as full 2x2 matrices multiplied in
+    batched passes, returned as rows, as ``oaa._schedule`` returns t.
 
     The stack [a, G_1, ..., G_L] is multiplied pairwise, later factors on the
     left, in ceil(log2(L + 1)) batched ``matmul`` passes; an odd last factor
@@ -123,6 +133,7 @@ def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
     the product keeps no SU(2) structure, so its rounding drifts from unitary
     in proportion to L.
     """
+    a = np.array([[s, c], [c, -s]], dtype=np.complex128)
     # Row [e^{i phi}, 1] scales the columns of a as a @ D_phi does.
     outer = np.ones((len(phis), 1, 2), dtype=np.complex128)
     inner = outer.copy()
@@ -132,7 +143,7 @@ def batched_schedule(a: np.ndarray, phis, varphis) -> np.ndarray:
     while len(g) > 1:
         paired = g[1::2] @ g[:-1:2]
         g = np.concatenate([paired, g[-1:]]) if len(g) % 2 else paired
-    return g[0]
+    return g[0].tolist()
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -148,16 +159,17 @@ class ColumnsCircuit:
         return rus.retry_frame(self.columns, rus.undo_gates(self.spec))
 
 
-def reference_composed(c: rus.RusCircuit, t: np.ndarray) -> ColumnsCircuit:
+def reference_composed(c: rus.RusCircuit, t, share=None) -> ColumnsCircuit:
     """``oaa._composed`` as it was before it read t's first column alone, an
     oracle for its rounding.
 
     It takes t's polar factor, builds the pulled blocks P = c |0^m> W_0 -
     s Phi and forms the columns as ``(a t)_00 C + (a t)_10 P`` from the
-    columns C of c; the phases are ``exp(i angle(t_i0))``.
+    columns C of c; the phases are ``exp(i angle(t_i0))``.  The failure
+    share that ``oaa._composed`` is handed is recomputed, not read.
     """
     t = polar(qcore.UnitaryMatrix(t).mat)
-    a = oaa._plane(c.spec)
+    a = plane_matrix(c.spec)
     spec = c.spec
     gates = np.array([g.mat for g in spec.branch_gates()])
     failures = spec.lambdas[1:]
@@ -210,6 +222,18 @@ def dense_phase_schedule(
         inner = dense_reflection(m, varphi)
         total = -(a @ outer @ a.conj().T @ inner) @ total
     return total
+
+
+def array_pi3_compose(c: rus.RusCircuit, plan: oaa.Pi3Plan) -> rus.RusCircuit:
+    """``oaa.pi3_compose`` as it was before its recursion ran on Python
+    scalars: the dense 2x2 level -(t S) (t^dag S) t as NumPy products, from
+    the 2x2 plane matrix; an oracle for its rounding."""
+    refl = np.array([np.exp(1j * plan.sign * math.pi / 3.0), 1.0])
+    t = plane_matrix(c.spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(plan.k):
+            t = -(t * refl) @ (t.conj().T * refl) @ t
+    return oaa._composed(c, qcore.UnitaryMatrix(t).mat.tolist(), c.spec.failure_share())
 
 
 def dense_pi3(a: np.ndarray, k: int, sign: int = 1) -> np.ndarray:

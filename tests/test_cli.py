@@ -214,9 +214,10 @@ class TestSimulate:
 # standard:1 and exhausted digests were recorded again when phase schedules
 # became SU(2) products (TestScheduleOracle bounds what moved), and none,
 # pi3:2:neg and exhausted when attempts began to draw on unnormalized states
-# (TestKernelOracle bounds what moved), and standard:1, deterministic,
+# (TestKernelOracle bounds what moved), standard:1, deterministic,
 # pi3:2:neg and fp:1e-3 when composed columns took their closed form
-# (TestComposeOracle bounds what moved).
+# (TestComposeOracle bounds what moved), and pi3:2:neg when the cube-law
+# recursion moved to Python scalars (TestCubeLawOracle bounds what moved).
 OUTPUT_PINS = {
     "none":
         "31b429e5ac746108d3589d5050ed956938e577c8be5c54d0c63b9a0f5efe2b34",
@@ -225,7 +226,7 @@ OUTPUT_PINS = {
     "deterministic":
         "aec12b6ff41baab6a3897238eb6d7bcd42e9f38204d577f72feba77892ed066e",
     "pi3:2:neg":
-        "a51de5fdaa60c1838c88da9c1d0ad4f7558898b2ad80a0306b511a3e19b4dc60",
+        "4a99ec90b8eccfe4677677171f8c23aa6fea962599f2eb925399251ec2313efc",
     "fp:1e-3":
         "1385440083d8c415bd75bb0cec5f66ec79a24396b804a4911cbef9f481a7b936",
     "exhausted":
@@ -508,6 +509,18 @@ class TestComposeOracle:
         monkeypatch.setattr(oaa, "_composed", conftest.reference_composed)
         assert cli.main(_pinned_argv(spec, case, tmp_path / "reference")) == code
         _assert_outputs_agree(tmp_path / "closed", tmp_path / "reference")
+
+
+class TestCubeLawOracle:
+    def test_array_recursion_gives_the_same_outputs(self, tmp_path, monkeypatch):
+        # The scalar recursion moved pi3:2:neg: trial 38's fidelity in
+        # runs.csv and min_fidelity in summary.csv, each by 2.2e-16, with
+        # the same outcome sequences.
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        code = cli.main(_pinned_argv(spec, "pi3:2:neg", tmp_path / "scalar"))
+        monkeypatch.setattr(oaa, "pi3_compose", conftest.array_pi3_compose)
+        assert cli.main(_pinned_argv(spec, "pi3:2:neg", tmp_path / "array")) == code
+        _assert_outputs_agree(tmp_path / "scalar", tmp_path / "array")
 
 
 class TestConfigErrors:

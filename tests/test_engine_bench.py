@@ -18,12 +18,12 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == (2 * 10 + 2 * 4 + 2 * 6 + 2 * 8 + 2 * 2 + 2 * 1 + 2 * 3
-                         + 2 * 1 + 2 * 3 + 2 + 2 * 2)
+    assert len(rows) == (2 * 10 + 2 * 4 + 2 * 6 + 2 * 13 + 2 * 2 + 2 * 1 + 2 * 3
+                         + 2 * 1 + 2 * 1 + 2 * 3 + 2 + 2 * 2)
     batches, composes, fixed = rows[:20], rows[20:28], rows[28:40]
-    protocols, inverses, composed = rows[40:56], rows[56:60], rows[60:62]
-    denses, builds = rows[62:68], rows[68:70]
-    figures, costs = rows[70:76] + rows[78:], rows[76:78]
+    protocols, inverses, composed = rows[40:66], rows[66:70], rows[70:72]
+    denses, synthesized, builds = rows[72:78], rows[78:80], rows[80:82]
+    figures, costs = rows[82:88] + rows[90:], rows[88:90]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
     for row, label in zip(batches, ["one", "two"] * 10):
         *shape, name, per_call, per_step = row.split()
@@ -41,10 +41,11 @@ def test_times_every_shape_for_every_label():
         assert (kind, m_text, l_text, name, per_step) == (
             "fp", f"m={m}", f"L={length}", label, "-")
         assert float(per_call) > 0.0
-    names = [(name, m) for name in ("standard:2", "deterministic", "pi3:5", "fp:L=13")
-             for m in (1, 4)]
+    names = ([(name, m) for name in ("standard:2", "deterministic", "pi3:5") for m in (1, 4)]
+             + [("pi3:10", 1), ("fp:L=13", 1), ("fp:L=13", 4)]
+             + [(f"fp:L={length}", 1) for length in (5, 32, 64, 128)])
     for row, (protocol, m), label in zip(protocols, [s for s in names for _ in range(2)],
-                                         ["one", "two"] * 8):
+                                         ["one", "two"] * 13):
         kind, shape, name, per_call, per_step = row.split()
         assert (kind, shape, name, per_step) == (protocol, f"m={m}", label, "-")
         assert float(per_call) > 0.0
@@ -60,6 +61,11 @@ def test_times_every_shape_for_every_label():
     for row, m, label in zip(denses, [4, 4, 6, 6, 8, 8], ["one", "two"] * 3):
         kind, shape, name, per_call, per_step = row.split()
         assert (kind, shape, name, per_step) == ("dense", f"m={m}", label, "-")
+        assert float(per_call) > 0.0
+    for row, label in zip(synthesized, ["one", "two"]):
+        kind, what, shape, name, per_call, per_step = row.split()
+        assert (kind, what, shape, name, per_step) == (
+            "synthesized", "matrix", "m=8", label, "-")
         assert float(per_call) > 0.0
     for row, label in zip(builds, ["one", "two"]):
         kind, build, shape, name, per_call, per_step = row.split()

@@ -56,6 +56,12 @@ class TestStandard:
             1.0, abs=1e-10
         )
 
+    @pytest.mark.parametrize("j", [2.5, math.nan, math.inf, True, -1, "2"])
+    def test_iterate_count_is_a_non_negative_integer(self, j):
+        circ = conftest.make_circuit(0.3, m=1)
+        with pytest.raises(ValueError, match="iteration count j must be a non-negative integer"):
+            oaa.standard_compose(circ, j)
+
     @pytest.mark.parametrize("j", [oaa.FP_MAX_LENGTH + 1, 10**8])
     def test_iterate_count_limit(self, j):
         # Checked before any j-sized array exists: 10**8 iterates would
@@ -162,6 +168,28 @@ class TestPiOverThree:
         ratio_m = _success_block_ratio(minus, circ)
         assert ratio_m == pytest.approx(np.conj(ratio_p), abs=1e-10)
 
+    @pytest.mark.parametrize("k", [math.nan, 2.5, math.inf, True, -1, "3"])
+    def test_depth_is_a_non_negative_integer(self, k):
+        with pytest.raises(ValueError, match="recursion depth k must be a non-negative integer"):
+            oaa.Pi3Plan(k=k)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_matches_the_dense_recursion(self, m, sign):
+        # The scalar recursion and the dense one round apart, and the gap
+        # triples per level: 4.8e-11 at k = 12.  At k = 12 either may drift
+        # past UNITARY_ATOL (ROADMAP item 2); no shallower level may.
+        for k in range(13):
+            for seed, lambda0 in enumerate((0.1, 0.3, 0.5)):
+                base = conftest.make_circuit(lambda0, m=m, rng=qcore.rng_stream(seed))
+                want = conftest.dense_pi3(base.a_matrix.mat, k, sign)[:, :2]
+                try:
+                    got = oaa.pi3_compose(base, oaa.Pi3Plan(k=k, sign=sign))
+                except ValueError as exc:
+                    assert k == 12 and "unitarity residual" in str(exc)
+                    continue
+                assert np.abs(got.columns - want).max() <= 3**k * 2e-15
+
     def test_level_for(self):
         assert oaa.pi3_level_for(0.5, 1e-6) == 3
         assert oaa.pi3_level_for(0.9, 1e-6) == 5
@@ -188,12 +216,13 @@ class TestPiOverThree:
         assert grown.spec.lambdas[0] <= 1.0
         assert rus.success_probability(grown, PROBE) <= 1.0 + 1e-14
 
+    @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("k", [20, 40])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_drifting_recursion_rejected(self, k):
+    def test_drifting_recursion_rejected(self, k, m):
         # Rounding grows threefold per level; by k = 40 it overflows to NaN.
-        circ = conftest.make_circuit(0.1, m=1)
+        circ = conftest.make_circuit(0.1, m=m)
         with pytest.raises(ValueError, match="unitarity residual"):
             oaa.pi3_compose(circ, oaa.Pi3Plan(k=k))
 
@@ -300,6 +329,12 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="more than"):
             oaa.fp_plan(oaa.FP_MAX_LENGTH + 1, 1e-3)
 
+    @pytest.mark.parametrize("L", [2.5, math.nan, math.inf, True, "3"])
+    def test_length_is_an_integer(self, L):
+        # 2.5 gave a plan of length 2.5 with three phases.
+        with pytest.raises(ValueError, match="schedule length L must be an integer"):
+            oaa.fp_plan(L, 1e-3)
+
     def test_sizing_has_no_length_limit(self):
         # Sizing is closed form; only materializing the phases is capped.
         L = oaa.fp_length_for(1e-12, 1e-6)
@@ -317,6 +352,55 @@ class TestFixedPoint:
         assert oaa.fp_plan(L, delta).w <= w_bound
         if L > 1:
             assert oaa.fp_plan(L - 1, delta).w > w_bound
+
+
+# Schedule lengths on both sides of the switch from scalars to NumPy passes.
+STRADDLING = [3, oaa.SCALAR_SCHEDULE_LENGTH - 1, oaa.SCALAR_SCHEDULE_LENGTH,
+              oaa.SCALAR_SCHEDULE_LENGTH + 5]
+
+
+class TestFixedPointPlanChecks:
+    """A plan is checked where it is built, so no schedule reads a malformed
+    one: the scalar path pairs phases with ``zip``, which stops at the
+    shorter array."""
+
+    @staticmethod
+    def _fields(L):
+        plan = oaa.fp_plan(L, 1e-3)
+        return {"L": L, "delta": plan.delta, "gamma": plan.gamma, "w": plan.w,
+                "phis": plan.phis, "varphis": plan.varphis}
+
+    @pytest.mark.parametrize("L", STRADDLING)
+    def test_fp_plan_fields_rebuild_the_plan(self, L):
+        plan = oaa.FixedPointPlan(**self._fields(L))
+        base = conftest.make_circuit(0.3, m=1)
+        want = oaa.fp_compose(base, oaa.fp_plan(L, 1e-3))
+        assert oaa.fp_compose(base, plan).columns.tobytes() == want.columns.tobytes()
+
+    @pytest.mark.parametrize("L", STRADDLING)
+    @pytest.mark.parametrize("field", ["phis", "varphis"])
+    @pytest.mark.parametrize("bad", ["longer", "shorter", "nan", "inf", "2-D", "list", "int"])
+    def test_malformed_phases_are_named(self, L, field, bad):
+        fields = self._fields(L)
+        phases = fields[field]
+        fields[field] = {
+            "longer": np.append(phases, 0.5),
+            "shorter": phases[:-1],
+            "nan": np.where(np.arange(L) == L // 2, np.nan, phases),
+            "inf": np.where(np.arange(L) == 0, -np.inf, phases),
+            "2-D": phases[None],
+            "list": phases.tolist(),
+            "int": np.arange(L),
+        }[bad]
+        with pytest.raises(ValueError, match=f"FixedPointPlan.{field} must be a 1-D float array"):
+            oaa.FixedPointPlan(**fields)
+
+    @pytest.mark.parametrize("L", [2.5, -1, True])
+    def test_length_is_a_non_negative_integer(self, L):
+        fields = self._fields(3)
+        fields["L"] = L
+        with pytest.raises(ValueError, match="schedule length L must be a non-negative integer"):
+            oaa.FixedPointPlan(**fields)
 
 
 class TestPairwiseProduct:
@@ -471,31 +555,53 @@ class TestSu2Kernel:
     ``conftest.batched_schedule``, the batched 2x2 products it replaced."""
 
     @pytest.mark.parametrize("m", [1, 4])
-    @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 50, 320, 999, 2000])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, *STRADDLING, 50, 320, 999, 2000])
     def test_matches_batched_products(self, m, L):
         # The standard schedule repeats one iterate, so its rounding adds up
         # in step: at L = 2000 kernel and oracle alike reach 1.0-1.5e-13
         # against a 50-digit product, and the bound would test the oracle.
         for seed, lambda0 in enumerate((0.003, 0.13, 0.77)):
             base = conftest.make_circuit(lambda0, m=m, rng=qcore.rng_stream(seed))
-            a = oaa._plane(base.spec)
+            s, co, _ = oaa._plane(base.spec)
             schedules = [(np.full(L, math.pi),) * 2] if L < 2000 else []
             if L:
                 plan = oaa.fp_plan(L, 1e-3)
                 schedules.append((plan.phis, plan.varphis))
             for phis, varphis in schedules:
-                want = conftest.polar(conftest.batched_schedule(a, phis, varphis))
-                assert np.abs(oaa._schedule(a, phis, varphis) - want).max() <= 1e-13
+                want = conftest.polar(np.array(conftest.batched_schedule(s, co, phis, varphis)))
+                got = np.array(oaa._schedule(s, co, phis, varphis))
+                assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("protocol", ["standard", "fp"])
+    def test_scalar_and_array_paths_agree(self, monkeypatch, protocol):
+        # Every length from 0 to twice the switch, each multiplied both ways.
+        s, co, _ = oaa._plane(conftest.make_circuit(0.13, m=1).spec)
+        schedules = []
+        for L in range(2 * oaa.SCALAR_SCHEDULE_LENGTH + 1):
+            if protocol == "standard":
+                schedules.append((np.full(L, math.pi),) * 2)
+            elif L:
+                plan = oaa.fp_plan(L, 1e-3)
+                schedules.append((plan.phis, plan.varphis))
+        paths = []
+        for switch in (0, 10**9):
+            monkeypatch.setattr(oaa, "SCALAR_SCHEDULE_LENGTH", switch)
+            paths.append([np.array(oaa._schedule(s, co, *pair)) for pair in schedules])
+        # NumPy fuses the multiply-adds of a complex product where Python
+        # rounds twice, so the paths part by an ulp or so a tree level:
+        # up to 1.3e-15 at L <= 80 over six lambda0 in [0.003, 0.77].
+        for array, scalar in zip(*paths):
+            assert np.abs(array - scalar).max() <= 2e-15
 
     def test_lengths_around_powers_of_two(self):
         # Identity columns pad these stacks, or none; against a sequential product.
         base = conftest.make_circuit(0.2, m=1)
-        a = oaa._plane(base.spec)
+        s, co, _ = oaa._plane(base.spec)
         for L in (6, 7, 8, 15, 16, 17):
             plan = oaa.fp_plan(L, 1e-2)
             t00, t10 = conftest.two_level_amplitudes(0.2, list(zip(plan.phis, plan.varphis)))
-            t = oaa._schedule(a, plan.phis, plan.varphis)
-            assert abs(t[0, 0] - t00) <= 1e-14 and abs(t[1, 0] - t10) <= 1e-14
+            (got00, _), (got10, _) = oaa._schedule(s, co, plan.phis, plan.varphis)
+            assert abs(got00 - t00) <= 1e-14 and abs(got10 - t10) <= 1e-14
 
 
 # m = 1 with a Hadamard target, where the old batched products drifted past
@@ -526,8 +632,9 @@ class TestDeepSchedules:
 
     @pytest.mark.parametrize("L", [10**3, 10**4, 10**5, 10**6])
     def test_schedule_is_unitary_to_rounding(self, L):
-        a = oaa._plane(_deep_circuit().spec)
+        s, co, _ = oaa._plane(_deep_circuit().spec)
         plan = oaa.fp_plan(L, 1e-6)
         pis = np.full(L, math.pi)
-        for t in (oaa._schedule(a, plan.phis, plan.varphis), oaa._schedule(a, pis, pis)):
+        for rows in (oaa._schedule(s, co, plan.phis, plan.varphis), oaa._schedule(s, co, pis, pis)):
+            t = np.array(rows)
             assert np.abs(t.conj().T @ t - np.eye(2)).max() <= 1e-14

@@ -849,6 +849,39 @@ class TestCheckedOnce:
         # The inverse's matrix is the adjoint of its base's, checked once.
         assert checks(lambda: inverse.a_matrix)[1] == [(8, 8)]
 
+    def test_weights_are_checked_where_they_enter(self, monkeypatch):
+        # Compositions divide weights they derived by their sum; nothing
+        # else checks them.  Specs built from outside and inverses do.
+        data = rus.spec_to_dict(_spec(2, [0.4, 0.3, 0.2, 0.1], seed=3))
+        calls = []
+        check = rus._checked_lambdas
+        monkeypatch.setattr(
+            rus, "_checked_lambdas",
+            lambda m, lambdas: calls.append(m) or check(m, lambdas),
+        )
+        circ = rus.build_rus_unitary(rus.spec_from_dict(data))
+        assert calls == [2]
+        for protocol in ("standard:2", "deterministic", "pi3:3", "fp"):
+            calls.clear()
+            grown = PROTOCOLS[protocol](circ)
+            assert calls == []
+            assert not grown.spec.lambdas.flags.writeable
+            assert abs(grown.spec.lambdas.sum() - 1.0) <= 1e-15
+        calls.clear()
+        rus.inverse_rus(circ)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                     complex(0.0, -math.inf), complex(math.nan, math.nan)])
+    def test_non_finite_t_is_rejected(self, bad):
+        # The scalar residual check on t's first column is what keeps a
+        # derived spec's unchecked weights finite.
+        circ = conftest.make_circuit(0.3, m=2)
+        s, co, share = oaa._plane(circ.spec)
+        for t in (((bad, 0j), (co, -s)), ((s, 0j), (bad, -s))):
+            with pytest.raises(ValueError, match="unitarity residual"):
+                oaa._composed(circ, t, share)
+
 
 class TestSerialization:
     def test_round_trip_identical_circuit(self, tmp_path):
