@@ -216,15 +216,15 @@ class TestPiOverThree:
         assert grown.spec.lambdas[0] <= 1.0
         assert rus.success_probability(grown, PROBE) <= 1.0 + 1e-14
 
-    @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("k", [20, 40])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_drifting_recursion_rejected(self, k, m):
+    def test_drifting_recursion_rejected(self, k):
         # Rounding grows threefold per level; by k = 40 it overflows to NaN.
-        circ = conftest.make_circuit(0.1, m=m)
-        with pytest.raises(ValueError, match="unitarity residual"):
-            oaa.pi3_compose(circ, oaa.Pi3Plan(k=k))
+        for m in (1, 4):
+            circ = conftest.make_circuit(0.1, m=m)
+            with pytest.raises(ValueError, match="unitarity residual"):
+                oaa.pi3_compose(circ, oaa.Pi3Plan(k=k))
 
 
 class TestFixedPoint:
@@ -555,7 +555,7 @@ class TestSu2Kernel:
     ``conftest.batched_schedule``, the batched 2x2 products it replaced."""
 
     @pytest.mark.parametrize("m", [1, 4])
-    @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, *STRADDLING, 50, 320, 999, 2000])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, *STRADDLING[1:], 50, 320, 999, 2000])
     def test_matches_batched_products(self, m, L):
         # The standard schedule repeats one iterate, so its rounding adds up
         # in step: at L = 2000 kernel and oracle alike reach 1.0-1.5e-13
