@@ -59,11 +59,13 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-# (kind, m, width): conditional frames carry a control qubit and a distorter.
+# (kind, m, width): conditional frames carry a control qubit and a distorter;
+# the plain m = 6 frame has more outcomes (64) than register entries.
 SHAPES = (
     ("conditional", 1, 1), ("conditional", 1, 3_000), ("conditional", 1, 8_000),
     ("conditional", 4, 1), ("conditional", 4, 3_000), ("conditional", 4, 8_000),
     ("plain", 1, 50), ("plain", 1, 250), ("plain", 3, 50), ("plain", 3, 250),
+    ("plain", 6, 2_000),
 )
 # The range of lambda0 and gamma0 of the conditional shapes, as in
 # perfbench's Monte Carlo operations.

@@ -23,15 +23,22 @@ from .qcore import RngStream, StateVector, UnitaryMatrix
 from .rus import RunRecord, RusCircuit
 
 
+# The branch of each (data, control) entry: the control bit.
+_CONTROL_BRANCHES = np.array([0, 1, 0, 1])
+_CONTROL_BRANCHES.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalCircuit:
     """Controlled operator: distorter (or identity) on control |0>, A on |1>.
 
     ``gammas`` is None for the undistorted variant, whose idle branch leaves
     the ancillas alone and therefore always yields the all-zero outcome.
-    ``frame`` is the retry loop on (data, control): failures undo the
-    recovery on the control-|1> branch only, which leaves them the diagonal
-    weights ``diag(sqrt(gamma_i), sqrt(lambda_i))`` over the control.
+    ``frame`` is the retry loop on (data, control) with two branches, the
+    control bit: failures undo the recovery on the control-|1> branch only,
+    which leaves outcome i the masses gamma_i and lambda_i on the two
+    branches (gamma_i being the square of the distorter's first-column
+    entry, and e_0 undistorted), so a run carries two reals per trial.
     """
 
     base: RusCircuit
@@ -115,31 +122,34 @@ def build_conditional(
     Every attempt starts on fresh all-zero ancillas, so the frame needs only
     the operator's columns on that input: the distorter's first column (or
     ``|0^m>``) times the data identity on control |0>, and A's columns on
-    control |1>.  ``seed`` is accepted for callers that pass one; no matrix
-    depends on it.
+    control |1>.  Undone, outcome i weighs the two branches by that column's
+    entry i and by sqrt(lambda_i), so the frame's mass rows are the column's
+    squares and lambda, and its success block is the column's first entry
+    times the identity beside A's success block.  ``seed`` is accepted for
+    callers that pass one; no matrix depends on it.
     """
     m = base.spec.m
     if gammas is None:
-        idle = np.eye(2**m, 1)
+        idle = np.eye(2**m)[0]
         distorter = None
     else:
         gammas = np.asarray(gammas, dtype=float)
         if gammas.shape != (2**m,):
             raise ValueError(f"expected {2**m} distorter weights")
         distorter = build_distorter(gammas)
-        idle = distorter.mat[:, :1]
+        # Squares of the column itself keep the masses those of the success
+        # block: at m = 1 the rotation's column is not sqrt(gamma) to the bit.
+        idle = distorter.mat[:, 0].real
         gammas = gammas.copy()
         gammas.setflags(write=False)
-    # Indexed (ancillas and data out, control out, data in, control in).
-    columns = np.zeros((2 ** (m + 1), 2, 2, 2), dtype=np.complex128)
-    columns[:, 0, :, 0] = np.kron(idle, np.eye(2))
-    columns[:, 1, :, 1] = base.columns
-    undo_data = rus.undo_gates(base.spec)
-    undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
-    undo[:, 1::2, 1::2] = undo_data
+    # (data, control) entries, control least significant.
+    success = np.zeros((4, 4), dtype=np.complex128)
+    success[0::2, 0::2] = idle[0] * np.eye(2)
+    success[1::2, 1::2] = base.columns[:2]
     return ConditionalCircuit(
         base=base, gammas=gammas, distorter=distorter,
-        frame=rus.retry_frame(columns.reshape(-1, 4), undo),
+        frame=rus.retry_frame(success, _CONTROL_BRANCHES,
+                              np.stack((idle * idle, base.spec.lambdas), axis=1)),
     )
 
 
@@ -244,9 +254,11 @@ def monte_carlo_fidelity(
     if count == 0:
         return FidelityEstimate(math.nan, math.nan, 0, exhausted)
     ideal = ideal_conditional_state(cc, cfg).amps
-    # Index out the exhausted trials' NaN columns only when there are any.
-    finals = batch.finals[:, ~batch.exhausted] if exhausted else batch.finals
-    sample = np.abs(ideal.conj() @ finals) ** 2
+    # The overlaps are taken over every column, in the finals' own layout;
+    # the exhausted trials' NaN entries are left out only when there are any.
+    sample = np.abs(ideal.conj() @ batch.finals) ** 2
+    if exhausted:
+        sample = sample[~batch.exhausted]
     mean = float(sample.mean())
     std_error = float(sample.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return FidelityEstimate(mean, std_error, count, exhausted)

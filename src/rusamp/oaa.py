@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -275,8 +276,11 @@ class Pi3Plan:
 
     def __post_init__(self) -> None:
         qcore.check_integer(self.k, "recursion depth k", non_negative=True)
-        if self.sign not in (1, -1):
-            raise ValueError("sign selects the +pi/3 or -pi/3 reflection")
+        # True == 1 and 1.0 == 1, so the type is checked first.
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(
+                f"sign selects the +pi/3 or -pi/3 reflection: 1 or -1, got {self.sign!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +365,20 @@ def plan_deterministic(lambda0: float) -> DeterministicPlan:
     return DeterministicPlan(j=j, chi=chi, phi=phi, varphi=varphi)
 
 
+def _check_deterministic_plan(plan: DeterministicPlan) -> None:
+    """Raise ``ValueError`` naming the field unless j is a non-negative
+    integer and chi, phi and varphi are finite."""
+    qcore.check_integer(plan.j, "deterministic plan field j", non_negative=True)
+    for name in ("chi", "phi", "varphi"):
+        value = getattr(plan, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"deterministic plan field {name} must be a finite number, "
+                             f"got {value!r}")
+
+
 def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
     """The deterministic protocol as a circuit; it succeeds with probability 1."""
+    _check_deterministic_plan(plan)
     lambda_plan = math.sin((math.pi / 2.0 - plan.chi) / (2 * plan.j + 1)) ** 2
     if not abs(c.spec.lambda0 - lambda_plan) <= 1e-9:
         raise ValueError(

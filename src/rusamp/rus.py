@@ -47,10 +47,16 @@ DEFAULT_MAX_ATTEMPTS = 10_000
 # them back up by powers of two.
 RESCALE_BELOW = 2.0**-600
 
-# Most state entries (trials x register amplitudes) one ``run_batch`` call
-# holds.  Its live and kept states take 16 bytes an entry each, so 2**25
-# entries cap them at 1 GiB together.
+# Most entries one ``run_batch`` call holds: per trial, one per register
+# amplitude, for its final and the kept state it is built from (16 bytes
+# each), and one per reachable outcome, for each attempt's float cumulative
+# masses, their rescaled copy and their comparison (17 bytes).  No entry
+# takes more than 32 bytes, so 2**25 entries cap a batch at 1 GiB.
 MAX_BATCH_ENTRIES = 2**25
+
+# A plain circuit's register entries share one branch.
+_ONE_BRANCH = np.zeros(2, dtype=np.intp)
+_ONE_BRANCH.setflags(write=False)
 
 
 class MaxAttemptsExceeded(RuntimeError):
@@ -245,8 +251,9 @@ class RusCircuit:
 
     @cached_property
     def frame(self) -> RetryFrame:
-        """The circuit's retry loop, built on first use."""
-        return retry_frame(self.columns, undo_gates(self.spec))
+        """The circuit's retry loop, built on first use: one branch, weighted
+        by lambda, and the success block sqrt(lambda_0) W_0."""
+        return retry_frame(self.columns[:2], _ONE_BRANCH, self.spec.lambdas[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,72 +348,46 @@ def success_probability(c: RusCircuit, psi: StateVector) -> float:
     return float(np.sum(np.abs(c.columns[:2] @ psi.amps) ** 2))
 
 
-def undo_gates(spec: RusSpec) -> np.ndarray:
-    """Inverse recovery gates stacked in failure-outcome order."""
-    return spec.gates[1:].conj().transpose(0, 2, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class RetryFrame:
-    """A circuit's retry loop in the diagonal frame of its outcomes.
+    """A circuit's retry loop on branch masses.
 
-    Once its recovery is undone, every failure block is diagonal on the
-    register, and so is the success block's Gram matrix ``U_0^dag U_0``.
-    Every outcome's mass is then linear in the squared moduli of the state,
-    and the history of a run survives as per-outcome weights.  ``success``
-    is ``U_0``, and ``d_i``, row ``i - 1`` of ``diagonals``, is the diagonal
-    of failure outcome i's undone block.  An outcome's mass row is the
-    diagonal of ``U_0^dag U_0`` for success and ``|d_i|^2`` for failure i;
-    ``cumulative`` sums these rows over the outcomes ``reachable`` lists,
-    those whose row is not all zero, so a draw can never land on the others.
-    Its last row, the total mass of each register entry, is 1 on every entry
-    a run's state may touch, which ``run_batch`` checks once per call.  An
-    outcome whose row is zero only on a trial's support keeps its row; the
-    product can round it a few ulp above the one before it, so a draw may
-    reach it with odds near 1e-16, and that trial's state turns all zero,
-    which the next attempt's positive-total guard rejects.
+    Once its recovery is undone, outcome o multiplies every register entry
+    by a real weight, the square root of its mass, that depends on the entry
+    only through its branch ``branches[e]``: one class of entries that share
+    a weight vector.  A plain circuit has one branch, weighted by lambda; a
+    conditional circuit has two, the control-|0> idle branch and the
+    control-|1> branch.  So a run's history survives as one real per branch,
+    its mass, and a run that succeeds leaves ``U_0`` applied to its start
+    state with each branch scaled by the square root of its mass over its
+    start mass.  ``success`` is ``U_0``, whose Gram matrix ``U_0^dag U_0``
+    is diagonal with branch masses ``weights[0]``; row o of ``weights`` holds
+    outcome o's mass on every branch.  ``cumulative`` sums the rows over the
+    outcomes ``reachable`` lists, those whose row is not all zero, so a draw
+    can never land on the others.  Its last row, the total mass of each
+    branch, is 1 on every branch a run's state touches, which ``run_batch``
+    checks once per call.  An outcome whose row is zero only on a trial's
+    live branches keeps its row; the product rounds it equal to the one
+    before it, so no draw reaches it.
     """
 
     success: np.ndarray
-    diagonals: np.ndarray
+    branches: np.ndarray
+    weights: np.ndarray
     cumulative: np.ndarray
     reachable: np.ndarray
 
 
-def retry_frame(columns: np.ndarray, undo: np.ndarray) -> RetryFrame:
-    """Fold each inverse recovery into its failure block; keep the diagonals.
-
-    ``columns`` is the circuit restricted to the all-zero ancilla input, one
-    block of ``register`` rows per outcome; ``undo[i - 1]`` undoes failure
-    outcome i on the register (stacked as ``undo_gates`` returns them).
-    Raises ``ValueError`` unless the success block's Gram matrix and every
-    undone failure block are diagonal.
-    """
-    register = columns.shape[-1]
-    n_outcomes = len(undo) + 1
-    if columns.shape != (n_outcomes * register, register):
-        raise ValueError("columns must hold one register block per outcome")
-    blocks = np.asarray(columns, np.complex128).reshape(n_outcomes, register, register)
-    gram = blocks[0].conj().T @ blocks[0]
-    checked = np.concatenate((gram[None], undo @ blocks[1:]))
-    diagonals = np.diagonal(checked, axis1=1, axis2=2)
-    residual = np.abs(checked - diagonals[:, :, None] * np.eye(register)).max()
-    # Written so that NaN entries fail the check.
-    if not residual <= qcore.NORM_ATOL:
-        raise ValueError(
-            f"success Gram matrix or undone failure blocks are not diagonal: "
-            f"off-diagonal residual {residual} exceeds {qcore.NORM_ATOL}"
-        )
-    masses = np.abs(diagonals) ** 2
-    masses[0] = diagonals[0].real
+def retry_frame(success: np.ndarray, branches: np.ndarray, weights: np.ndarray) -> RetryFrame:
+    """The frame of ``U_0`` = ``success``, the entry-to-branch map
+    ``branches`` and the (outcomes, branches) mass rows ``weights``, all
+    known in closed form: nothing is extracted or checked here."""
     # A product need not round equal rows alike, so an outcome whose mass
     # row is all zero is left out of the draw rather than given a row equal
     # to the last one.
-    reachable = np.flatnonzero(masses.any(axis=1))
-    return RetryFrame(
-        blocks[0], np.ascontiguousarray(diagonals[1:]),
-        np.cumsum(masses[reachable], axis=0), reachable,
-    )
+    reachable = np.flatnonzero(weights.any(axis=1))
+    return RetryFrame(success, branches, weights, np.cumsum(weights[reachable], axis=0),
+                      reachable)
 
 
 def run_batch(
@@ -418,58 +399,71 @@ def run_batch(
 ) -> BatchRun:
     """Repeat until success for ``trials`` runs that all start in ``state``.
 
-    Live trials are rows of an (alive, register) array of unnormalized
-    states.  Each attempt takes one product, ``frame.cumulative @ |psi|^2``,
-    and measures every live trial with one uniform from ``rng``, in trial
-    order, scaled by its column's total, so a single trial draws exactly as
-    a per-trial loop would.  Failure i multiplies a trial by ``d_i``; a
-    success is divided once by the square root of its success mass, the
-    product's row for outcome 0, and ``U_0`` is applied to all of them once,
-    after the loop.
+    Each live trial carries one real per branch, its history: the product
+    of its failures' masses on that branch.  Its branch masses are then P =
+    P0 * history, P0 being the start masses, the state's squared moduli
+    summed over each branch.  Live histories are columns of a (branches,
+    alive) array.  Each attempt takes one product, ``(frame.cumulative *
+    P0) @ history``, and measures every live trial with one uniform from
+    ``rng``, in trial order, scaled by its column's total, so a single trial
+    draws exactly as a per-trial loop would.  Failure o multiplies a trial's
+    history by ``frame.weights[o]``; a success keeps its history and its
+    success mass, the product's row for outcome 0.  After the loop each
+    success's state is rebuilt once as ``U_0 (psi * sqrt(P / P0)) /
+    sqrt(success mass)``, P / P0 read per entry through ``frame.branches``.
 
-    The norms are checked where they are exact.  On the first attempt the
-    input state's norm must be 1 and the frame's masses must sum to 1 on the
-    register entries the state touches, which diagonal failures never leave;
-    each later attempt only needs every live total to be positive, so a NaN
-    or all-zero state raises ``ValueError``.  Once the smallest live total
-    falls below ``RESCALE_BELOW`` (2**-600), every live state is scaled
-    back up by a power of two, which is exact: it changes no draw and no
-    final bit.  A batch over ``MAX_BATCH_ENTRIES`` state entries raises
-    ``MemoryError`` before it allocates anything.
+    The norms are checked where they are exact.  Before the first attempt
+    the input state's norm must be 1 and the frame's masses must sum to 1
+    on the branches the state touches; each later attempt only needs every
+    live total to be positive, so a NaN or all-zero trial raises
+    ``ValueError``.  Once the smallest live total falls below
+    ``RESCALE_BELOW`` (2**-600), every live history is scaled back up by a
+    power of two, which is exact: it changes no draw and no final
+    bit.  A batch over ``MAX_BATCH_ENTRIES`` entries, trials times register
+    amplitudes plus reachable outcomes, raises ``MemoryError`` before it
+    allocates anything.
     """
     register = frame.success.shape[1]
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (register,):
         raise ValueError("state does not match the frame's register")
-    if trials * register > MAX_BATCH_ENTRIES:
+    rows = frame.reachable.size
+    if trials * (register + rows) > MAX_BATCH_ENTRIES:
         raise MemoryError(
-            f"{trials} trials of {register} amplitudes exceed the batch limit of "
-            f"{MAX_BATCH_ENTRIES} state entries"
+            f"{trials} trials of {register} amplitudes and {rows} outcome rows exceed "
+            f"the batch limit of {MAX_BATCH_ENTRIES} entries"
         )
-    current = np.repeat(state[None], trials, axis=0)
-    # Each success keeps its state and mass; the division waits for the end,
-    # and the rows of trials still alive there are set to NaN.
-    kept = np.empty((trials, register), dtype=np.complex128)
-    kept_mass = np.ones(trials)
+    start = np.bincount(frame.branches, np.abs(state) ** 2, frame.weights.shape[1])
+    _check_start(frame, start)
+    # The start masses fold into the cumulative rows, so each trial's branch
+    # masses are ``start * history`` without being formed.
+    cumulative = frame.cumulative * start
+    # With one branch the product is an outer product, for which NumPy's
+    # matmul takes a loop several times slower than dot's BLAS call.
+    product = np.dot if start.size == 1 else np.matmul
+    # Branch-major: one row per branch, one column per live trial.
+    history = np.ones((start.size, trials))
+    # Each success keeps its history and its success mass; trials still
+    # alive at the end keep a NaN history.
+    kept = np.empty_like(history)
+    kept_mass = np.empty(trials)
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
     for attempt in range(max_attempts):
         if alive.size == 0:
             break
-        cdf = frame.cumulative @ (np.abs(current) ** 2).T
-        total = cdf[-1]
-        if attempt == 0:
-            _check_start(frame, state, total[0])
-        else:
+        cdf = product(cumulative, history)
+        if attempt:
+            total = cdf[-1]
             low = total.min()
             if not low >= RESCALE_BELOW:
                 # Written so that a NaN total fails the check as well.
                 if not low > 0.0:
                     raise ValueError(f"a live state's total mass is {low}, not positive")
                 # Powers of two scale exactly, so no draw and no final moves.
-                scale = np.ldexp(1.0, -(np.frexp(total)[1] // 2))
-                current = current * scale[:, None]
-                cdf = cdf * scale**2
+                scale = np.ldexp(1.0, -np.frexp(total)[1])
+                history = history * scale
+                cdf = cdf * scale
         outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
         trial_log.append(alive)
         outcome_log.append(outcome)
@@ -477,34 +471,44 @@ def run_batch(
         if failed.size < alive.size:
             done = np.flatnonzero(outcome == 0)
             ended = alive[done]
-            kept[ended] = current[done]
+            kept[:, ended] = history[:, done]
             kept_mass[ended] = cdf[0, done]
         alive = alive[failed]
-        current = frame.diagonals[outcome[failed] - 1] * current[failed]
+        history = frame.weights.T[:, outcome[failed]] * history[:, failed]
     exhausted = np.zeros(trials, dtype=bool)
-    exhausted[alive] = True
-    kept[alive] = np.nan
+    if alive.size:
+        exhausted[alive] = True
+        kept[:, alive] = np.nan
+        kept_mass[alive] = 1.0
     trial_log = np.concatenate(trial_log)
+    # Trial-major, as the finals' product has always read them; divided in
+    # place, so that no more than two complex arrays of the batch's size
+    # are ever held.
+    kept_states = state * np.sqrt(kept.T)[:, frame.branches]
+    kept_states /= np.sqrt(kept_mass)[:, None]
     return BatchRun(
         attempts=np.bincount(trial_log, minlength=trials),
         exhausted=exhausted,
-        finals=frame.success @ (kept / np.sqrt(kept_mass)[:, None]).T,
+        finals=frame.success @ kept_states.T,
         trial_log=trial_log,
         outcome_log=np.concatenate(outcome_log),
     )
 
 
-def _check_start(frame: RetryFrame, state: np.ndarray, total: float) -> None:
-    """Raise unless ``state`` has norm 1 and the frame's masses sum to 1 on
-    every register entry it touches; ``total`` is the state's total mass."""
-    drift = np.abs(frame.cumulative[-1] - 1.0).max(where=state != 0, initial=0.0)
+def _check_start(frame: RetryFrame, start: np.ndarray) -> None:
+    """Raise unless the start masses ``start`` total 1 and the frame's
+    masses sum to 1 on every branch they touch."""
+    # A run has a branch or two: Python floats check them fastest.
+    masses = start.tolist()
+    drifts = [abs(total - 1.0) for total, mass in
+              zip(frame.cumulative[-1].tolist(), masses) if mass != 0.0]
     # Written so that NaN masses fail the check.
-    if not drift <= qcore.NORM_ATOL:
+    if not all(drift <= qcore.NORM_ATOL for drift in drifts):
         raise ValueError(
-            f"outcome masses sum to 1 only within {drift} on the state's "
-            f"entries, beyond {qcore.NORM_ATOL}"
+            f"outcome masses sum to 1 only within {np.max(drifts)} on the state's "
+            f"branches, beyond {qcore.NORM_ATOL}"
         )
-    qcore.check_norm(math.sqrt(total))
+    qcore.check_norm(math.sqrt(sum(masses)))
 
 
 def run_rus(

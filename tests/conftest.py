@@ -149,14 +149,17 @@ def batched_schedule(s: float, c: float, phis, varphis) -> list:
 @dataclasses.dataclass(frozen=True, eq=False)
 class ColumnsCircuit:
     """A stand-in circuit that reads the columns it is given: the ``spec``,
-    ``columns`` and retry ``frame`` that a ``rusamp simulate`` run reads."""
+    ``columns`` and retry ``frame`` that a ``rusamp simulate`` run reads.
+    The frame takes its success block from the columns and its masses from
+    the spec's weights."""
 
     spec: rus.RusSpec
     columns: np.ndarray
 
     @functools.cached_property
     def frame(self) -> rus.RetryFrame:
-        return rus.retry_frame(self.columns, rus.undo_gates(self.spec))
+        return rus.retry_frame(self.columns[:2], np.zeros(2, dtype=np.intp),
+                               self.spec.lambdas[:, None])
 
 
 def reference_composed(c: rus.RusCircuit, t, share=None) -> ColumnsCircuit:
@@ -322,18 +325,149 @@ def dense_batch_run(
     return np.array(trial_log, dtype=int), np.array(outcome_log, dtype=int), finals
 
 
-def frame_masses(frame: rus.RetryFrame) -> np.ndarray:
-    """Every outcome's mass row, as ``rus.retry_frame`` computes them: the
+def undo_gates(spec: rus.RusSpec) -> np.ndarray:
+    """Inverse recovery gates stacked in failure-outcome order."""
+    return spec.gates[1:].conj().transpose(0, 2, 1)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class DiagonalFrame:
+    """A retry loop read off a circuit's columns, as ``rus.RetryFrame`` was
+    before it was built from closed-form branch masses: ``success`` is
+    ``U_0``, ``diagonals[i - 1]`` the diagonal of failure outcome i's undone
+    block, and ``cumulative`` the mass rows, one column per register entry,
+    summed over the ``reachable`` outcomes."""
+
+    success: np.ndarray
+    diagonals: np.ndarray
+    cumulative: np.ndarray
+    reachable: np.ndarray
+
+
+def diagonal_frame(columns: np.ndarray, undo: np.ndarray) -> DiagonalFrame:
+    """Fold each inverse recovery into its failure block; keep the diagonals.
+
+    ``columns`` is the circuit restricted to the all-zero ancilla input, one
+    block of ``register`` rows per outcome; ``undo[i - 1]`` undoes failure
+    outcome i on the register (stacked as ``undo_gates`` returns them).
+    Raises ``ValueError`` unless the success block's Gram matrix and every
+    undone failure block are diagonal. An outcome's mass row is the
+    diagonal of ``U_0^dag U_0`` for success and ``|d_i|^2`` for failure i.
+    """
+    register = columns.shape[-1]
+    n_outcomes = len(undo) + 1
+    if columns.shape != (n_outcomes * register, register):
+        raise ValueError("columns must hold one register block per outcome")
+    blocks = np.asarray(columns, np.complex128).reshape(n_outcomes, register, register)
+    gram = blocks[0].conj().T @ blocks[0]
+    checked = np.concatenate((gram[None], undo @ blocks[1:]))
+    diagonals = np.diagonal(checked, axis1=1, axis2=2)
+    residual = np.abs(checked - diagonals[:, :, None] * np.eye(register)).max()
+    # Written so that NaN entries fail the check.
+    if not residual <= qcore.NORM_ATOL:
+        raise ValueError(
+            f"success Gram matrix or undone failure blocks are not diagonal: "
+            f"off-diagonal residual {residual} exceeds {qcore.NORM_ATOL}"
+        )
+    masses = np.abs(diagonals) ** 2
+    masses[0] = diagonals[0].real
+    reachable = np.flatnonzero(masses.any(axis=1))
+    return DiagonalFrame(
+        blocks[0], np.ascontiguousarray(diagonals[1:]),
+        np.cumsum(masses[reachable], axis=0), reachable,
+    )
+
+
+def circuit_diagonal_frame(c) -> DiagonalFrame:
+    """The diagonal frame of a plain circuit's columns and recoveries."""
+    return diagonal_frame(c.columns, undo_gates(c.spec))
+
+
+def conditional_diagonal_frame(cc: distortion.ConditionalCircuit) -> DiagonalFrame:
+    """The diagonal frame of the controlled operator's columns on fresh
+    ancillas: the distorter's first column (or |0^m>) times the data
+    identity on control |0>, the circuit's columns on control |1>, and
+    failures undone on control |1> only."""
+    base = cc.base
+    m = base.spec.m
+    idle = np.eye(2**m, 1) if cc.distorter is None else cc.distorter.mat[:, :1]
+    # Indexed (ancillas and data out, control out, data in, control in).
+    columns = np.zeros((2 ** (m + 1), 2, 2, 2), dtype=np.complex128)
+    columns[:, 0, :, 0] = np.kron(idle, np.eye(2))
+    columns[:, 1, :, 1] = base.columns
+    undo_data = undo_gates(base.spec)
+    undo = np.tile(np.eye(4, dtype=np.complex128), (len(undo_data), 1, 1))
+    undo[:, 1::2, 1::2] = undo_data
+    return diagonal_frame(columns.reshape(-1, 4), undo)
+
+
+def frame_masses(frame: DiagonalFrame) -> np.ndarray:
+    """Every outcome's mass row, as ``diagonal_frame`` computes them: the
     diagonal of ``U_0^dag U_0`` for success, ``|d_i|^2`` for failure i."""
     gram = frame.success.conj().T @ frame.success
     return np.concatenate((np.diagonal(gram).real[None], np.abs(frame.diagonals) ** 2))
 
 
-def reference_run_batch(
-    frame: rus.RetryFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
+def state_run_batch(
+    frame: DiagonalFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
 ) -> rus.BatchRun:
-    """``rus.run_batch`` on normalized states, an oracle for its rounding.
+    """``rus.run_batch`` as it was before it carried branch masses, an oracle
+    for its draws.
+
+    Live trials are rows of an (alive, register) array of unnormalized
+    states. Each attempt draws from ``frame.cumulative @ |psi|^2``; failure
+    i multiplies a trial by ``d_i``; a success keeps its state and its
+    success mass, and ``U_0`` is applied to every success divided by the
+    square root of its mass once, after the loop. Live states are scaled
+    up by powers of two once a total falls below ``rus.RESCALE_BELOW``.
+    """
+    register = frame.success.shape[1]
+    state = np.asarray(state, dtype=np.complex128)
+    current = np.repeat(state[None], trials, axis=0)
+    kept = np.empty((trials, register), dtype=np.complex128)
+    kept_mass = np.ones(trials)
+    alive = np.arange(trials)
+    trial_log, outcome_log = [alive[:0]], [alive[:0]]
+    for _ in range(max_attempts):
+        if alive.size == 0:
+            break
+        cdf = frame.cumulative @ (np.abs(current) ** 2).T
+        total = cdf[-1]
+        low = total.min()
+        if not low >= rus.RESCALE_BELOW:
+            if not low > 0.0:
+                raise ValueError(f"a live state's total mass is {low}, not positive")
+            scale = np.ldexp(1.0, -(np.frexp(total)[1] // 2))
+            current = current * scale[:, None]
+            cdf = cdf * scale**2
+        outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
+        trial_log.append(alive)
+        outcome_log.append(outcome)
+        done = np.flatnonzero(outcome == 0)
+        failed = np.flatnonzero(outcome)
+        kept[alive[done]] = current[done]
+        kept_mass[alive[done]] = cdf[0, done]
+        alive = alive[failed]
+        current = frame.diagonals[outcome[failed] - 1] * current[failed]
+    exhausted = np.zeros(trials, dtype=bool)
+    exhausted[alive] = True
+    kept[alive] = np.nan
+    trial_log = np.concatenate(trial_log)
+    return rus.BatchRun(
+        attempts=np.bincount(trial_log, minlength=trials),
+        exhausted=exhausted,
+        finals=frame.success @ (kept / np.sqrt(kept_mass)[:, None]).T,
+        trial_log=trial_log,
+        outcome_log=np.concatenate(outcome_log),
+    )
+
+
+def reference_run_batch(
+    frame: DiagonalFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
+    max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
+) -> rus.BatchRun:
+    """``state_run_batch`` on normalized states, an oracle for its rounding.
 
     Every attempt takes two products: the draw reads ``frame.cumulative @
     |psi|^2`` and checks each live norm, and the chosen outcome's mass comes

@@ -216,11 +216,13 @@ class TestSimulate:
 # pi3:2:neg and exhausted when attempts began to draw on unnormalized states
 # (TestKernelOracle bounds what moved), standard:1, deterministic,
 # pi3:2:neg and fp:1e-3 when composed columns took their closed form
-# (TestComposeOracle bounds what moved), and pi3:2:neg when the cube-law
-# recursion moved to Python scalars (TestCubeLawOracle bounds what moved).
+# (TestComposeOracle bounds what moved), pi3:2:neg when the cube-law
+# recursion moved to Python scalars (TestCubeLawOracle bounds what moved),
+# and none when runs began to carry branch masses (TestKernelOracle bounds
+# what moved).
 OUTPUT_PINS = {
     "none":
-        "31b429e5ac746108d3589d5050ed956938e577c8be5c54d0c63b9a0f5efe2b34",
+        "7100421b02c44d63706e6e13c10e1897907aed4ff907157cccc5d51e80b61ef2",
     "standard:1":
         "80237c9cba6f8a22e9123aa67d8589ac4dedcc1133d4a2997ff7debc334b1736",
     "deterministic":
@@ -491,11 +493,27 @@ class TestKernelOracle:
         # Drawing on unnormalized states moved none, pi3:2:neg and
         # exhausted: 18, 6 and 12 fidelity cells by at most 4.4e-16, with
         # the same outcome sequences.
+        # Branch masses moved none: 21 fidelity cells in runs.csv and
+        # mean_fidelity and min_fidelity in summary.csv, by at most 6.7e-16,
+        # with the same outcome sequences.
         spec = _write_spec(tmp_path, lambda0=0.2)
         code = cli.main(_pinned_argv(spec, case, tmp_path / "kernel"))
+        # The normalized kernel runs on the frame read off the columns.
+        monkeypatch.setattr(rus.RusCircuit, "frame",
+                            property(conftest.circuit_diagonal_frame))
         monkeypatch.setattr(rus, "run_batch", conftest.reference_run_batch)
         assert cli.main(_pinned_argv(spec, case, tmp_path / "reference")) == code
         _assert_outputs_agree(tmp_path / "kernel", tmp_path / "reference")
+
+    @pytest.mark.parametrize("case", list(SIMULATE_CASES))
+    def test_fidelities_are_one_to_rounding(self, tmp_path, case):
+        # Each final is W_0 psi in closed form, and the fidelity compares it
+        # with W_0 psi.
+        spec = _write_spec(tmp_path, lambda0=0.2)
+        cli.main(_pinned_argv(spec, case, tmp_path / "out"))
+        fids = [float(row["fidelity"]) for row in _read_runs(tmp_path / "out")
+                if row["success"] == "1"]
+        assert fids and all(1.0 - 1e-15 <= fid <= 1.0 for fid in fids)
 
 
 class TestComposeOracle:
@@ -619,19 +637,20 @@ class TestConfigErrors:
 
     def test_trials_beyond_the_batch_budget(self, tmp_path, capsys, monkeypatch):
         # The budget is lowered so that a regression allocates nothing big:
-        # 51 trials of a 2-entry register exceed 100 entries.
+        # 26 trials of a 2-entry register and 2 outcome rows exceed 100
+        # entries.
         monkeypatch.setattr(rus, "MAX_BATCH_ENTRIES", 100)
         spec = _write_spec(tmp_path)
-        argv = ["simulate", "--spec", str(spec), "--trials", "51",
+        argv = ["simulate", "--spec", str(spec), "--trials", "26",
                 "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err == (
-            "error: --trials 51 needs more memory than there is: 51 trials of 2 "
-            "amplitudes exceed the batch limit of 100 state entries\n"
+            "error: --trials 26 needs more memory than there is: 26 trials of 2 "
+            "amplitudes and 2 outcome rows exceed the batch limit of 100 entries\n"
         )
         assert not (tmp_path / "out").exists()
-        argv[4] = "50"
+        argv[4] = "25"
         assert cli.main(argv) == 0
 
     @pytest.mark.parametrize("protocol", ["deterministic", "fp:1e-3"])

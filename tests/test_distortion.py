@@ -59,8 +59,10 @@ class TestBuildDistorter:
 
 def _assert_frame(cc, gammas):
     # Success block: sqrt(gamma_0) I on control |0>, A's success block on
-    # control |1>; failure i reweights the branches by (sqrt(gamma_i),
-    # sqrt(lambda_i)), interleaved over the control.
+    # control |1>; failure i reweights the two branches, the control bit,
+    # by the masses (gamma_i, lambda_i).  The idle masses are the squares
+    # of the distorter's column, so the success block's Gram matrix holds
+    # mass row 0 on its diagonal.
     success = cc.frame.success
     np.testing.assert_allclose(
         success[0::2, 0::2], math.sqrt(gammas[0]) * np.eye(2), atol=1e-12
@@ -68,19 +70,18 @@ def _assert_frame(cc, gammas):
     np.testing.assert_array_equal(success[1::2, 1::2], cc.base.a_matrix.mat[:2, :2])
     np.testing.assert_array_equal(success[0::2, 1::2], 0.0)
     np.testing.assert_array_equal(success[1::2, 0::2], 0.0)
+    np.testing.assert_array_equal(cc.frame.branches, [0, 1, 0, 1])
     lambdas = cc.base.spec.lambdas
-    masses = np.empty((len(lambdas), 4))
-    masses[:, 0::2] = np.asarray(gammas)[:, None]
-    masses[:, 1::2] = lambdas[:, None]
-    np.testing.assert_allclose(np.diff(cc.frame.cumulative, axis=0, prepend=0.0),
-                               masses[cc.frame.reachable], rtol=0, atol=1e-12)
-    for row in (0, 2):
-        np.testing.assert_allclose(
-            cc.frame.diagonals[:, row], np.sqrt(gammas[1:]), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            cc.frame.diagonals[:, row + 1], np.sqrt(lambdas[1:]), atol=1e-12
-        )
+    weights = cc.frame.weights
+    np.testing.assert_allclose(weights[:, 0], gammas, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(weights[:, 1], lambdas)
+    assert weights[0, 0] == success[0, 0].real ** 2
+    np.testing.assert_array_equal(
+        np.cumsum(weights[cc.frame.reachable], axis=0), cc.frame.cumulative
+    )
+    # The frame read off the operator's columns has the same masses.
+    dense = conftest.frame_masses(conftest.conditional_diagonal_frame(cc))
+    np.testing.assert_allclose(dense, weights[:, cc.frame.branches], rtol=0, atol=1e-15)
 
 
 class TestBuildConditional:
@@ -295,8 +296,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("max_attempts", [1, rus.DEFAULT_MAX_ATTEMPTS])
     def test_estimate_is_the_masked_sample(self, max_attempts):
-        # Bit for bit the mean and spread over the finished trials' columns,
-        # with and without exhausted trials to leave out.
+        # Bit for bit the mean and spread of the overlaps, over the finished
+        # trials, with and without exhausted trials to leave out.  The
+        # overlaps are masked, not the columns: a masked copy of the finals
+        # is laid out trial-major, and BLAS rounds its overlaps an ulp apart.
         rng = qcore.rng_stream(44)
         base = conftest.make_circuit(0.35, m=4, rng=rng)
         gammas = rng.random(16) + 0.1
@@ -306,7 +309,7 @@ class TestMonteCarlo:
         batch = rus.run_batch(cc.frame, conftest.conditional_start(cfg), cfg.trials,
                               qcore.rng_stream(cfg.seed), max_attempts)
         ideal = distortion.ideal_conditional_state(cc, cfg).amps
-        sample = np.abs(ideal.conj() @ batch.finals[:, ~batch.exhausted]) ** 2
+        sample = (np.abs(ideal.conj() @ batch.finals) ** 2)[~batch.exhausted]
         assert (est.trials, est.exhausted) == (sample.size, cfg.trials - sample.size)
         assert (est.exhausted > 0) == (max_attempts == 1)
         assert est.mean == float(sample.mean())

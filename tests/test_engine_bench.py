@@ -18,14 +18,15 @@ def test_times_every_shape_for_every_label():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[-2:] == ["us/call", "us/trial-attempt"]
-    assert len(rows) == (2 * 10 + 2 * 4 + 2 * 6 + 2 * 13 + 2 * 2 + 2 * 1 + 2 * 3
+    assert len(rows) == (2 * 11 + 2 * 4 + 2 * 6 + 2 * 13 + 2 * 2 + 2 * 1 + 2 * 3
                          + 2 * 1 + 2 * 1 + 2 * 3 + 2 + 2 * 2)
-    batches, composes, fixed = rows[:20], rows[20:28], rows[28:40]
-    protocols, inverses, composed = rows[40:66], rows[66:70], rows[70:72]
-    denses, synthesized, builds = rows[72:78], rows[78:80], rows[80:82]
-    figures, costs = rows[82:88] + rows[90:], rows[88:90]
+    batches, composes, fixed = rows[:22], rows[22:30], rows[30:42]
+    protocols, inverses, composed = rows[42:68], rows[68:72], rows[72:74]
+    denses, synthesized, builds = rows[74:80], rows[80:82], rows[82:84]
+    figures, costs = rows[84:90] + rows[92:], rows[90:92]
     assert batches[0].split()[:3] == ["conditional", "m=1", "n=1"]
-    for row, label in zip(batches, ["one", "two"] * 10):
+    assert batches[-1].split()[:3] == ["plain", "m=6", "n=2000"]
+    for row, label in zip(batches, ["one", "two"] * 11):
         *shape, name, per_call, per_step = row.split()
         assert name == label
         # A call takes at least one trial-attempt; per call is to 0.1 us.

@@ -136,6 +136,23 @@ class TestDeterministic:
         with pytest.raises(ValueError):
             oaa.apply_deterministic(circ, plan, PROBE)
 
+    # j = 1.0 once reached NumPy's TypeError, j = True composed one iterate,
+    # and a NaN phi read as "unitarity residual nan".
+    @pytest.mark.parametrize("j", [1.0, True, -1, math.nan])
+    def test_iteration_count_is_a_non_negative_integer(self, j):
+        circ = conftest.make_circuit(0.3, m=1)
+        plan = oaa.plan_deterministic(0.3)._replace(j=j)
+        with pytest.raises(ValueError, match="plan field j must be a non-negative integer"):
+            oaa.deterministic_compose(circ, plan)
+
+    @pytest.mark.parametrize("field", ["chi", "phi", "varphi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_phases_are_finite(self, field, value):
+        circ = conftest.make_circuit(0.3, m=1)
+        plan = oaa.plan_deterministic(0.3)._replace(**{field: value})
+        with pytest.raises(ValueError, match=f"plan field {field} must be a finite number"):
+            oaa.deterministic_compose(circ, plan)
+
 
 class TestPiOverThree:
     @pytest.mark.parametrize("lambda0", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -172,6 +189,12 @@ class TestPiOverThree:
     def test_depth_is_a_non_negative_integer(self, k):
         with pytest.raises(ValueError, match="recursion depth k must be a non-negative integer"):
             oaa.Pi3Plan(k=k)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, 0, 2])
+    def test_sign_is_one_or_minus_one(self, sign):
+        # True and 1.0 compare equal to 1, and were once taken for it.
+        with pytest.raises(ValueError, match="1 or -1, got"):
+            oaa.Pi3Plan(k=1, sign=sign)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("m", [1, 4])

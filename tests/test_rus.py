@@ -138,9 +138,6 @@ class TestColumns:
         spec = circ.spec
         assert spec.gates is spec.gates and not spec.gates.flags.writeable
         assert np.array_equal(spec.gates, [g.mat for g in spec.branch_gates()])
-        assert np.array_equal(
-            rus.undo_gates(spec), [r.mat.conj().T for r in spec.recoveries]
-        )
 
     def test_success_probability_reads_the_success_block(self):
         rng = qcore.rng_stream(8)
@@ -249,41 +246,47 @@ def test_agrees_with_dense_reference(protocol, m):
 
 class TestRetryFrame:
     def test_undone_failures_are_outcome_weights(self):
+        # The closed-form frame is one branch weighted by lambda; the frame
+        # read off the dense columns agrees with it to rounding.
         circ = conftest.make_circuit(0.3, m=2)
         frame = circ.frame
         assert circ.frame is frame
         np.testing.assert_array_equal(frame.success, circ.a_matrix.mat[:2, :2])
+        np.testing.assert_array_equal(frame.branches, [0, 0])
+        np.testing.assert_array_equal(frame.weights, circ.spec.lambdas[:, None])
+        np.testing.assert_array_equal(frame.reachable, np.arange(4))
+        np.testing.assert_array_equal(frame.cumulative, np.cumsum(frame.weights, axis=0))
+        dense = conftest.diagonal_frame(circ.a_matrix.mat[:, :2], conftest.undo_gates(circ.spec))
         np.testing.assert_allclose(
-            np.diff(frame.cumulative, axis=0, prepend=0.0),
-            np.tile(circ.spec.lambdas[:, None], (1, 2)), rtol=0, atol=1e-12,
+            conftest.frame_masses(dense), np.tile(frame.weights, (1, 2)), rtol=0, atol=1e-15
         )
-        np.testing.assert_allclose(
-            np.abs(frame.diagonals) ** 2,
-            np.tile(circ.spec.lambdas[1:, None], (1, 2)), rtol=0, atol=1e-12,
-        )
+        gram = frame.success.conj().T @ frame.success
+        np.testing.assert_allclose(gram, frame.weights[0, 0] * np.eye(2), rtol=0, atol=1e-15)
 
+    # The closed-form frame has nothing to extract; these check that the
+    # frame read off dense columns, the kernel oracle's, keeps its premise.
     def test_rejects_non_diagonal_undone_block(self):
         # Haar recoveries left in place by identity undos.
         circ = conftest.make_circuit(0.3, m=2)
         undo = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
         with pytest.raises(ValueError, match="not diagonal"):
-            rus.retry_frame(circ.a_matrix.mat[:, :2], undo)
+            conftest.diagonal_frame(circ.a_matrix.mat[:, :2], undo)
 
     def test_rejects_nan_columns(self):
         circ = conftest.make_circuit(0.3, m=1)
-        undo = rus.undo_gates(circ.spec)
+        undo = conftest.undo_gates(circ.spec)
         one = circ.a_matrix.mat[:, :2].copy()
         one[3, 0] = np.nan
         for columns in (one, np.full((4, 2), np.nan)):
             with pytest.raises(ValueError, match="not diagonal"):
-                rus.retry_frame(columns, undo)
+                conftest.diagonal_frame(columns, undo)
 
     def test_rejects_nan_success_block(self):
         circ = conftest.make_circuit(0.3, m=1)
         columns = circ.a_matrix.mat[:, :2].copy()
         columns[0, 1] = np.nan
         with pytest.raises(ValueError, match="not diagonal"):
-            rus.retry_frame(columns, rus.undo_gates(circ.spec))
+            conftest.diagonal_frame(columns, conftest.undo_gates(circ.spec))
 
     def test_rejects_non_diagonal_success_gram(self):
         # Undone failures stay diagonal, but U_0 = [[1, 1], [0, 0]] / 2 has
@@ -292,9 +295,9 @@ class TestRetryFrame:
         columns[0] = 0.5
         columns[2:] = np.sqrt(0.75) * np.eye(2)
         with pytest.raises(ValueError, match="not diagonal"):
-            rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+            conftest.diagonal_frame(columns, np.eye(2, dtype=complex)[None])
         columns[0, 1] = 0.0
-        rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+        conftest.diagonal_frame(columns, np.eye(2, dtype=complex)[None])
 
     def test_inverse_with_vanishing_failure_weight_runs(self):
         # The inverse keeps the composed failure mass, about 9.5e-13, and
@@ -339,7 +342,8 @@ class TestBatch:
 
 
 def _batch_case(kind: str, m: int):
-    """A frame, its start state and the matching dense per-trial attempt."""
+    """A frame, the frame read off the same columns, the start state and the
+    matching dense per-trial attempt."""
     rng = qcore.rng_stream(700 + m)
     circ = conftest.make_circuit(0.25, m=m, rng=rng)
     if kind == "standard":
@@ -347,7 +351,8 @@ def _batch_case(kind: str, m: int):
     elif kind == "fp":
         circ = oaa.fp_compose(circ, oaa.fp_plan(4, 0.5))
     if kind not in ("distorted", "undistorted"):
-        return circ.frame, qcore.random_state(1, rng).amps, conftest.dense_attempt(circ)
+        return (circ.frame, conftest.circuit_diagonal_frame(circ),
+                qcore.random_state(1, rng).amps, conftest.dense_attempt(circ))
     gammas = None
     if kind == "distorted":
         gammas = rng.random(2**m) + 0.1
@@ -357,7 +362,8 @@ def _batch_case(kind: str, m: int):
         alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
         psi1=qcore.random_state(1, rng), trials=1, seed=0,
     )
-    return cc.frame, conftest.conditional_start(cfg), conftest.dense_conditional_attempt(cc)
+    return (cc.frame, conftest.conditional_diagonal_frame(cc),
+            conftest.conditional_start(cfg), conftest.dense_conditional_attempt(cc))
 
 
 class TestWideBatches:
@@ -369,7 +375,7 @@ class TestWideBatches:
         "kind", ["plain", "standard", "fp", "distorted", "undistorted"]
     )
     def test_agrees_with_dense_trials(self, kind, m, width):
-        frame, start, attempt = _batch_case(kind, m)
+        frame, _, start, attempt = _batch_case(kind, m)
         batch = rus.run_batch(frame, start, width, qcore.rng_stream(m), 6)
         trial_log, outcome_log, finals = conftest.dense_batch_run(
             attempt, start, width, qcore.rng_stream(m), 6
@@ -385,18 +391,23 @@ class TestWideBatches:
 def _final_tolerance(attempts: np.ndarray) -> np.ndarray:
     """How far a trial's final may sit from ``conftest.reference_run_batch``'s.
 
-    Both kernels round once per attempt, and the differences add up like a
-    random walk: after 3,000 to 7,000 attempts they reached 1.8e-14, at most
-    2.5e-16 * sqrt(attempts).
+    ``rus.run_batch`` rebuilds each final in closed form, within 2e-16 of
+    W_0 psi in the deep plain runs.  The reference multiplies by diagonals
+    read off the columns, whose entries round apart by an ulp or so, and
+    its finals drift from the closed form in step with the attempts: by at
+    most 1.9e-16 per attempt over 3,000 to 7,000 attempts.
     """
-    return 1e-15 * np.sqrt(attempts)
+    return 1e-15 + 3e-16 * attempts
 
 
-def _assert_matches_reference(frame, start, trials, seed, max_attempts=rus.DEFAULT_MAX_ATTEMPTS):
-    """Run both kernels from equal streams; the same draws, finals to rounding."""
+def _assert_matches_reference(frame, diagonal, start, trials, seed,
+                              max_attempts=rus.DEFAULT_MAX_ATTEMPTS):
+    """Run ``rus.run_batch`` on ``frame`` and the normalized kernel on the
+    ``diagonal`` frame of the same circuit from equal streams; the same
+    draws, finals to rounding."""
     batch = rus.run_batch(frame, start, trials, qcore.rng_stream(seed), max_attempts)
     ref = conftest.reference_run_batch(
-        frame, start, trials, qcore.rng_stream(seed), max_attempts
+        diagonal, start, trials, qcore.rng_stream(seed), max_attempts
     )
     np.testing.assert_array_equal(batch.trial_log, ref.trial_log)
     np.testing.assert_array_equal(batch.outcome_log, ref.outcome_log)
@@ -421,7 +432,8 @@ class TestUnnormalizedStates:
     def test_deep_plain_runs_rescale(self, m):
         circ = conftest.make_circuit(1e-3, m=m, rng=qcore.rng_stream(50 + m))
         psi = qcore.random_state(1, qcore.rng_stream(5))
-        batch = _assert_matches_reference(circ.frame, psi.amps, 50, m)
+        batch = _assert_matches_reference(
+            circ.frame, conftest.circuit_diagonal_frame(circ), psi.amps, 50, m)
         assert not batch.exhausted.any()
         assert batch.attempts.max() > 3_000
         # Unscaled, the deepest states would have underflowed to zero many
@@ -441,7 +453,9 @@ class TestUnnormalizedStates:
             alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
             psi1=qcore.random_state(1, rng), trials=50, seed=m,
         )
-        batch = _assert_matches_reference(cc.frame, conftest.conditional_start(cfg), 50, m)
+        batch = _assert_matches_reference(
+            cc.frame, conftest.conditional_diagonal_frame(cc), conftest.conditional_start(cfg),
+            50, m)
         assert not batch.exhausted.any()
         assert max(_deepest_log2_mass(gammas, batch),
                    _deepest_log2_mass(base.spec.lambdas, batch)) < -1074
@@ -451,8 +465,8 @@ class TestUnnormalizedStates:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["plain", "distorted", "undistorted"])
     def test_capped_batches_match_reference(self, kind, m, width):
-        frame, start, _ = _batch_case(kind, m)
-        batch = _assert_matches_reference(frame, start, width, m, 6)
+        frame, diagonal, start, _ = _batch_case(kind, m)
+        batch = _assert_matches_reference(frame, diagonal, start, width, m, 6)
         if width == 3_000 and kind != "undistorted":
             assert 0 < batch.exhausted.sum() < width
 
@@ -469,51 +483,58 @@ class TestUnnormalizedStates:
 
     def test_live_state_turned_zero_is_rejected(self):
         # A trial's total can only reach zero through a draw on an outcome
-        # with no mass on its state; a frame whose failure leaves nothing
+        # with no mass on its branches; a frame whose failure leaves nothing
         # stands in for that draw.
-        columns = np.zeros((4, 2), dtype=complex)
-        columns[0, 0] = columns[1, 1] = np.sqrt(0.5)
-        columns[2:] = np.sqrt(0.5) * np.eye(2)
-        frame = rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
-        frame = dataclasses.replace(frame, diagonals=np.zeros_like(frame.diagonals))
+        frame = rus.retry_frame(np.sqrt(0.5) * np.eye(2), np.zeros(2, dtype=np.intp),
+                                np.array([[0.5], [0.5]]))
+        frame = dataclasses.replace(frame, weights=np.array([[0.5], [0.0]]))
         with pytest.raises(ValueError, match="not positive"):
             rus.run_batch(frame, np.array([0.6, 0.8]), 200, qcore.rng_stream(0))
 
     def test_masses_must_sum_to_one_on_the_state(self):
-        # The failure keeps half the mass of entry 1 only; a state on entry
-        # 0 alone never sees it.
-        columns = np.zeros((4, 2), dtype=complex)
-        columns[0, 0] = columns[1, 1] = np.sqrt(0.5)
-        columns[2, 0] = np.sqrt(0.5)
-        columns[3, 1] = 0.5
-        frame = rus.retry_frame(columns, np.eye(2, dtype=complex)[None])
+        # The failure keeps half the mass of branch 1, entry 1, only; a
+        # state on entry 0 alone never sees it.
+        frame = rus.retry_frame(np.sqrt(0.5) * np.eye(2), np.array([0, 1]),
+                                np.array([[0.5, 0.5], [0.5, 0.25]]))
         rus.run_batch(frame, np.array([1.0, 0.0]), 20, qcore.rng_stream(0))
         with pytest.raises(ValueError, match="sum to 1 only within"):
             rus.run_batch(frame, np.array([0.6, 0.8]), 20, qcore.rng_stream(0))
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated a batch array")
+
+
 class TestBatchMemory:
     def test_budget_rejects_before_allocating(self, monkeypatch):
+        # A trial at m = 1 counts 2 register amplitudes and 2 outcome rows.
         circ = conftest.make_circuit(0.3, m=1)
         monkeypatch.setattr(rus, "MAX_BATCH_ENTRIES", 64)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated a state array")
-
         with monkeypatch.context() as patched:
-            patched.setattr(np, "repeat", refuse)
-            patched.setattr(np, "full", refuse)
-            with pytest.raises(MemoryError, match="batch limit of 64 state entries"):
-                rus.run_batch(circ.frame, np.array([1.0, 0.0]), 33, qcore.rng_stream(0))
-        batch = rus.run_batch(circ.frame, np.array([1.0, 0.0]), 32, qcore.rng_stream(0))
-        assert batch.attempts.size == 32
+            patched.setattr(np, "repeat", _refuse)
+            patched.setattr(np, "full", _refuse)
+            with pytest.raises(MemoryError, match="batch limit of 64 entries"):
+                rus.run_batch(circ.frame, np.array([1.0, 0.0]), 17, qcore.rng_stream(0))
+        batch = rus.run_batch(circ.frame, np.array([1.0, 0.0]), 16, qcore.rng_stream(0))
+        assert batch.attempts.size == 16
+
+    def test_many_outcomes_are_counted(self, monkeypatch):
+        # At m = 8, 2**24 trials hold 2**25 register amplitudes, which the
+        # budget once admitted; the first attempt's cumulative masses alone
+        # would take 32 GiB.
+        circ = conftest.make_circuit(0.3, m=8, trivial_recoveries=True)
+        assert circ.frame.reachable.size == 256
+        state, rng = np.array([1.0, 0.0]), qcore.rng_stream(0)
+        for name in ("repeat", "full", "empty", "empty_like", "zeros", "ones"):
+            monkeypatch.setattr(np, name, _refuse)
+        with pytest.raises(MemoryError, match="2 amplitudes and 256 outcome rows"):
+            rus.run_batch(circ.frame, state, 2**24, rng)
 
     def test_default_budget_is_a_gibibyte(self):
-        # Live and kept states take 16 bytes per entry each.  At m = 1,
-        # --trials 100000000 would need 6.4 GB for the two; the budget
-        # rejects it.
+        # No entry takes more than 32 bytes.  At m = 1, --trials 100000000
+        # would need 12.8 GB; the budget rejects it.
         assert 2 * 16 * rus.MAX_BATCH_ENTRIES == 2**30
-        assert 10**8 * 2 > rus.MAX_BATCH_ENTRIES
+        assert 10**8 * 4 > rus.MAX_BATCH_ENTRIES
 
 
 class TestZeroMassOutcomes:
