@@ -365,20 +365,16 @@ def plan_deterministic(lambda0: float) -> DeterministicPlan:
     return DeterministicPlan(j=j, chi=chi, phi=phi, varphi=varphi)
 
 
-def _check_deterministic_plan(plan: DeterministicPlan) -> None:
-    """Raise ``ValueError`` naming the field unless j is a non-negative
-    integer and chi, phi and varphi are finite."""
+def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
+    """The deterministic protocol as a circuit; it succeeds with probability 1.
+    Raises ``ValueError`` naming the field unless the plan's j is a
+    non-negative integer and its chi, phi and varphi are finite."""
     qcore.check_integer(plan.j, "deterministic plan field j", non_negative=True)
     for name in ("chi", "phi", "varphi"):
         value = getattr(plan, name)
         if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ValueError(f"deterministic plan field {name} must be a finite number, "
                              f"got {value!r}")
-
-
-def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
-    """The deterministic protocol as a circuit; it succeeds with probability 1."""
-    _check_deterministic_plan(plan)
     lambda_plan = math.sin((math.pi / 2.0 - plan.chi) / (2 * plan.j + 1)) ** 2
     if not abs(c.spec.lambda0 - lambda_plan) <= 1e-9:
         raise ValueError(

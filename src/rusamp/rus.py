@@ -481,9 +481,9 @@ def run_batch(
         kept[:, alive] = np.nan
         kept_mass[alive] = 1.0
     trial_log = np.concatenate(trial_log)
-    # Trial-major, as the finals' product has always read them; divided in
-    # place, so that no more than two complex arrays of the batch's size
-    # are ever held.
+    # Trial-major, the layout of the kept states whose product with U_0 the
+    # pinned outputs were recorded from; divided in place, so that no more
+    # than two complex arrays of the batch's size are ever held.
     kept_states = state * np.sqrt(kept.T)[:, frame.branches]
     kept_states /= np.sqrt(kept_mass)[:, None]
     return BatchRun(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import decimal
 import functools
 import io
 import math
@@ -610,6 +611,52 @@ def dense_conditional_run(
     return outcomes, qcore.StateVector(2, final)
 
 
+def _history_weights(
+    cc: distortion.ConditionalCircuit, cfg: distortion.DistortionConfig,
+    batch: rus.BatchRun,
+) -> np.ndarray:
+    """Rows F, g / n and l / n over the finished trials of a conditional
+    batch, in trial order, for ``history_fidelities``' g, l and F and
+    n^2 = a g^2 + b l^2. The products g^2 and l^2 are taken in decimal
+    arithmetic at 50 significant digits, so histories too long for g and l
+    to be floats are covered too, and each value is rounded once, to a
+    float. The idle branch's weights sqrt(gamma_o) are the entries of the
+    distorter's first column, which at m = 1 differ from sqrt(gamma) by
+    rounding."""
+    lambdas = cc.base.spec.lambdas
+    idle = np.eye(len(lambdas))[0] if cc.distorter is None else cc.distorter.mat[:, 0].real
+    rows = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        g2s = [decimal.Decimal(x) ** 2 for x in idle.tolist()]
+        l2s = [decimal.Decimal(x) for x in lambdas.tolist()]
+        a, b = decimal.Decimal(abs(cfg.alpha) ** 2), decimal.Decimal(abs(cfg.beta) ** 2)
+        for seq, exhausted in zip(batch.sequences(), batch.exhausted.tolist()):
+            if exhausted:
+                continue
+            g2 = math.prod(g2s[o] for o in seq)
+            l2 = math.prod(l2s[o] for o in seq)
+            g, l, n2 = g2.sqrt(), l2.sqrt(), a * g2 + b * l2
+            n = n2.sqrt()
+            rows.append((float((a * g + b * l) ** 2 / n2), float(g / n), float(l / n)))
+    return np.array(rows).reshape(-1, 3).T
+
+
+def history_states(
+    cc: distortion.ConditionalCircuit, cfg: distortion.DistortionConfig,
+    batch: rus.BatchRun,
+) -> np.ndarray:
+    """The final (data, control) state of every finished trial of a
+    conditional batch, as columns in trial order: alpha g psi0 on control
+    |0> and beta l W_0 psi1 on control |1>, over n (see
+    ``history_fidelities`` and ``_history_weights``)."""
+    _, g, l = _history_weights(cc, cfg, batch)
+    states = np.empty((4, g.size), dtype=complex)
+    states[0::2] = (cfg.alpha * cfg.psi0.amps)[:, None] * g
+    states[1::2] = (cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps))[:, None] * l
+    return states
+
+
 def history_fidelities(
     cc: distortion.ConditionalCircuit, cfg: distortion.DistortionConfig,
     batch: rus.BatchRun, atol: float = 1e-12,
@@ -621,26 +668,15 @@ def history_fidelities(
     through g = sqrt(gamma_0) prod sqrt(gamma_o) and l = sqrt(lambda_0) prod
     sqrt(lambda_o) over its failures o. Its fidelity with the ideal state is
     then F = (a g + b l)^2 / (a g^2 + b l^2), with a = |alpha|^2 and
-    b = |beta|^2. The products are taken as sums of logs, so histories too
-    long for g and l to be floats are checked too. Reads the outcomes from
-    ``batch.sequences()`` and asserts each realized fidelity equals its F to
-    ``atol``; returns F of every finished trial, in trial order.
+    b = |beta|^2, taken in decimal arithmetic (``_history_weights``). Reads
+    the outcomes from ``batch.sequences()`` and asserts each realized
+    fidelity equals its F to ``atol``; returns F of every finished trial, in
+    trial order.
     """
-    lambdas = cc.base.spec.lambdas
-    gammas = np.eye(len(lambdas))[0] if cc.gammas is None else cc.gammas
-    with np.errstate(divide="ignore"):
-        log_g, log_l = np.log(gammas) / 2.0, np.log(lambdas) / 2.0
-    done = ~batch.exhausted
-    seqs = [list(seq) for seq, ok in zip(batch.sequences(), done) if ok]
-    lg = np.array([log_g[seq].sum() for seq in seqs])
-    ll = np.array([log_l[seq].sum() for seq in seqs])
-    top = np.maximum(lg, ll)
-    g, l = np.exp(lg - top), np.exp(ll - top)
-    a, b = abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2
-    want = (a * g + b * l) ** 2 / (a * g * g + b * l * l)
+    want = _history_weights(cc, cfg, batch)[0]
     ideal = conditional_start(cfg)
     ideal[1::2] = cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps)
-    got = np.abs(ideal.conj() @ batch.finals[:, done]) ** 2
+    got = np.abs(ideal.conj() @ batch.finals[:, ~batch.exhausted]) ** 2
     np.testing.assert_allclose(got, want, rtol=0, atol=atol)
     return want
 

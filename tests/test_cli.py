@@ -207,6 +207,21 @@ class TestSimulate:
         summary = _read_summary(out)
         assert int(summary["exhausted"]) == len(failed)
 
+    def test_gates_unitary_within_the_load_tolerance(self, tmp_path):
+        # A target scaled by 1 + 2e-11 passes the 1e-10 unitarity check at
+        # load.  A frame that read its masses off the gates summed them to
+        # 1 only within 1.2e-11 and exited 2; the masses are the weights.
+        data = rus.spec_to_dict(rus.load_spec(_write_spec(tmp_path)))
+        data["target"] = [[(1.0 + 2e-11) * x for x in pair] for pair in data["target"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--spec", str(path), "--trials", "50",
+                         "--out", str(out)]) == 0
+        runs = _read_runs(out)
+        assert len(runs) == 50 and all(r["success"] == "1" for r in runs)
+        assert all(abs(float(r["fidelity"]) - 1.0) <= 1e-10 for r in runs)
+
 
 # SHA-256 of each case's output files (name and bytes, sorted by name), with
 # every manifest's timestamp line removed.  Recorded before the output path

@@ -402,18 +402,19 @@ def _final_tolerance(attempts: np.ndarray) -> np.ndarray:
 
 def _assert_matches_reference(frame, diagonal, start, trials, seed,
                               max_attempts=rus.DEFAULT_MAX_ATTEMPTS):
-    """Run ``rus.run_batch`` on ``frame`` and the normalized kernel on the
-    ``diagonal`` frame of the same circuit from equal streams; the same
-    draws, finals to rounding."""
+    """Run ``rus.run_batch`` on ``frame``, and both ``conftest`` kernels on
+    the ``diagonal`` frame of the same circuit, from equal streams: the
+    kernel that carried register states must draw alike bit for bit, and
+    the normalized one too, with finals equal to rounding."""
     batch = rus.run_batch(frame, start, trials, qcore.rng_stream(seed), max_attempts)
-    ref = conftest.reference_run_batch(
-        diagonal, start, trials, qcore.rng_stream(seed), max_attempts
-    )
-    np.testing.assert_array_equal(batch.trial_log, ref.trial_log)
-    np.testing.assert_array_equal(batch.outcome_log, ref.outcome_log)
-    np.testing.assert_array_equal(batch.exhausted, ref.exhausted)
     done = ~batch.exhausted
     assert np.isnan(batch.finals[:, ~done]).all()
+    for kernel in (conftest.state_run_batch, conftest.reference_run_batch):
+        ref = kernel(diagonal, start, trials, qcore.rng_stream(seed), max_attempts)
+        np.testing.assert_array_equal(batch.trial_log, ref.trial_log)
+        np.testing.assert_array_equal(batch.outcome_log, ref.outcome_log)
+        np.testing.assert_array_equal(batch.attempts, ref.attempts)
+        np.testing.assert_array_equal(batch.exhausted, ref.exhausted)
     error = np.abs(batch.finals - ref.finals).max(axis=0)[done]
     assert np.all(error <= _final_tolerance(batch.attempts[done]))
     return batch
@@ -440,7 +441,7 @@ class TestUnnormalizedStates:
         # times over.
         assert _deepest_log2_mass(circ.spec.lambdas, batch) < -4 * 1074
         expect = circ.spec.target.mat @ psi.amps
-        assert np.all(np.abs(expect.conj() @ batch.finals) ** 2 > 1.0 - 1e-12)
+        assert np.abs(batch.finals - expect[:, None]).max() <= 1e-15
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_deep_conditional_runs_rescale(self, m):
@@ -459,6 +460,7 @@ class TestUnnormalizedStates:
         assert not batch.exhausted.any()
         assert max(_deepest_log2_mass(gammas, batch),
                    _deepest_log2_mass(base.spec.lambdas, batch)) < -1074
+        assert np.abs(batch.finals - conftest.history_states(cc, cfg, batch)).max() <= 1e-15
         conftest.history_fidelities(cc, cfg, batch)
 
     @pytest.mark.parametrize("width", [1, 7, 3_000])
@@ -499,6 +501,62 @@ class TestUnnormalizedStates:
         rus.run_batch(frame, np.array([1.0, 0.0]), 20, qcore.rng_stream(0))
         with pytest.raises(ValueError, match="sum to 1 only within"):
             rus.run_batch(frame, np.array([0.6, 0.8]), 20, qcore.rng_stream(0))
+
+
+# The attempt cap of the oracle's grid, high enough that every case has
+# finished trials to check, the runs on the idle branch alone at m = 4 too.
+ORACLE_CAP = 200
+# Control amplitudes of the conditional cases: both branches, the control-|1>
+# branch alone (alpha = 0) and the idle branch alone (beta = 0).
+CONTROLS = {"both": (0.6, 0.8j), "alpha=0": (0.0, 1.0), "beta=0": (1.0, 0.0)}
+
+
+class TestClosedFormFinals:
+    """Branch masses draw as the register states did
+    (``_assert_matches_reference``), and their finals are the closed form
+    to 1e-15: W_0 psi for a plain frame, and for a conditional one the
+    state that ``conftest.history_states`` reads off each trial's outcomes,
+    whose fidelity ``conftest.history_fidelities`` checks.  The deep runs
+    of ``TestUnnormalizedStates`` check the same after rescaling."""
+
+    @pytest.mark.parametrize("width", [1, 7, 3_000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_plain_frames(self, m, width):
+        rng = qcore.rng_stream(300 + m)
+        circ = conftest.make_circuit(0.25, m=m, rng=rng)
+        psi = qcore.random_state(1, rng).amps
+        batch = _assert_matches_reference(
+            circ.frame, conftest.circuit_diagonal_frame(circ), psi, width, m, ORACLE_CAP)
+        done = ~batch.exhausted
+        assert done.any()
+        expect = circ.spec.target.mat @ psi
+        assert np.abs(batch.finals[:, done] - expect[:, None]).max() <= 1e-15
+
+    @pytest.mark.parametrize("width", [1, 7, 3_000])
+    @pytest.mark.parametrize("control", list(CONTROLS))
+    @pytest.mark.parametrize("distorted", [True, False])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_conditional_frames(self, m, distorted, control, width):
+        rng = qcore.rng_stream(320 + m)
+        base = conftest.make_circuit(0.25, m=m, rng=rng)
+        gammas = None
+        if distorted:
+            gammas = rng.random(2**m) + 0.1
+            gammas /= gammas.sum()
+        cc = distortion.build_conditional(base, gammas, seed=m)
+        alpha, beta = CONTROLS[control]
+        cfg = distortion.DistortionConfig(
+            alpha=alpha, beta=beta, psi0=qcore.random_state(1, rng),
+            psi1=qcore.random_state(1, rng), trials=width, seed=m,
+        )
+        batch = _assert_matches_reference(
+            cc.frame, conftest.conditional_diagonal_frame(cc), conftest.conditional_start(cfg),
+            width, m, ORACLE_CAP)
+        done = ~batch.exhausted
+        assert done.any()
+        want = conftest.history_states(cc, cfg, batch)
+        assert np.abs(batch.finals[:, done] - want).max() <= 1e-15
+        conftest.history_fidelities(cc, cfg, batch)
 
 
 def _refuse(*args, **kwargs):
