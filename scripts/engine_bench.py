@@ -1,44 +1,29 @@
-"""Time one Monte Carlo batch step and one composition across checkouts.
+"""Time the package's layers call by call across checkouts.
 
     python3 scripts/engine_bench.py parent=../rusamp-parent change=. [--repeats 40]
 
 Each ``LABEL=PATH`` names a checkout whose ``src/rusamp`` is imported into
 this one process under its own module name, so every checkout runs on the
-same interpreter, cache and load. For every shape in ``SHAPES`` each
-checkout builds its own frame from the spec seeded with ``SEED`` and times
-``rusamp.rus.run_batch`` on it; a conditional shape draws its lambda0 and
-gamma0 from ``CONDITIONAL_WEIGHTS``. For every ancilla count in
-``COMPOSE_SHAPES`` each checkout times ``build_rus_unitary`` on that spec,
-then ``oaa.standard_compose(circuit, 2)``, then the composed circuit's
-``frame``. For every (m, L) in ``FP_SHAPES`` each checkout builds the
-circuit of that spec once and times ``oaa.fp_plan(L, FP_DELTA)`` plus
-``oaa.fp_compose`` with it. For every protocol in ``PROTOCOLS`` and each of
-its ancilla counts each checkout builds the circuit and the plan once and
-times the composition alone; the fixed-point rows at m = 1 take lengths on
-both sides of ``oaa.SCALAR_SCHEDULE_LENGTH``. For every ancilla count in
-``INVERSE_SHAPES`` each checkout builds the circuit and its ``a_matrix``
-once and times ``rus.inverse_rus`` alone; for every ancilla count in
-``INVERSE_COMPOSED_SHAPES`` it does the same for that circuit's fixed-point
-composition at length ``INVERSE_FP_LENGTH``. For every ancilla count in
-``DENSE_SHAPES`` each checkout times ``rus.inverse_rus`` of a circuit it
-builds in the timed call, so a checkout that inverts through the full
-matrix builds its ``a_matrix`` there too. For every ancilla count in
-``SYNTHESIZED_SHAPES`` each checkout times reading the ``a_matrix`` of a
-circuit it synthesizes in the timed call. For every
-ancilla count in ``CONDITIONAL_BUILD_SHAPES`` each checkout builds the
-circuit and its distorter weights once and times
-``distortion.build_conditional`` with them. For every name in ``FIGURES`` each
-checkout times the ``rusamp.distortion`` call that builds that figure's rows
-at ``SEED``. Each
-checkout times ``tcost.all_strategies`` over the ``STRATEGY_GRID`` of
-lambda0 at ``STRATEGY_DELTA`` with kmm reflections, and, for every name in
-``CLI_FIGURES``, ``cli.main(["figure", name, ...])`` into a temporary
-directory, which formats and writes the cost tables too. The
-calls alternate between checkouts, each batch on a fresh stream of ``SEED``,
-and the best of ``--repeats`` counts. Per shape and label it prints the best
-microseconds per call and, for a batch, per trial-attempt (the number of live
-trials summed over attempts, read from the batch's ``trial_log``); a
-composition or a figure prints ``-`` there.
+same interpreter, cache and load.  Two tables list the rows, in the order
+they print.
+
+``SHAPES`` lists the Monte Carlo batch steps, (kind, m, width): each
+checkout builds its own frame and start state from the spec seeded with
+``SEED`` (a conditional shape draws its lambda0 and gamma0 from
+``CONDITIONAL_WEIGHTS``) and times ``rusamp.rus.run_batch`` of ``width``
+trials, each call on a fresh stream of ``SEED`` made outside the timer.
+
+``CALLS`` lists every other row as its name, a set-up and the set-up's
+further arguments.  The set-up builds the row's inputs with one checkout,
+outside the timer, and returns the argument-free call to time; its
+docstring says what the call does.  To add a row, add one entry to
+``CALLS``, and its name to ``tests/test_engine_bench.py``.
+
+The calls alternate between checkouts, and the best of ``--repeats``
+counts.  Per row and label it prints the best microseconds per call and,
+for a batch, per trial-attempt (the number of live trials summed over
+attempts, read from the batch's ``trial_log``); any other row prints ``-``
+there.
 """
 
 from __future__ import annotations
@@ -53,9 +38,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import functools  # noqa: E402
 import importlib.util  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import weakref  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -70,56 +57,10 @@ SHAPES = (
 # The range of lambda0 and gamma0 of the conditional shapes, as in
 # perfbench's Monte Carlo operations.
 CONDITIONAL_WEIGHTS = (0.25, 0.5)
-# Ancilla counts m of the composition shapes.
-COMPOSE_SHAPES = (1, 4, 6, 8)
-
-
-def _fixed_point_call(length: int):
-    """The composition-only call of a length-``length`` fixed-point schedule."""
-    return lambda oaa, c: functools.partial(oaa.fp_compose, c, oaa.fp_plan(length, FP_DELTA))
-
-
-# Composition-only shapes: each protocol's composition of a prebuilt circuit
-# with a prebuilt plan, at each of its ancilla counts m.  The fixed-point
-# lengths at m = 1 lie on both sides of the length where schedules move from
-# Python scalars to NumPy passes.
-PROTOCOLS = {
-    "standard:2": ((1, 4), lambda oaa, c: functools.partial(oaa.standard_compose, c, 2)),
-    "deterministic": ((1, 4), lambda oaa, c: functools.partial(
-        oaa.deterministic_compose, c, oaa.plan_deterministic(c.spec.lambda0))),
-    "pi3:5": ((1, 4), lambda oaa, c: functools.partial(oaa.pi3_compose, c, oaa.Pi3Plan(k=5))),
-    "pi3:10": ((1,), lambda oaa, c: functools.partial(oaa.pi3_compose, c, oaa.Pi3Plan(k=10))),
-    "fp:L=13": ((1, 4), _fixed_point_call(13)),
-    **{f"fp:L={length}": ((1,), _fixed_point_call(length)) for length in (5, 32, 64, 128)},
-}
-# Ancilla counts of the inverse shapes, of synthesized circuits and of
-# their fixed-point compositions.
-INVERSE_SHAPES = (1, 4)
-INVERSE_COMPOSED_SHAPES = (4,)
-INVERSE_FP_LENGTH = 13
-# Ancilla counts of the dense shapes: build and invert in one call; a
-# checkout that inverts through the full matrix builds it there.
-DENSE_SHAPES = (4, 6, 8)
-# Ancilla counts of the synthesized-matrix shapes: synthesize, then read the
-# full unitary, built and checked on that read.
-SYNTHESIZED_SHAPES = (8,)
-# Ancilla counts of the distorted conditional builds.
-CONDITIONAL_BUILD_SHAPES = (4,)
-# (m, L) of the fixed-point shapes: schedule lengths of the benchmark's
-# fp block, and a deep one.
-FP_SHAPES = ((1, 320), (1, 2_000), (1, 100_000), (4, 320), (4, 2_000), (4, 100_000))
 FP_DELTA = 1e-3
-# Figure datasets, each a call on a checkout's ``distortion`` module.
-FIGURES = {
-    "fig1-left": lambda distortion: distortion.figure1_data("left", SEED),
-    "fig1-right": lambda distortion: distortion.figure1_data("right", SEED),
-    "fig3": lambda distortion: distortion.figure3_data(SEED),
-}
 # The amplify workload's cost-table grid size, at one tolerance and policy.
 STRATEGY_GRID = np.linspace(0.02, 0.98, 24).tolist()
 STRATEGY_DELTA = 1e-6
-# Cost figures run through each checkout's command line.
-CLI_FIGURES = ("fig2", "figd1")
 LAMBDA0 = 0.3
 SEED = 0
 
@@ -214,128 +155,170 @@ def best_of(calls, repeats: int):
     return best
 
 
-def compose(pkg, spec):
-    """Build, compose and frame: the composition shape's timed call."""
-    return pkg.oaa.standard_compose(pkg.rus.build_rus_unitary(spec), 2).frame
+def seeded_spec(pkg, m: int):
+    """The spec of ``make_spec`` drawn from a fresh stream of ``SEED``."""
+    return make_spec(pkg, m, pkg.qcore.rng_stream(SEED))
 
 
-def fixed_point(pkg, circuit, length: int):
-    """Plan and compose: the fixed-point shape's timed call."""
-    return pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
+def seeded_circuit(pkg, m: int):
+    """The circuit of ``seeded_spec``."""
+    return pkg.rus.build_rus_unitary(seeded_spec(pkg, m))
 
 
-def inverse_input(pkg, m: int, composed: bool = False):
-    """The circuit of the inverse shape, or its fixed-point composition, its
-    full matrix already built, as the benchmark's inverse operations find
-    it."""
-    circuit = pkg.rus.build_rus_unitary(make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
-    if composed:
-        circuit = pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(INVERSE_FP_LENGTH, FP_DELTA))
+def compose_and_frame(pkg, m: int):
+    """Build a circuit of a prebuilt spec, compose it with two standard
+    iterates, and build the composition's frame."""
+    spec = seeded_spec(pkg, m)
+    return lambda: pkg.oaa.standard_compose(pkg.rus.build_rus_unitary(spec), 2).frame
+
+
+def plan_and_compose(pkg, m: int, length: int):
+    """Plan a fixed-point schedule and compose it with a prebuilt circuit."""
+    circuit = seeded_circuit(pkg, m)
+    return lambda: pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
+
+
+def compose_standard(pkg, m: int, j: int):
+    """The composition alone, of a prebuilt circuit: ``j`` standard iterates."""
+    return functools.partial(pkg.oaa.standard_compose, seeded_circuit(pkg, m), j)
+
+
+def compose_deterministic(pkg, m: int):
+    """The composition alone, of a prebuilt circuit and plan."""
+    circuit = seeded_circuit(pkg, m)
+    return functools.partial(pkg.oaa.deterministic_compose, circuit,
+                             pkg.oaa.plan_deterministic(circuit.spec.lambda0))
+
+
+def compose_pi3(pkg, m: int, k: int):
+    """The composition alone, of a prebuilt circuit and plan."""
+    return functools.partial(pkg.oaa.pi3_compose, seeded_circuit(pkg, m), pkg.oaa.Pi3Plan(k=k))
+
+
+def compose_fp(pkg, m: int, length: int):
+    """The composition alone, of a prebuilt circuit and plan: below and
+    above ``oaa.SCALAR_SCHEDULE_LENGTH`` at m = 1, schedules move from
+    Python scalars to NumPy passes."""
+    return functools.partial(pkg.oaa.fp_compose, seeded_circuit(pkg, m),
+                             pkg.oaa.fp_plan(length, FP_DELTA))
+
+
+def invert(pkg, m: int, length: int = 0):
+    """``rus.inverse_rus`` alone, of a prebuilt circuit or, for a
+    ``length``, its fixed-point composition, with its full matrix already
+    built, as the benchmark's inverse operations find it."""
+    circuit = seeded_circuit(pkg, m)
+    if length:
+        circuit = pkg.oaa.fp_compose(circuit, pkg.oaa.fp_plan(length, FP_DELTA))
     circuit.a_matrix
-    return circuit
+    return functools.partial(pkg.rus.inverse_rus, circuit)
 
 
-def dense(pkg, spec):
-    """Build and invert: the dense shape's timed call."""
-    return pkg.rus.inverse_rus(pkg.rus.build_rus_unitary(spec))
+def build_and_invert(pkg, m: int):
+    """Build a circuit of a prebuilt spec and invert it: a checkout that
+    inverts through the full matrix builds it here."""
+    spec = seeded_spec(pkg, m)
+    return lambda: pkg.rus.inverse_rus(pkg.rus.build_rus_unitary(spec))
 
 
-def synthesized_matrix(pkg, spec):
-    """Synthesize and read the full unitary: the synthesized shape's timed
-    call."""
-    return pkg.rus.build_rus_unitary(spec).a_matrix
+def build_and_read_matrix(pkg, m: int):
+    """Synthesize a circuit of a prebuilt spec and read its full unitary,
+    built on that read."""
+    spec = seeded_spec(pkg, m)
+    return lambda: pkg.rus.build_rus_unitary(spec).a_matrix
 
 
-def conditional_build_input(pkg, m: int):
-    """The circuit and distorter weights of the conditional build shape."""
+def build_conditional(pkg, m: int):
+    """``distortion.build_conditional`` of a prebuilt circuit and distorter
+    weights."""
     rng = pkg.qcore.rng_stream(SEED)
     lambda0, gamma0 = rng.uniform(*CONDITIONAL_WEIGHTS, size=2).tolist()
     circuit = pkg.rus.build_rus_unitary(make_spec(pkg, m, rng, lambda0))
-    return circuit, split(rng, m, gamma0)
+    return functools.partial(pkg.distortion.build_conditional, circuit,
+                             split(rng, m, gamma0), seed=SEED)
 
 
 def strategies(pkg):
-    """Every strategy's cost over the grid: the cost-table shape's timed call."""
+    """Every strategy's cost over ``STRATEGY_GRID`` at ``STRATEGY_DELTA``,
+    with kmm reflections."""
     tcost = pkg.tcost
-    return [tcost.all_strategies(tcost.CostQuery(lambda0, STRATEGY_DELTA, 1.0))
-            for lambda0 in STRATEGY_GRID]
+    return lambda: [tcost.all_strategies(tcost.CostQuery(lambda0, STRATEGY_DELTA, 1.0))
+                    for lambda0 in STRATEGY_GRID]
 
 
-def cli_figure(pkg, name: str, out: str):
-    """One figure through the command line: the CLI figure shape's timed call."""
-    if pkg.cli.main(["figure", name, "--seed", str(SEED), "--out", out]) != 0:
-        raise RuntimeError(f"figure {name} failed in {pkg.__name__}")
+def cli_figure(pkg, name: str):
+    """``cli.main(["figure", name, ...])``, which formats and writes the
+    cost tables too, into a directory removed with the call."""
+    out = tempfile.mkdtemp()
+
+    def call():
+        if pkg.cli.main(["figure", name, "--seed", str(SEED), "--out", out]) != 0:
+            raise RuntimeError(f"figure {name} failed in {pkg.__name__}")
+
+    weakref.finalize(call, shutil.rmtree, out)
+    return call
+
+
+# (name, set-up, *arguments), in print order.
+CALLS = [
+    ("compose m=1", compose_and_frame, 1),
+    ("compose m=4", compose_and_frame, 4),
+    ("compose m=6", compose_and_frame, 6),
+    ("compose m=8", compose_and_frame, 8),
+    # Schedule lengths of the benchmark's fp block, and a deep one.
+    ("fp m=1 L=320", plan_and_compose, 1, 320),
+    ("fp m=1 L=2000", plan_and_compose, 1, 2_000),
+    ("fp m=1 L=100000", plan_and_compose, 1, 100_000),
+    ("fp m=4 L=320", plan_and_compose, 4, 320),
+    ("fp m=4 L=2000", plan_and_compose, 4, 2_000),
+    ("fp m=4 L=100000", plan_and_compose, 4, 100_000),
+    ("standard:2 m=1", compose_standard, 1, 2),
+    ("standard:2 m=4", compose_standard, 4, 2),
+    ("deterministic m=1", compose_deterministic, 1),
+    ("deterministic m=4", compose_deterministic, 4),
+    ("pi3:5 m=1", compose_pi3, 1, 5),
+    ("pi3:5 m=4", compose_pi3, 4, 5),
+    ("pi3:10 m=1", compose_pi3, 1, 10),
+    ("fp:L=13 m=1", compose_fp, 1, 13),
+    ("fp:L=13 m=4", compose_fp, 4, 13),
+    ("fp:L=5 m=1", compose_fp, 1, 5),
+    ("fp:L=32 m=1", compose_fp, 1, 32),
+    ("fp:L=64 m=1", compose_fp, 1, 64),
+    ("fp:L=128 m=1", compose_fp, 1, 128),
+    ("inverse m=1", invert, 1),
+    ("inverse m=4", invert, 4),
+    ("inverse composed m=4", invert, 4, 13),
+    ("dense m=4", build_and_invert, 4),
+    ("dense m=6", build_and_invert, 6),
+    ("dense m=8", build_and_invert, 8),
+    ("synthesized matrix m=8", build_and_read_matrix, 8),
+    ("conditional build m=4", build_conditional, 4),
+    ("figure fig1-left", lambda pkg: functools.partial(pkg.distortion.figure1_data, "left", SEED)),
+    ("figure fig1-right",
+     lambda pkg: functools.partial(pkg.distortion.figure1_data, "right", SEED)),
+    ("figure fig3", lambda pkg: functools.partial(pkg.distortion.figure3_data, SEED)),
+    ("tcost strategies", strategies),
+    ("figure fig2", cli_figure, "fig2"),
+    ("figure figd1", cli_figure, "figd1"),
+]
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    labels = [label for label, _ in args.checkout]
     packages = [load_package(init, f"rusamp_bench_{i}")
                 for i, (_, init) in enumerate(args.checkout)]
     print(f"{'shape':<24} {'label':<12} {'us/call':>10} {'us/trial-attempt':>17}")
     for kind, m, width in SHAPES:
         best, steps = bench(packages, kind, m, width, args.repeats)
         shape = f"{kind} m={m} n={width}"
-        for (label, _), seconds, count in zip(args.checkout, best, steps):
+        for label, seconds, count in zip(labels, best, steps):
             print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} "
                   f"{seconds * 1e6 / count:>17.3f}")
-    timed = [
-        (f"compose m={m}",
-         [functools.partial(compose, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
-          for pkg in packages])
-        for m in COMPOSE_SHAPES
-    ] + [
-        (f"fp m={m} L={length}",
-         [functools.partial(fixed_point, pkg, pkg.rus.build_rus_unitary(
-             make_spec(pkg, m, pkg.qcore.rng_stream(SEED))), length) for pkg in packages])
-        for m, length in FP_SHAPES
-    ] + [
-        (f"{name} m={m}",
-         [call(pkg.oaa, pkg.rus.build_rus_unitary(
-             make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))) for pkg in packages])
-        for name, (shapes, call) in PROTOCOLS.items() for m in shapes
-    ] + [
-        (f"inverse m={m}",
-         [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m)) for pkg in packages])
-        for m in INVERSE_SHAPES
-    ] + [
-        (f"inverse composed m={m}",
-         [functools.partial(pkg.rus.inverse_rus, inverse_input(pkg, m, composed=True))
-          for pkg in packages])
-        for m in INVERSE_COMPOSED_SHAPES
-    ] + [
-        (f"dense m={m}",
-         [functools.partial(dense, pkg, make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
-          for pkg in packages])
-        for m in DENSE_SHAPES
-    ] + [
-        (f"synthesized matrix m={m}",
-         [functools.partial(synthesized_matrix, pkg,
-                            make_spec(pkg, m, pkg.qcore.rng_stream(SEED)))
-          for pkg in packages])
-        for m in SYNTHESIZED_SHAPES
-    ] + [
-        (f"conditional build m={m}",
-         [functools.partial(pkg.distortion.build_conditional,
-                            *conditional_build_input(pkg, m), seed=SEED)
-          for pkg in packages])
-        for m in CONDITIONAL_BUILD_SHAPES
-    ] + [
-        (f"figure {name}", [functools.partial(call, pkg.distortion) for pkg in packages])
-        for name, call in FIGURES.items()
-    ] + [
-        ("tcost strategies", [functools.partial(strategies, pkg) for pkg in packages])
-    ]
-    with tempfile.TemporaryDirectory() as out:
-        timed += [
-            (f"figure {name}",
-             [functools.partial(cli_figure, pkg, name, os.path.join(out, str(i)))
-              for i, pkg in enumerate(packages)])
-            for name in CLI_FIGURES
-        ]
-        for shape, calls in timed:
-            best = best_of(calls, args.repeats)
-            for (label, _), seconds in zip(args.checkout, best):
-                print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
+    for shape, setup, *params in CALLS:
+        best = best_of([setup(pkg, *params) for pkg in packages], args.repeats)
+        for label, seconds in zip(labels, best):
+            print(f"{shape:<24} {label:<12} {seconds * 1e6:>10.1f} {'-':>17}")
     return 0
 
 

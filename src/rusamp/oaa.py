@@ -384,12 +384,12 @@ def deterministic_compose(c: RusCircuit, plan: DeterministicPlan) -> RusCircuit:
         raise ValueError(
             f"deterministic schedule needs more than {FP_MAX_LENGTH} steps"
         )
-    if plan.chi == 0.0:
-        pis = np.full(plan.j, math.pi)
-        return _phase_schedule(c, pis, pis)
-    phis = np.full(plan.j + 1, math.pi)
+    # chi == 0 skips the trailing generalized iterate.
+    trailing = plan.chi != 0.0
+    phis = np.full(plan.j + trailing, math.pi)
     varphis = phis.copy()
-    phis[-1], varphis[-1] = plan.phi, plan.varphi
+    if trailing:
+        phis[-1], varphis[-1] = plan.phi, plan.varphi
     return _phase_schedule(c, phis, varphis)
 
 

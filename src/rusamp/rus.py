@@ -218,8 +218,9 @@ class RusCircuit:
     on ``|0^m>|psi>``, one (2, 2) block per outcome), are the spec's closed
     form; runs, success probabilities and retry frames read nothing else.
     ``complement`` is V on the OAA planes, derived on first read.  The full
-    unitary ``a_matrix`` is built and checked only when read, from
-    ``source``: ``None`` for a synthesized circuit, otherwise an object
+    unitary ``a_matrix`` is built only when read, from ``source``: ``None``
+    for a synthesized circuit, whose matrix is a product of checked
+    factors and is not checked again, otherwise an object
     whose ``matrix()`` builds it and whose ``complement()`` derives V
     (``oaa.Composition`` for a composed circuit, ``Adjoint`` for an
     inverse).
@@ -244,7 +245,7 @@ class RusCircuit:
 
     @cached_property
     def a_matrix(self) -> UnitaryMatrix:
-        """The full unitary, built and checked on first read."""
+        """The full unitary, built on first read."""
         if self.source is None:
             return _synthesized_matrix(self.spec)
         return self.source.matrix()
@@ -311,9 +312,12 @@ class BatchRun:
         attempts = int(self.attempts[0])
         if self.exhausted[0]:
             raise MaxAttemptsExceeded(f"no success outcome within {attempts} attempts")
-        final = StateVector(self.finals.shape[0].bit_length() - 1, self.finals[:, 0])
+        amps = self.finals[:, 0]
         outcomes = tuple(self.outcome_log[self.trial_log == 0].tolist())
-        return RunRecord(outcomes, attempts, final)
+        # Gates are unitary only to within UNITARY_ATOL, so a final's norm
+        # can miss 1 by more than a StateVector's NORM_ATOL.
+        norm = math.hypot(*map(abs, amps.tolist()))
+        return RunRecord(outcomes, attempts, StateVector(amps.size.bit_length() - 1, amps / norm))
 
 
 def build_rus_unitary(spec: RusSpec) -> RusCircuit:
@@ -332,13 +336,18 @@ def build_rus_unitary(spec: RusSpec) -> RusCircuit:
 
 
 def _synthesized_matrix(spec: RusSpec) -> UnitaryMatrix:
-    """The full unitary of ``build_rus_unitary(spec)``, checked: block (i, j)
-    is H_ij W_i for the reflection H = ``qcore.householder(sqrt(lambda))``."""
+    """The full unitary of ``build_rus_unitary(spec)``: block (i, j) is
+    H_ij W_i for the reflection H = ``qcore.householder(sqrt(lambda))``.
+
+    It is not checked again: it is the product of the gates, each checked
+    unitary with the spec, and of H (x) I, which is orthogonal to within
+    |sum(lambda) - 1|, at most ``qcore.NORM_ATOL`` as checked with the
+    spec."""
     rotation = qcore.householder(np.sqrt(spec.lambdas))
-    dim = 2 ** (spec.m + 1)
     # Indexed (outcome i, data out, ancilla in j, data in).
     blocks = rotation[:, None, :, None] * spec.gates[:, :, None, :]
-    return UnitaryMatrix(blocks.reshape(dim, dim))
+    blocks.setflags(write=False)
+    return qcore.unitary_views(blocks.reshape(1, 2 ** (spec.m + 1), -1))[0]
 
 
 def success_probability(c: RusCircuit, psi: StateVector) -> float:

@@ -260,17 +260,8 @@ def dense_complement(a: np.ndarray, spec: rus.RusSpec) -> np.ndarray:
     return a.conj().T @ pulled.reshape(-1, 2)
 
 
-def success_block(state_amps: np.ndarray) -> np.ndarray:
-    """All-zero-ancilla (data) component of a joint register state."""
-    return state_amps[:2]
-
-
 def success_mass(state_amps: np.ndarray) -> float:
     return float(np.sum(np.abs(state_amps[:2]) ** 2))
-
-
-def failure_mass(state_amps: np.ndarray) -> float:
-    return float(np.sum(np.abs(state_amps[2:]) ** 2))
 
 
 def measure_ancillas(
