@@ -38,6 +38,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import functools  # noqa: E402
 import importlib.util  # noqa: E402
+import math  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -238,6 +239,37 @@ def build_conditional(pkg, m: int):
                              split(rng, m, gamma0), seed=SEED)
 
 
+def criterion_07(pkg, m: int):
+    """``distortion.monte_carlo_fidelity`` of 100,000 trials on one case of
+    acceptance criterion 07 at ``m``: control amplitudes, distorter weights,
+    spec, build seed, states and run seed drawn in the criterion's order and
+    way, from a fresh stream of ``SEED``, and built outside the timer."""
+    qcore, distortion = pkg.qcore, pkg.distortion
+    rng = qcore.rng_stream(SEED)
+    a2 = float(rng.uniform(0.2, 0.8))
+    gamma0 = float(rng.uniform(0.1, 0.99))
+    lambda0 = float(rng.uniform(0.1, 0.99))
+    gammas = rng.random(2**m) + 1e-3
+    gammas[1:] *= (1.0 - gamma0) / gammas[1:].sum()
+    gammas[0] = gamma0
+    lambdas = rng.random(2**m) + 1e-3
+    lambdas /= lambdas.sum()
+    lambdas[1:] *= (1.0 - lambda0) / lambdas[1:].sum()
+    lambdas[0] = lambda0
+    spec = pkg.rus.RusSpec(
+        m=m, lambdas=lambdas, target=qcore.random_unitary(1, rng),
+        recoveries=tuple(qcore.random_unitary(1, rng) for _ in range(2**m - 1)),
+        seed=int(rng.integers(0, 2**31)),
+    )
+    cc = distortion.build_conditional(pkg.rus.build_rus_unitary(spec), gammas,
+                                      seed=int(rng.integers(0, 2**31)))
+    cfg = distortion.DistortionConfig(
+        alpha=math.sqrt(a2), beta=math.sqrt(1.0 - a2), psi0=qcore.random_state(1, rng),
+        psi1=qcore.random_state(1, rng), trials=100_000, seed=int(rng.integers(0, 2**31)),
+    )
+    return functools.partial(distortion.monte_carlo_fidelity, cc, cfg)
+
+
 def strategies(pkg):
     """Every strategy's cost over ``STRATEGY_GRID`` at ``STRATEGY_DELTA``,
     with kmm reflections."""
@@ -300,6 +332,8 @@ CALLS = [
     ("tcost strategies", strategies),
     ("figure fig2", cli_figure, "fig2"),
     ("figure figd1", cli_figure, "figd1"),
+    ("criterion 07 m=1", criterion_07, 1),
+    ("criterion 07 m=4", criterion_07, 4),
 ]
 
 

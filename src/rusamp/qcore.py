@@ -225,15 +225,30 @@ def draw_outcomes(cdf: np.ndarray, rng: RngStream) -> np.ndarray:
     Each column takes one uniform from ``rng``, in column order, scaled by
     that column's realized total mass (its last row), so the draw holds even
     when rounding makes the masses sum slightly below 1.  The outcome is the
-    number of cumulative masses at or below the scaled uniform, clamped to
-    the last outcome; an outcome whose cumulative mass equals the one
-    before it is unreachable.
+    number of cumulative masses below the last that lie at or below the
+    scaled uniform; an outcome whose cumulative mass equals the one before
+    it is unreachable.
+
+    This is the count over every row clamped to the last outcome whenever
+    the column is non-decreasing.  A uniform scaled to below the last mass
+    never counts the last row.  One that rounds up to it, or past it,
+    counts every row below the last, since none exceeds the last, and so
+    draws the last outcome, as the clamp did.  Only a total no larger than
+    the smallest normal float rounds up so, from the largest uniform,
+    1 - 2**-53; the retry engine keeps its totals at or above 2**-600.
+
+    The retry engine's columns are non-decreasing.  Rounding to nearest is
+    monotone: a larger exact sum or product never rounds to a smaller
+    float.  So the frame's running sums of non-negative masses never
+    decrease, nor do they once scaled by the non-negative start masses,
+    and every row of a column is the same sum of products of its row with
+    the column's non-negative history, evaluated alike, so a larger row
+    never comes out smaller.
     """
-    rows = cdf.shape[0]
     u = rng.random(cdf.shape[1]) * cdf[-1]
-    # A one-byte count holds up to 255 rows and is the cheapest to sum.
-    count = np.add.reduce(cdf <= u, axis=0, dtype=np.uint8 if rows <= 255 else np.intp)
-    return np.minimum(count, rows - 1)
+    # A one-byte count holds the at most 255 rows below the last of up to
+    # 256 rows, and is the cheapest to sum.
+    return np.add.reduce(cdf[:-1] <= u, axis=0, dtype=np.uint8 if len(cdf) <= 256 else np.intp)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

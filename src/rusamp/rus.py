@@ -50,7 +50,8 @@ RESCALE_BELOW = 2.0**-600
 # Most entries one ``run_batch`` call holds: per trial, one per register
 # amplitude, for its final and the kept state it is built from (16 bytes
 # each), and one per reachable outcome, for each attempt's float cumulative
-# masses, their rescaled copy and their comparison (17 bytes).  No entry
+# masses and their rescaled copy (8 bytes each) and the comparison of every
+# row but the last with the uniforms (1 byte), 17 bytes at most.  No entry
 # takes more than 32 bytes, so 2**25 entries cap a batch at 1 GiB.
 MAX_BATCH_ENTRIES = 2**25
 
@@ -415,9 +416,13 @@ def run_batch(
     alive) array.  Each attempt takes one product, ``(frame.cumulative *
     P0) @ history``, and measures every live trial with one uniform from
     ``rng``, in trial order, scaled by its column's total, so a single trial
-    draws exactly as a per-trial loop would.  Failure o multiplies a trial's
-    history by ``frame.weights[o]``; a success keeps its history and its
-    success mass, the product's row for outcome 0.  After the loop each
+    draws exactly as a per-trial loop would (``qcore.draw_outcomes``).
+    Failure o multiplies a trial's history by ``frame.weights[o]``; a
+    success keeps its history and its success mass, the product's row for
+    outcome 0.  The attempt moves its data along one axis: ``take`` gathers
+    the failures' mass rows and, when some trial succeeds, the live
+    histories; each success's history and mass are scattered row by row.
+    One loop serves every width and branch count.  After the loop each
     success's state is rebuilt once as ``U_0 (psi * sqrt(P / P0)) /
     sqrt(success mass)``, P / P0 read per entry through ``frame.branches``.
 
@@ -458,13 +463,15 @@ def run_batch(
     kept_mass = np.empty(trials)
     alive = np.arange(trials)
     trial_log, outcome_log = [alive[:0]], [alive[:0]]
+    # Each outcome's mass row as a column, gathered along one axis.
+    factors = frame.weights.T
     for attempt in range(max_attempts):
         if alive.size == 0:
             break
         cdf = product(cumulative, history)
         if attempt:
             total = cdf[-1]
-            low = total.min()
+            low = np.minimum.reduce(total)
             if not low >= RESCALE_BELOW:
                 # Written so that a NaN total fails the check as well.
                 if not low > 0.0:
@@ -476,14 +483,17 @@ def run_batch(
         outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
         trial_log.append(alive)
         outcome_log.append(outcome)
-        failed = np.flatnonzero(outcome)
+        failed = outcome.nonzero()[0]
         if failed.size < alive.size:
-            done = np.flatnonzero(outcome == 0)
+            done = (outcome == 0).nonzero()[0]
             ended = alive[done]
-            kept[:, ended] = history[:, done]
-            kept_mass[ended] = cdf[0, done]
-        alive = alive[failed]
-        history = frame.weights.T[:, outcome[failed]] * history[:, failed]
+            # One-axis gathers and scatters, row by row: NumPy's mixed
+            # slice-and-index forms cost several times more.
+            for row, kept_row in zip(history, kept):
+                kept_row[ended] = row.take(done)
+            kept_mass[ended] = cdf[0].take(done)
+            alive, outcome, history = alive[failed], outcome[failed], history.take(failed, axis=1)
+        history = factors.take(outcome, axis=1) * history
     exhausted = np.zeros(trials, dtype=bool)
     if alive.size:
         exhausted[alive] = True

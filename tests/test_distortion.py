@@ -322,6 +322,24 @@ class TestMonteCarlo:
         b = distortion.monte_carlo_fidelity(cc, _config(trials=500, seed=5))
         assert a.mean == b.mean and a.std_error == b.std_error
 
+    def test_gates_unitary_within_the_load_tolerance(self):
+        # A target scaled by 1 + 2e-11 passes the 1e-10 unitarity check, and
+        # the run wrappers accept it.  Its ideal state misses norm 1 by about
+        # 2e-11, beyond a state's 1e-12, so it is normalized as a run's
+        # final is.  The draws read only the weights, so the estimate is the
+        # exact identity's to within the gates' 1e-10.
+        cfg = _config(trials=100, seed=3)
+        estimates = []
+        for scale in (1.0, 1.0 + 2e-11):
+            target = qcore.UnitaryMatrix(np.eye(2) * scale)
+            base = rus.build_rus_unitary(rus.RusSpec(1, [0.3, 0.7], target))
+            estimates.append(distortion.monte_carlo_fidelity(
+                distortion.build_conditional(base), cfg))
+        exact, scaled = estimates
+        assert (scaled.trials, scaled.exhausted) == (100, 0)
+        assert scaled.mean == pytest.approx(exact.mean, rel=0, abs=1e-10)
+        assert scaled.std_error == pytest.approx(exact.std_error, rel=0, abs=1e-10)
+
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(

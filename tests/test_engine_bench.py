@@ -26,6 +26,7 @@ ROWS = BATCHES + [
     "dense m=4", "dense m=6", "dense m=8", "synthesized matrix m=8",
     "conditional build m=4", "figure fig1-left", "figure fig1-right", "figure fig3",
     "tcost strategies", "figure fig2", "figure figd1",
+    "criterion 07 m=1", "criterion 07 m=4",
 ]
 
 

@@ -205,6 +205,14 @@ def test_random_unitary_keeps_its_bits():
     )
 
 
+def clamped_draw(cdf, rng):
+    """The draw rule before it left out the last row: the count of every
+    cumulative mass at or below the scaled uniform, clamped to the last
+    outcome."""
+    u = rng.random(cdf.shape[1]) * cdf[-1]
+    return np.minimum((cdf <= u).sum(axis=0), len(cdf) - 1)
+
+
 @pytest.mark.parametrize("rows", [2, 16, 255, 256, 300])
 def test_draw_outcomes_counts_every_row(rows):
     # Half the mass on the last outcome, so draws reach it; counts past 255
@@ -214,9 +222,42 @@ def test_draw_outcomes_counts_every_row(rows):
     masses[rows // 3] = 0.0
     masses[-1] = 0.5 + rng.random(500)
     cdf = np.cumsum(masses, axis=0)
-    u = qcore.rng_stream(7).random(500) * cdf[-1]
-    want = np.minimum((cdf <= u).sum(axis=0), rows - 1)
+    want = clamped_draw(cdf, qcore.rng_stream(7))
     got = qcore.draw_outcomes(cdf, qcore.rng_stream(7))
     np.testing.assert_array_equal(got, want)
     assert want.max() == rows - 1
     assert rows // 3 not in got
+
+
+@pytest.mark.parametrize("rows", [2, 16, 255, 256, 300])
+def test_draw_outcomes_matches_the_clamped_rule(rows):
+    # On non-decreasing columns leaving out the last row draws as clamping
+    # the count did: random masses with zero rows and repeated totals, over
+    # many columns, each drawn with its own uniform.
+    rng = qcore.rng_stream(100 + rows)
+    masses = rng.random((rows, 2_000)) * (rng.random((rows, 2_000)) < 0.7)
+    cdf = np.cumsum(masses * 2.0 ** rng.integers(-20, 20, 2_000), axis=0)
+    got = qcore.draw_outcomes(cdf, qcore.rng_stream(rows))
+    np.testing.assert_array_equal(got, clamped_draw(cdf, qcore.rng_stream(rows)))
+    assert got.dtype == (np.uint8 if rows <= 256 else np.intp)
+
+
+class _TopStream:
+    """A stream whose every uniform is the largest below 1, 1 - 2**-53."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("total", [2.0**-1022, 9 * 2.0**-1074, 2.0**-1040])
+def test_draw_outcomes_when_the_uniform_rounds_up_to_the_total(total):
+    # (1 - 2**-53) times a normal total rounds below it, but times the
+    # smallest normal or a subnormal one it rounds to the total itself.  The
+    # count then takes every row below the last, and the clamped count
+    # every row: both draw the last outcome, never past it, and never the
+    # unreachable outcome 1, whose mass is zero.
+    cdf = np.array([[total / 4], [total / 4], [total / 2], [total]])
+    assert (1.0 - 2.0**-53) * total == total
+    got = qcore.draw_outcomes(cdf, _TopStream())
+    np.testing.assert_array_equal(got, [3])
+    np.testing.assert_array_equal(clamped_draw(cdf, _TopStream()), got)
