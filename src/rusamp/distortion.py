@@ -221,8 +221,9 @@ def ideal_conditional_state(
     """Distortion-free reference: the target applied on the control-|1> branch."""
     amps = _initial_pair(cfg)
     amps[1::2] = cfg.beta * (cc.base.spec.gates[0] @ cfg.psi1.amps)
-    # The target is unitary only to within UNITARY_ATOL: normalized as a
-    # run's final is, its norm can miss 1 by more than NORM_ATOL.
+    # The target is unitary only to within UNITARY_ATOL, so this state's
+    # norm can miss 1 by more than NORM_ATOL: it is normalized as a run's
+    # final is.
     return StateVector(2, amps / math.hypot(*map(abs, amps.tolist())))
 
 

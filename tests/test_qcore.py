@@ -232,8 +232,8 @@ def test_draw_outcomes_counts_every_row(rows):
 @pytest.mark.parametrize("rows", [2, 16, 255, 256, 300])
 def test_draw_outcomes_matches_the_clamped_rule(rows):
     # On non-decreasing columns leaving out the last row draws as clamping
-    # the count did: random masses with zero rows and repeated totals, over
-    # many columns, each drawn with its own uniform.
+    # the count did: random masses with zero rows, so repeated cumulative
+    # masses, and totals spread over 2**-20 to 2**20, one uniform a column.
     rng = qcore.rng_stream(100 + rows)
     masses = rng.random((rows, 2_000)) * (rng.random((rows, 2_000)) < 0.7)
     cdf = np.cumsum(masses * 2.0 ** rng.integers(-20, 20, 2_000), axis=0)
@@ -251,11 +251,11 @@ class _TopStream:
 
 @pytest.mark.parametrize("total", [2.0**-1022, 9 * 2.0**-1074, 2.0**-1040])
 def test_draw_outcomes_when_the_uniform_rounds_up_to_the_total(total):
-    # (1 - 2**-53) times a normal total rounds below it, but times the
-    # smallest normal or a subnormal one it rounds to the total itself.  The
-    # count then takes every row below the last, and the clamped count
-    # every row: both draw the last outcome, never past it, and never the
-    # unreachable outcome 1, whose mass is zero.
+    # (1 - 2**-53) times a total above the smallest normal rounds below it,
+    # but times the smallest normal or a subnormal one it rounds to the
+    # total itself.  The count then takes every row below the last, and the
+    # clamped count every row: both draw the last outcome, never past it,
+    # and never the unreachable outcome 1, whose mass is zero.
     cdf = np.array([[total / 4], [total / 4], [total / 2], [total]])
     assert (1.0 - 2.0**-53) * total == total
     got = qcore.draw_outcomes(cdf, _TopStream())
