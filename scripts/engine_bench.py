@@ -22,7 +22,7 @@ docstring says what the call does.  To add a row, add one entry to
 The calls alternate between checkouts, and the best of ``--repeats``
 counts.  Per row and label it prints the best microseconds per call and,
 for a batch, per trial-attempt (the number of live trials summed over
-attempts, read from the batch's ``trial_log``); any other row prints ``-``
+attempts, the sum of the batch's ``attempts``); any other row prints ``-``
 there.
 """
 
@@ -141,7 +141,7 @@ def bench(packages, kind: str, m: int, width: int, repeats: int):
             start = time.perf_counter()
             batch = pkg.rus.run_batch(frame, state, width, rng)
             best[i] = min(best[i], time.perf_counter() - start)
-            steps[i] = batch.trial_log.size
+            steps[i] = int(batch.attempts.sum())
     return best, steps
 
 
@@ -239,6 +239,30 @@ def build_conditional(pkg, m: int):
                              split(rng, m, gamma0), seed=SEED)
 
 
+def conditional_runs(pkg, m: int, runs: int = 15):
+    """What one ``distortion`` ``conditional`` operation of perfbench does:
+    ``distortion.build_conditional`` of a prebuilt circuit and distorter
+    weights, one fresh stream, then ``runs`` single-trial
+    ``distortion.simulate_conditional_rus`` calls on that stream with one
+    prebuilt config."""
+    qcore, distortion = pkg.qcore, pkg.distortion
+    rng = qcore.rng_stream(SEED)
+    lambda0, gamma0 = rng.uniform(*CONDITIONAL_WEIGHTS, size=2).tolist()
+    circuit = pkg.rus.build_rus_unitary(make_spec(pkg, m, rng, lambda0))
+    gammas = split(rng, m, gamma0)
+    cfg = distortion.DistortionConfig(
+        alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
+        psi1=qcore.random_state(1, rng), trials=1, seed=SEED,
+    )
+
+    def call():
+        cc = distortion.build_conditional(circuit, gammas, seed=SEED)
+        stream = qcore.rng_stream(SEED)
+        return [distortion.simulate_conditional_rus(cc, cfg, stream) for _ in range(runs)]
+
+    return call
+
+
 def criterion_07(pkg, m: int):
     """``distortion.monte_carlo_fidelity`` of 100,000 trials on one case of
     acceptance criterion 07 at ``m``: control amplitudes, distorter weights,
@@ -325,6 +349,7 @@ CALLS = [
     ("dense m=8", build_and_invert, 8),
     ("synthesized matrix m=8", build_and_read_matrix, 8),
     ("conditional build m=4", build_conditional, 4),
+    ("conditional runs m=4", conditional_runs, 4),
     ("figure fig1-left", lambda pkg: functools.partial(pkg.distortion.figure1_data, "left", SEED)),
     ("figure fig1-right",
      lambda pkg: functools.partial(pkg.distortion.figure1_data, "right", SEED)),

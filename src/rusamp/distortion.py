@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +80,18 @@ class DistortionConfig:
             raise ValueError("branch states are single-qubit")
         if self.trials < 1 or self.max_attempts < 1:
             raise ValueError("need at least one trial and one attempt per trial")
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """The (data, control) input amplitudes, built once, read-only: the
+        retry frame's checked start, which every run from this config
+        reuses."""
+        # Control least significant.
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[0::2] = self.alpha * self.psi0.amps
+        amps[1::2] = self.beta * self.psi1.amps
+        amps.setflags(write=False)
+        return amps
 
 
 @dataclass(frozen=True)
@@ -207,19 +220,11 @@ def average_fidelity_m1(
     )
 
 
-def _initial_pair(cfg: DistortionConfig) -> np.ndarray:
-    # (data, control) amplitudes, control least significant.
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0::2] = cfg.alpha * cfg.psi0.amps
-    amps[1::2] = cfg.beta * cfg.psi1.amps
-    return amps
-
-
 def ideal_conditional_state(
     cc: ConditionalCircuit, cfg: DistortionConfig
 ) -> StateVector:
     """Distortion-free reference: the target applied on the control-|1> branch."""
-    amps = _initial_pair(cfg)
+    amps = cfg.pair.copy()
     amps[1::2] = cfg.beta * (cc.base.spec.gates[0] @ cfg.psi1.amps)
     # The target is unitary only to within UNITARY_ATOL, so this state's
     # norm can miss 1 by more than NORM_ATOL: it is normalized as a run's
@@ -235,9 +240,7 @@ def simulate_conditional_rus(
     Failure outcomes apply the controlled recovery inverse; the run ends on
     the all-zero outcome and returns the surviving (data, control) state.
     """
-    record = rus.run_batch(
-        cc.frame, _initial_pair(cfg), 1, rng, cfg.max_attempts
-    ).first_record()
+    record = rus.run_batch(cc.frame, cfg.pair, 1, rng, cfg.max_attempts).first_record()
     return record, record.final_state
 
 
@@ -250,16 +253,15 @@ def monte_carlo_fidelity(
     shared draw order); runs that exhaust the attempt cap are excluded from
     the mean and reported in ``exhausted``.
     """
-    batch = rus.run_batch(cc.frame, _initial_pair(cfg), cfg.trials,
+    batch = rus.run_batch(cc.frame, cfg.pair, cfg.trials,
                           qcore.rng_stream(cfg.seed), cfg.max_attempts)
     exhausted = int(batch.exhausted.sum())
     count = cfg.trials - exhausted
     if count == 0:
         return FidelityEstimate(math.nan, math.nan, 0, exhausted)
-    ideal = ideal_conditional_state(cc, cfg).amps
-    # The overlaps are taken over every column, in the finals' own layout;
+    # The fidelities are taken from every trial's history, without a state;
     # the exhausted trials' NaN entries are left out only when there are any.
-    sample = np.abs(ideal.conj() @ batch.finals) ** 2
+    sample = batch.fidelities(ideal_conditional_state(cc, cfg).amps)
     if exhausted:
         sample = sample[~batch.exhausted]
     mean = float(sample.mean())

@@ -48,11 +48,16 @@ DEFAULT_MAX_ATTEMPTS = 10_000
 RESCALE_BELOW = 2.0**-600
 
 # Most entries one ``run_batch`` call holds: per trial, one per register
-# amplitude, for its final and the kept state it is built from (16 bytes
-# each), and one per reachable outcome, for each attempt's float cumulative
-# masses and their rescaled copy (8 bytes each) and the comparison of every
-# row but the last with the uniforms (1 byte), 17 bytes at most.  No entry
-# takes more than 32 bytes, so 2**25 entries cap a batch at 1 GiB.
+# amplitude and one per reachable outcome.  A register entry holds at most
+# 32 bytes: the trial's final and the kept state it is built from (16
+# bytes each), once ``finals`` is read; until then, its share of the
+# trial's histories, success mass and attempt count, a few 8-byte floats
+# per branch, and a frame has no more branches than amplitudes.  An outcome
+# entry holds each attempt's float cumulative masses and their rescaled
+# copy (8 bytes each) and the comparison of every row but the last with the
+# uniforms (1 byte), 17 bytes at most.  So 2**25 entries cap a batch at
+# about 1 GiB.  The draw log, one byte per trial and attempt, grows with
+# the attempt cap instead.
 MAX_BATCH_ENTRIES = 2**25
 
 # A plain circuit's register entries share one branch.
@@ -287,38 +292,102 @@ class RunRecord:
 
 @dataclass(frozen=True, eq=False)
 class BatchRun:
-    """Per-trial results of :func:`run_batch`.
+    """Per-trial results of :func:`run_batch`, and the record they are read
+    from.
 
-    ``attempts`` counts each trial's attempts (the cap where ``exhausted``);
-    ``finals`` holds each successful trial's output state as a column (NaN
-    where ``exhausted``); ``trial_log`` and ``outcome_log`` list every
-    attempt's trial and outcome in draw order.
+    ``attempts`` counts each trial's attempts (the cap where ``exhausted``).
+    The record holds the run's ``frame``, its start ``state`` and the
+    state's branch ``images`` (``_CheckedStart``), each success's branch
+    history as a column of ``kept`` and its success mass in ``kept_mass``
+    (NaN and 1 where ``exhausted``), and ``draws``, each
+    attempt's draws as indices into ``frame.reachable``, one per live trial
+    in trial order.  Everything else is derived, on first read:
+    ``fidelities(target)`` from the histories alone; ``finals``, each
+    successful trial's output state as a column (NaN where ``exhausted``);
+    and ``trial_log`` and ``outcome_log``, every attempt's trial and outcome
+    in draw order.
     """
 
     attempts: np.ndarray
     exhausted: np.ndarray
-    finals: np.ndarray
-    trial_log: np.ndarray
-    outcome_log: np.ndarray
+    frame: RetryFrame
+    state: np.ndarray
+    images: np.ndarray
+    kept: np.ndarray
+    kept_mass: np.ndarray
+    draws: list[np.ndarray]
+
+    @cached_property
+    def finals(self) -> np.ndarray:
+        """Each success's state, ``U_0 (psi * sqrt(h)) / sqrt(success mass)``
+        for its history h, read per entry through ``frame.branches``."""
+        # Trial-major, the layout of the kept states whose product with U_0
+        # the pinned outputs were recorded from; divided in place, so that
+        # no more than two complex arrays of the batch's size are ever held.
+        kept_states = self.state * np.sqrt(self.kept.T)[:, self.frame.branches]
+        kept_states /= np.sqrt(self.kept_mass)[:, None]
+        return self.frame.success @ kept_states.T
+
+    def _draw_order(self) -> np.ndarray:
+        """Each draw's place when the draws are listed trial by trial."""
+        # Attempt k's live trials are those with more than k attempts, in
+        # trial order: listed trial by trial, a stable sort by attempt puts
+        # every (attempt, trial) pair where it was drawn.
+        starts = np.cumsum(self.attempts) - self.attempts
+        step = np.arange(int(self.attempts.sum())) - np.repeat(starts, self.attempts)
+        return np.argsort(step, kind="stable")
+
+    @cached_property
+    def trial_log(self) -> np.ndarray:
+        return np.repeat(np.arange(self.attempts.size), self.attempts)[self._draw_order()]
+
+    @cached_property
+    def outcome_log(self) -> np.ndarray:
+        return self.frame.reachable.take(np.concatenate([np.arange(0), *self.draws]))
 
     def sequences(self) -> list[tuple[int, ...]]:
         """Outcome sequence of every trial, in attempt order."""
-        order = np.argsort(self.trial_log, kind="stable")
-        flat = self.outcome_log[order].tolist()
+        flat = np.empty_like(self.outcome_log)
+        flat[self._draw_order()] = self.outcome_log
+        flat = flat.tolist()
         ends = np.cumsum(self.attempts).tolist()
         return [tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+
+    def fidelities(self, target: np.ndarray) -> np.ndarray:
+        """Each trial's |<target|final>|^2, its final normalized (NaN where
+        ``exhausted``), from its history h alone.
+
+        Take the branch images U_0 psi_b, c_b = <target|U_0 psi_b> and the
+        images' Gram matrix G.  The final is sum_b sqrt(h_b) U_0 psi_b over
+        the norm of that sum, so its fidelity is |c . sqrt(h)|^2 /
+        (sqrt(h)^T G sqrt(h)): at most |target|^2, up to rounding, by
+        Cauchy-Schwarz.
+        """
+        images = self.images
+        overlaps = images @ np.conj(target)
+        gram = (images.conj() @ images.T).real
+        roots = np.sqrt(self.kept)
+        # Real products: a complex one would first copy the roots to complex.
+        real, imag = overlaps.real @ roots, overlaps.imag @ roots
+        return (real * real + imag * imag) / np.einsum("bt,bt->t", roots, gram @ roots)
 
     def first_record(self) -> RunRecord:
         """Record of the first trial; raises if that trial was exhausted."""
         attempts = int(self.attempts[0])
         if self.exhausted[0]:
             raise MaxAttemptsExceeded(f"no success outcome within {attempts} attempts")
-        amps = self.finals[:, 0]
-        outcomes = tuple(self.outcome_log[self.trial_log == 0].tolist())
+        # Trial 0 leads every attempt it is live in.
+        labels = self.frame.reachable.tolist()
+        outcomes = tuple([labels[draws[0]] for draws in self.draws[:attempts]])
+        amps = np.sqrt(self.kept[:, 0]) @ self.images
         # Gates are unitary only to within UNITARY_ATOL, so a final's norm
-        # can miss 1 by more than a StateVector's NORM_ATOL.
-        norm = math.hypot(*map(abs, amps.tolist()))
-        return RunRecord(outcomes, attempts, StateVector(amps.size.bit_length() - 1, amps / norm))
+        # can miss 1 by more than a StateVector's NORM_ATOL: it is
+        # normalized here, and not checked again.
+        amps /= math.hypot(*map(abs, amps.tolist()))
+        amps.setflags(write=False)
+        final = object.__new__(StateVector)
+        final.__dict__.update(num_qubits=amps.size.bit_length() - 1, amps=amps)
+        return RunRecord(outcomes, attempts, final)
 
 
 def build_rus_unitary(spec: RusSpec) -> RusCircuit:
@@ -376,9 +445,9 @@ class RetryFrame:
     outcomes ``reachable`` lists, those whose row is not all zero, so a draw
     can never land on the others.  Its last row, the total mass of each
     branch, is 1 on every branch a run's state touches, which ``run_batch``
-    checks once per call.  An outcome whose row is zero only on a trial's
-    live branches keeps its row; the product rounds it equal to the one
-    before it, so no draw reaches it.
+    checks once per start state.  An outcome whose row is zero only on a
+    trial's live branches keeps its row; the product rounds it equal to the
+    one before it, so no draw reaches it.
     """
 
     success: np.ndarray
@@ -386,6 +455,12 @@ class RetryFrame:
     weights: np.ndarray
     cumulative: np.ndarray
     reachable: np.ndarray
+
+    @cached_property
+    def _factors(self) -> np.ndarray:
+        # Each reachable outcome's mass row as a column, so that a draw's
+        # index into ``reachable`` gathers its row along one axis.
+        return self.weights[self.reachable].T
 
 
 def retry_frame(success: np.ndarray, branches: np.ndarray, weights: np.ndarray) -> RetryFrame:
@@ -419,17 +494,23 @@ def run_batch(
     draws exactly as a per-trial loop would (``qcore.draw_outcomes``).
     Failure o multiplies a trial's history by ``frame.weights[o]``; a
     success keeps its history and its success mass, the product's row for
-    outcome 0.  The attempt moves its data along one axis: ``take`` gathers
-    the failures' mass rows and, when some trial succeeds, the live
-    histories; each success's history and mass are scattered row by row.
-    One loop serves every width and branch count.  After the loop each
-    success's state is rebuilt once as ``U_0 (psi * sqrt(P / P0)) /
-    sqrt(success mass)``, P / P0 read per entry through ``frame.branches``.
+    outcome 0, and its attempt count.  The attempt moves its data along one
+    axis: ``take`` gathers the failures' mass rows and, when some trial
+    succeeds, the live histories; each success's history and mass are
+    scattered row by row.  The loop ends once no trial is live.  One loop
+    serves every width and branch count.
+
+    The run returns its record, not its states: the histories, the success
+    masses and each attempt's draws, logged as indices into
+    ``frame.reachable``.  ``BatchRun`` derives the fidelities, the finals and
+    the trial and outcome logs from them when they are read.
 
     The norms are checked where they are exact.  Before the first attempt
     the input state's norm must be 1 and the frame's masses must sum to 1
-    on the branches the state touches; each later attempt only needs every
-    live total to be positive, so a NaN or all-zero trial raises
+    on the branches the state touches.  The frame keeps one checked start:
+    a run from a state with the same bytes reuses its scaled rows, and any
+    other start is checked and replaces it.  Each later attempt only needs
+    every live total to be positive, so a NaN or all-zero trial raises
     ``ValueError``.  Once the smallest live total falls below
     ``RESCALE_BELOW`` (2**-600), every live history is scaled back up by a
     power of two, which is exact: it changes no draw and no final
@@ -447,71 +528,102 @@ def run_batch(
             f"{trials} trials of {register} amplitudes and {rows} outcome rows exceed "
             f"the batch limit of {MAX_BATCH_ENTRIES} entries"
         )
-    start = np.bincount(frame.branches, np.abs(state) ** 2, frame.weights.shape[1])
-    _check_start(frame, start)
-    # The start masses fold into the cumulative rows, so each trial's branch
-    # masses are ``start * history`` without being formed.
-    cumulative = frame.cumulative * start
+    start = _checked_start(frame, state)
+    cumulative = start.rows
+    branches = cumulative.shape[1]
     # With one branch the product is an outer product, for which NumPy's
     # matmul takes a loop several times slower than dot's BLAS call.
-    product = np.dot if start.size == 1 else np.matmul
+    product = np.dot if branches == 1 else np.matmul
     # Branch-major: one row per branch, one column per live trial.
-    history = np.ones((start.size, trials))
-    # Each success keeps its history and its success mass; trials still
-    # alive at the end keep a NaN history.
+    history = np.empty((branches, trials))
+    history.fill(1.0)
+    # Each success keeps its history and its success mass.
     kept = np.empty_like(history)
     kept_mass = np.empty(trials)
+    attempts = np.empty(trials, dtype=np.intp)
     alive = np.arange(trials)
-    trial_log, outcome_log = [alive[:0]], [alive[:0]]
-    # Each outcome's mass row as a column, gathered along one axis.
-    factors = frame.weights.T
-    for attempt in range(max_attempts):
-        if alive.size == 0:
-            break
+    log = []
+    factors = frame._factors
+    # Without a success row no draw ends a trial.
+    ends = frame.reachable[0] == 0
+    # An empty batch takes no attempt.
+    for attempt in range(max_attempts if trials else 0):
         cdf = product(cumulative, history)
         if attempt:
-            total = cdf[-1]
-            low = np.minimum.reduce(total)
+            low = np.minimum.reduce(cdf[-1])
             if not low >= RESCALE_BELOW:
                 # Written so that a NaN total fails the check as well.
                 if not low > 0.0:
                     raise ValueError(f"a live state's total mass is {low}, not positive")
                 # Powers of two scale exactly, so no draw and no final moves.
-                scale = np.ldexp(1.0, -np.frexp(total)[1])
+                scale = np.ldexp(1.0, -np.frexp(cdf[-1])[1])
                 history = history * scale
                 cdf = cdf * scale
-        outcome = frame.reachable[qcore.draw_outcomes(cdf, rng)]
-        trial_log.append(alive)
-        outcome_log.append(outcome)
-        failed = outcome.nonzero()[0]
-        if failed.size < alive.size:
-            done = (outcome == 0).nonzero()[0]
-            ended = alive[done]
-            # One-axis gathers and scatters, row by row: NumPy's mixed
-            # slice-and-index forms cost several times more.
-            for row, kept_row in zip(history, kept):
-                kept_row[ended] = row.take(done)
-            kept_mass[ended] = cdf[0].take(done)
-            alive, outcome, history = alive[failed], outcome[failed], history.take(failed, axis=1)
-        history = factors.take(outcome, axis=1) * history
+        draws = qcore.draw_outcomes(cdf, rng)
+        log.append(draws)
+        if ends:
+            failed = draws.nonzero()[0]
+            if failed.size < alive.size:
+                done = (draws == 0).nonzero()[0]
+                ended = alive[done]
+                attempts[ended] = attempt + 1
+                # One-axis gathers and scatters, row by row: NumPy's mixed
+                # slice-and-index forms cost several times more.
+                for row, kept_row in zip(history, kept):
+                    kept_row[ended] = row.take(done)
+                kept_mass[ended] = cdf[0].take(done)
+                alive = alive[failed]
+                if not alive.size:
+                    break
+        # Every live history takes its outcome's mass row, a success's too,
+        # and the failures are then gathered once.
+        history = factors.take(draws, axis=1) * history
+        if history.shape[1] > alive.size:
+            history = history.take(failed, axis=1)
+        # Freed before the next product: two (outcomes x trials) arrays held
+        # at once double the batch's peak, and the allocator hands such a
+        # peak back to the system after every call, to fault in again.
+        del cdf
     exhausted = np.zeros(trials, dtype=bool)
     if alive.size:
         exhausted[alive] = True
+        attempts[alive] = max_attempts
         kept[:, alive] = np.nan
         kept_mass[alive] = 1.0
-    trial_log = np.concatenate(trial_log)
-    # Trial-major, the layout of the kept states whose product with U_0 the
-    # pinned outputs were recorded from; divided in place, so that no more
-    # than two complex arrays of the batch's size are ever held.
-    kept_states = state * np.sqrt(kept.T)[:, frame.branches]
-    kept_states /= np.sqrt(kept_mass)[:, None]
-    return BatchRun(
-        attempts=np.bincount(trial_log, minlength=trials),
-        exhausted=exhausted,
-        finals=frame.success @ kept_states.T,
-        trial_log=trial_log,
-        outcome_log=np.concatenate(outcome_log),
-    )
+    return BatchRun(attempts, exhausted, frame, start.state, start.images, kept, kept_mass, log)
+
+
+class _CheckedStart(NamedTuple):
+    """A start state checked on a frame: its ``key``, its bytes, and the
+    ``state`` they hold, so that a caller's later change to its array
+    reaches no record; the frame's cumulative ``rows`` scaled by its branch
+    masses; and its branch ``images`` U_0 psi_b, psi_b being the state on
+    branch b's entries and zero elsewhere, one row per branch.  Read-only."""
+
+    key: bytes
+    state: np.ndarray
+    rows: np.ndarray
+    images: np.ndarray
+
+
+def _checked_start(frame: RetryFrame, state: np.ndarray) -> _CheckedStart:
+    """``state`` checked on ``frame``: the frame's one cached entry when it
+    holds the same bytes, else a new entry, checked, that replaces it
+    whole.  So a mutated or different start is checked again."""
+    key = state.tobytes()
+    entry = frame.__dict__.get("_start")
+    if entry is None or entry.key != key:
+        masses = np.bincount(frame.branches, np.abs(state) ** 2, frame.weights.shape[1])
+        _check_start(frame, masses)
+        # The start masses fold into the cumulative rows, so each trial's
+        # branch masses are ``masses * history`` without being formed.
+        rows = frame.cumulative * masses
+        images = ((np.arange(masses.size)[:, None] == frame.branches) * state) @ frame.success.T
+        rows.setflags(write=False)
+        images.setflags(write=False)
+        entry = _CheckedStart(key, np.frombuffer(key, dtype=np.complex128), rows, images)
+        frame.__dict__["_start"] = entry
+    return entry
 
 
 def _check_start(frame: RetryFrame, start: np.ndarray) -> None:

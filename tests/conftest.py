@@ -8,6 +8,7 @@ import decimal
 import functools
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,6 +285,24 @@ def measure_ancillas(
     return outcome, qcore.StateVector(s.num_qubits, collapsed.reshape(-1)), prob
 
 
+class KernelRun(NamedTuple):
+    """The results of a ``conftest`` batch kernel, read as a
+    ``rus.BatchRun`` is: every attempt's trial and outcome in draw order,
+    each trial's attempts, whether it exhausted the cap, and its final as a
+    column, NaN where exhausted."""
+
+    attempts: np.ndarray
+    exhausted: np.ndarray
+    finals: np.ndarray
+    trial_log: np.ndarray
+    outcome_log: np.ndarray
+
+    def sequences(self) -> list[tuple[int, ...]]:
+        """Each trial's outcomes, picked out of the logs trial by trial."""
+        return [tuple(self.outcome_log[self.trial_log == trial].tolist())
+                for trial in range(self.attempts.size)]
+
+
 def dense_batch_run(
     attempt, start: np.ndarray, trials: int, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
@@ -294,7 +313,7 @@ def dense_batch_run(
     ``(outcome, amps)``. Every round steps the live trials in trial order,
     each drawing its own uniform; Philox's ``rng.random(n)`` equals n scalar
     draws, so this is the order in which ``rus.run_batch`` draws. Returns
-    ``(trial_log, outcome_log, finals)`` laid out as ``rus.BatchRun`` holds
+    ``(trial_log, outcome_log, finals)`` laid out as ``rus.BatchRun`` reads
     them, with NaN finals for exhausted trials.
     """
     states = [np.asarray(start)] * trials
@@ -403,7 +422,7 @@ def frame_masses(frame: DiagonalFrame) -> np.ndarray:
 def state_run_batch(
     frame: DiagonalFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
-) -> rus.BatchRun:
+) -> KernelRun:
     """``rus.run_batch`` as it was before it carried branch masses, an oracle
     for its draws.
 
@@ -446,7 +465,7 @@ def state_run_batch(
     exhausted[alive] = True
     kept[alive] = np.nan
     trial_log = np.concatenate(trial_log)
-    return rus.BatchRun(
+    return KernelRun(
         attempts=np.bincount(trial_log, minlength=trials),
         exhausted=exhausted,
         finals=frame.success @ (kept / np.sqrt(kept_mass)[:, None]).T,
@@ -458,7 +477,7 @@ def state_run_batch(
 def reference_run_batch(
     frame: DiagonalFrame, state: np.ndarray, trials: int, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
-) -> rus.BatchRun:
+) -> KernelRun:
     """``state_run_batch`` on normalized states, an oracle for its rounding.
 
     Every attempt takes two products: the draw reads ``frame.cumulative @
@@ -498,7 +517,7 @@ def reference_run_batch(
     exhausted = np.zeros(trials, dtype=bool)
     exhausted[alive] = True
     trial_log = np.concatenate(trial_log)
-    return rus.BatchRun(
+    return KernelRun(
         attempts=np.bincount(trial_log, minlength=trials),
         exhausted=exhausted,
         finals=frame.success @ np.ascontiguousarray(kept.T),

@@ -296,10 +296,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("max_attempts", [1, rus.DEFAULT_MAX_ATTEMPTS])
     def test_estimate_is_the_masked_sample(self, max_attempts):
-        # Bit for bit the mean and spread of the overlaps, over the finished
-        # trials, with and without exhausted trials to leave out.  The
-        # overlaps are masked, not the columns: a masked copy of the finals
-        # is laid out trial-major, and BLAS rounds its overlaps an ulp apart.
+        # Bit for bit the mean and spread of the batch's history fidelities,
+        # over the finished trials, with and without exhausted trials to
+        # leave out.  The overlaps of the normalized finals agree to 1e-15,
+        # and the fidelities read off each trial's outcomes to 1e-12.
         rng = qcore.rng_stream(44)
         base = conftest.make_circuit(0.35, m=4, rng=rng)
         gammas = rng.random(16) + 0.1
@@ -309,11 +309,17 @@ class TestMonteCarlo:
         batch = rus.run_batch(cc.frame, conftest.conditional_start(cfg), cfg.trials,
                               qcore.rng_stream(cfg.seed), max_attempts)
         ideal = distortion.ideal_conditional_state(cc, cfg).amps
-        sample = (np.abs(ideal.conj() @ batch.finals) ** 2)[~batch.exhausted]
+        done = ~batch.exhausted
+        sample = batch.fidelities(ideal)[done]
         assert (est.trials, est.exhausted) == (sample.size, cfg.trials - sample.size)
         assert (est.exhausted > 0) == (max_attempts == 1)
         assert est.mean == float(sample.mean())
         assert est.std_error == float(sample.std(ddof=1) / math.sqrt(sample.size))
+        finals = batch.finals[:, done]
+        overlaps = np.abs(ideal.conj() @ finals) ** 2 / np.sum(np.abs(finals) ** 2, axis=0)
+        np.testing.assert_allclose(sample, overlaps, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sample, conftest.history_fidelities(cc, cfg, batch),
+                                   rtol=0, atol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         base = conftest.make_circuit(0.3, m=1)
@@ -326,19 +332,29 @@ class TestMonteCarlo:
         # A target scaled by 1 + 2e-11 passes the 1e-10 unitarity check, and
         # the run wrappers accept it.  Its ideal state misses norm 1 by about
         # 2e-11, beyond a state's 1e-12, so it is normalized as a run's
-        # final is.  The draws read only the weights, so the estimate is the
-        # exact identity's to within the gates' 1e-10.
-        cfg = _config(trials=100, seed=3)
-        estimates = []
-        for scale in (1.0, 1.0 + 2e-11):
-            target = qcore.UnitaryMatrix(np.eye(2) * scale)
-            base = rus.build_rus_unitary(rus.RusSpec(1, [0.3, 0.7], target))
-            estimates.append(distortion.monte_carlo_fidelity(
-                distortion.build_conditional(base), cfg))
-        exact, scaled = estimates
-        assert (scaled.trials, scaled.exhausted) == (100, 0)
-        assert scaled.mean == pytest.approx(exact.mean, rel=0, abs=1e-10)
-        assert scaled.std_error == pytest.approx(exact.std_error, rel=0, abs=1e-10)
+        # final is.  The draws read only the weights, and each fidelity is
+        # taken with its final normalized.  On the balanced input the scale
+        # tilts the ideal state itself, so the estimate moves by a fraction
+        # of 2e-11.  On the control-|1> branch alone every fidelity is 1: the
+        # unnormalized finals read (1 + 2e-11)^2 there.
+        for alpha, beta, atol in ((BALANCED, BALANCED, 1e-10), (0.0, 1.0, 1e-15)):
+            cfg = _config(trials=100, seed=3, alpha=alpha, beta=beta)
+            estimates, samples = [], []
+            for scale in (1.0, 1.0 + 2e-11):
+                target = qcore.UnitaryMatrix(np.eye(2) * scale)
+                base = rus.build_rus_unitary(rus.RusSpec(1, [0.3, 0.7], target))
+                cc = distortion.build_conditional(base)
+                estimates.append(distortion.monte_carlo_fidelity(cc, cfg))
+                batch = rus.run_batch(cc.frame, conftest.conditional_start(cfg), cfg.trials,
+                                      qcore.rng_stream(cfg.seed))
+                samples.append(batch.fidelities(
+                    distortion.ideal_conditional_state(cc, cfg).amps))
+            exact, scaled = estimates
+            assert (scaled.trials, scaled.exhausted) == (100, 0)
+            assert samples[1].mean() == scaled.mean
+            assert max(sample.max() for sample in samples) <= 1.0 + 1e-15
+            assert scaled.mean == pytest.approx(exact.mean, rel=0, abs=atol)
+            assert scaled.std_error == pytest.approx(exact.std_error, rel=0, abs=atol)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

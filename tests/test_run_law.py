@@ -83,10 +83,41 @@ def test_monte_carlo_pins_follow_the_law(group):
     cc = distortion.build_conditional(base, gammas, seed=group)
     cfg = test_retry_pins._config(rng, trials=trials, seed=seed, max_attempts=cap)
     # monte_carlo_fidelity's batch, whose attempts it does not report.
-    state = distortion._initial_pair(cfg)
+    state = cfg.pair
     batch = rus.run_batch(cc.frame, state, trials, qcore.rng_stream(seed), cap)
     with open(test_retry_pins.PINS, encoding="utf-8") as fh:
         pinned = json.load(fh)["monte_carlo"][group]
     assert batch.exhausted.sum() == pinned["exhausted"]
     _assert_within_law(cc.frame, state, cap, trials, pinned["exhausted"],
                        float(batch.attempts.mean()), successes_only=False)
+
+
+def _pinned_group(kind: str, group: int):
+    """The frame, start state and cap of a group of pinned sequences, built
+    as test_retry_pins builds them."""
+    if kind == "plain":
+        m, lambda0, cap, _ = test_retry_pins.PLAIN[group]
+        rng = qcore.rng_stream(500 + group)
+        circuit = conftest.make_circuit(lambda0, m=m, rng=rng)
+        return circuit.frame, qcore.random_state(1, rng).amps, cap
+    m, lambda0, distorted, cap, _ = test_retry_pins.CONDITIONAL[group]
+    rng = qcore.rng_stream(600 + group)
+    base = conftest.make_circuit(lambda0, m=m, rng=rng)
+    gammas = test_retry_pins._weights(rng, m) if distorted else None
+    cc = distortion.build_conditional(base, gammas, seed=group)
+    return cc.frame, test_retry_pins._config(rng, max_attempts=cap).pair, cap
+
+
+@pytest.mark.parametrize("kind, group", [
+    *(("plain", group) for group in range(len(test_retry_pins.PLAIN))),
+    *(("conditional", group) for group in range(len(test_retry_pins.CONDITIONAL))),
+])
+def test_sequence_pins_follow_the_law(kind, group):
+    # Each pinned run is one trial on the group's shared stream; an
+    # exhausted run is pinned as None.
+    frame, state, cap = _pinned_group(kind, group)
+    with open(test_retry_pins.PINS, encoding="utf-8") as fh:
+        runs = json.load(fh)[kind][group]
+    done = [len(seq) for seq in runs if seq is not None]
+    _assert_within_law(frame, state, cap, len(runs), len(runs) - len(done),
+                       float(np.mean(done)), successes_only=True)

@@ -364,6 +364,68 @@ class TestBatch:
                 assert abs(np.vdot(expect, final)) ** 2 > 1.0 - 1e-12
 
 
+class TestSingleTrialRecord:
+    @pytest.mark.parametrize("kind", ["plain", "distorted", "undistorted"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_first_record_is_the_normalized_first_final(self, monkeypatch, kind, m):
+        # Trial 0's final alone, normalized once and not checked again.
+        frame, _, start, _ = _batch_case(kind, m)
+        batch = rus.run_batch(frame, start, 7, qcore.rng_stream(m))
+        checks = []
+        monkeypatch.setattr(qcore.StateVector, "__post_init__",
+                            lambda state: checks.append(state))
+        record = batch.first_record()
+        assert checks == []
+        final = batch.finals[:, 0]
+        np.testing.assert_allclose(record.final_state.amps, final / np.linalg.norm(final),
+                                   rtol=0, atol=1e-15)
+        assert record.final_state.num_qubits == final.size.bit_length() - 1
+        assert not record.final_state.amps.flags.writeable
+        assert record.outcomes == batch.sequences()[0]
+        assert record.attempts == batch.attempts[0]
+
+    def test_a_start_is_checked_once_per_frame(self, monkeypatch):
+        checked = []
+        check = rus._check_start
+        monkeypatch.setattr(rus, "_check_start",
+                            lambda frame, masses: checked.append(masses) or check(frame, masses))
+        rng = qcore.rng_stream(5)
+        cc = distortion.build_conditional(conftest.make_circuit(0.3, m=2, rng=rng),
+                                          np.array([0.4, 0.3, 0.2, 0.1]))
+        cfg = distortion.DistortionConfig(
+            alpha=0.6, beta=0.8j, psi0=qcore.random_state(1, rng),
+            psi1=qcore.random_state(1, rng), trials=1, seed=0,
+        )
+        assert cfg.pair is cfg.pair and not cfg.pair.flags.writeable
+        for _ in range(15):
+            distortion.simulate_conditional_rus(cc, cfg, rng)
+        # An equal start from another config reuses the check.
+        distortion.monte_carlo_fidelity(cc, dataclasses.replace(cfg, trials=50))
+        assert len(checked) == 1
+        # A different start is checked, and replaces the one kept.
+        swapped = dataclasses.replace(cfg, alpha=cfg.beta, beta=cfg.alpha)
+        distortion.simulate_conditional_rus(cc, swapped, rng)
+        distortion.simulate_conditional_rus(cc, cfg, rng)
+        assert len(checked) == 3
+        # An equal array is served until it is mutated.
+        state = cfg.pair.copy()
+        batch = rus.run_batch(cc.frame, state, 1, rng)
+        assert len(checked) == 3
+        state *= 1j
+        # The record keeps its own start, which the caller's change misses.
+        np.testing.assert_array_equal(batch.state, cfg.pair)
+        rus.run_batch(cc.frame, state, 1, rng)
+        assert len(checked) == 4
+        state[0] *= 2.0
+        with pytest.raises(ValueError, match="state norm"):
+            rus.run_batch(cc.frame, state, 1, rng)
+        assert len(checked) == 5
+        # A new frame checks its own start.
+        cc = distortion.build_conditional(cc.base, cc.gammas)
+        distortion.simulate_conditional_rus(cc, cfg, rng)
+        assert len(checked) == 6
+
+
 def _batch_case(kind: str, m: int):
     """A frame, the frame read off the same columns, the start state and the
     matching dense per-trial attempt."""
