@@ -290,7 +290,10 @@ class RunRecord:
     final_state: StateVector
 
 
-@dataclass(frozen=True, eq=False)
+# Not frozen: a frozen dataclass sets each field through
+# object.__setattr__, about four times the cost of a plain one, and every
+# single-trial run builds a record.  Its arrays are writable either way.
+@dataclass(eq=False)
 class BatchRun:
     """Per-trial results of :func:`run_batch`, and the record they are read
     from.
