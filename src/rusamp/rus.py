@@ -537,7 +537,8 @@ def run_batch(
     # With one branch the product is an outer product, for which NumPy's
     # matmul takes a loop several times slower than dot's BLAS call.
     product = np.dot if branches == 1 else np.matmul
-    # Branch-major: one row per branch, one column per live trial.
+    # Branch-major: one row per branch, one column per live trial.  Filled
+    # in place: ``np.ones`` takes about twice as long for one trial.
     history = np.empty((branches, trials))
     history.fill(1.0)
     # Each success keeps its history and its success mass.
