@@ -239,10 +239,10 @@ def build_conditional(pkg, m: int):
                              split(rng, m, gamma0), seed=SEED)
 
 
-def conditional_runs(pkg, m: int, runs: int = 15):
+def conditional_runs(pkg, m: int):
     """What one ``distortion`` ``conditional`` operation of perfbench does:
     ``distortion.build_conditional`` of a prebuilt circuit and distorter
-    weights, one fresh stream, then ``runs`` single-trial
+    weights, one fresh stream, then 15 single-trial
     ``distortion.simulate_conditional_rus`` calls on that stream with one
     prebuilt config."""
     qcore, distortion = pkg.qcore, pkg.distortion
@@ -258,7 +258,8 @@ def conditional_runs(pkg, m: int, runs: int = 15):
     def call():
         cc = distortion.build_conditional(circuit, gammas, seed=SEED)
         stream = qcore.rng_stream(SEED)
-        return [distortion.simulate_conditional_rus(cc, cfg, stream) for _ in range(runs)]
+        # 15 runs, as in one perfbench ``distortion`` ``conditional`` operation.
+        return [distortion.simulate_conditional_rus(cc, cfg, stream) for _ in range(15)]
 
     return call
 

@@ -364,6 +364,24 @@ class TestBatch:
                 assert abs(np.vdot(expect, final)) ** 2 > 1.0 - 1e-12
 
 
+    def test_an_unreachable_success_exhausts_every_trial(self):
+        # With lambda0 = 0 the success row is all zero, so no draw ends a
+        # trial: each takes the cap, and no log holds outcome 0.
+        circ = rus.build_rus_unitary(_spec(1, [0.0, 1.0], trivial=True))
+        psi = qcore.random_state(1, qcore.rng_stream(3))
+        batch = rus.run_batch(circ.frame, psi.amps, 5, qcore.rng_stream(4), max_attempts=4)
+        assert batch.exhausted.all()
+        np.testing.assert_array_equal(batch.attempts, 4)
+        assert batch.outcome_log.size == 20 and 0 not in batch.outcome_log
+        np.testing.assert_array_equal(np.bincount(batch.trial_log), 4)
+        assert batch.sequences() == [(1, 1, 1, 1)] * 5
+        assert np.isnan(batch.finals).all()
+        with pytest.raises(rus.MaxAttemptsExceeded):
+            batch.first_record()
+        with pytest.raises(rus.MaxAttemptsExceeded):
+            rus.run_rus(circ, psi, qcore.rng_stream(4), max_attempts=4)
+
+
 class TestSingleTrialRecord:
     @pytest.mark.parametrize("kind", ["plain", "distorted", "undistorted"])
     @pytest.mark.parametrize("m", [1, 4])
