@@ -264,6 +264,25 @@ def conditional_runs(pkg, m: int):
     return call
 
 
+def simulate_batch(pkg, m: int):
+    """What one perfbench ``simulate`` operation asks of the kernel: build
+    the frame of a new circuit of a prebuilt spec, as each operation
+    composes a new circuit, run 175 trials of it from a prebuilt state on
+    a fresh stream, and read their fidelities and outcome sequences."""
+    qcore, rus = pkg.qcore, pkg.rus
+    rng = qcore.rng_stream(SEED)
+    spec = make_spec(pkg, m, rng)
+    psi = qcore.random_state(1, rng).amps
+    target = spec.gates[0] @ psi
+
+    def call():
+        frame = rus.build_rus_unitary(spec).frame
+        batch = rus.run_batch(frame, psi, 175, qcore.rng_stream(SEED))
+        return batch.fidelities(target), batch.sequences()
+
+    return call
+
+
 def criterion_07(pkg, m: int):
     """``distortion.monte_carlo_fidelity`` of 100,000 trials on one case of
     acceptance criterion 07 at ``m``: control amplitudes, distorter weights,
@@ -351,6 +370,7 @@ CALLS = [
     ("synthesized matrix m=8", build_and_read_matrix, 8),
     ("conditional build m=4", build_conditional, 4),
     ("conditional runs m=4", conditional_runs, 4),
+    ("simulate batch m=3", simulate_batch, 3),
     ("figure fig1-left", lambda pkg: functools.partial(pkg.distortion.figure1_data, "left", SEED)),
     ("figure fig1-right",
      lambda pkg: functools.partial(pkg.distortion.figure1_data, "right", SEED)),

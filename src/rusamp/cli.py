@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
     except MemoryError as exc:
         raise ValueError(f"--trials {args.trials} needs more memory than there is: {exc}") from exc
     done = ~batch.exhausted
-    fids = np.minimum(np.abs(target.conj() @ batch.finals) ** 2, 1.0)
+    fids = np.minimum(batch.fidelities(target), 1.0)
     # Every column has a known type, so rows skip _fmt and the csv module;
     # an exhausted trial leaves outcomes and fidelity blank.
     runs = "".join([

@@ -49,15 +49,15 @@ RESCALE_BELOW = 2.0**-600
 
 # Most entries one ``run_batch`` call holds: per trial, one per register
 # amplitude and one per reachable outcome.  A register entry holds at most
-# 32 bytes: the trial's final and the kept state it is built from (16
-# bytes each), once ``finals`` is read; until then, its share of the
-# trial's histories, success mass and attempt count, a few 8-byte floats
-# per branch, and a frame has no more branches than amplitudes.  An outcome
-# entry holds each attempt's float cumulative masses and their rescaled
-# copy (8 bytes each) and the comparison of every row but the last with the
-# uniforms (1 byte), 17 bytes at most.  So 2**25 entries cap a batch at
-# about 1 GiB.  The draw log, one byte per trial and attempt, grows with
-# the attempt cap instead.
+# 32 bytes: no final is built, so a trial holds only its histories, four
+# 8-byte floats per branch at once (the live history, its outcome's mass
+# row, their product and the kept history), and its 8-byte attempt count,
+# and the package's frames have one branch per two amplitudes.  An outcome
+# entry holds each attempt's float cumulative
+# masses and their rescaled copy (8 bytes each) and the comparison of every
+# row but the last with the uniforms (1 byte), 17 bytes at most.  So 2**25
+# entries cap a batch at about 1 GiB.  The draws, one byte per trial and
+# attempt, grow with the attempt cap instead.
 MAX_BATCH_ENTRIES = 2**25
 
 # A plain circuit's register entries share one branch.
@@ -299,59 +299,32 @@ class BatchRun:
     from.
 
     ``attempts`` counts each trial's attempts (the cap where ``exhausted``).
-    The record holds the run's ``frame``, its start ``state`` and the
-    state's branch ``images`` (``_CheckedStart``), each success's branch
-    history as a column of ``kept`` and its success mass in ``kept_mass``
-    (NaN and 1 where ``exhausted``), and ``draws``, each
+    The record holds the run's ``frame``, the start state's branch
+    ``images`` U_0 psi_b (``_CheckedStart``), each success's branch history
+    h as a column of ``kept`` (NaN where ``exhausted``), and ``draws``, each
     attempt's draws as indices into ``frame.reachable``, one per live trial
-    in trial order.  Everything else is derived, on first read:
-    ``fidelities(target)`` from the histories alone; ``finals``, each
-    successful trial's output state as a column (NaN where ``exhausted``);
-    and ``trial_log`` and ``outcome_log``, every attempt's trial and outcome
-    in draw order.
+    in trial order.  A success's final is sum_b sqrt(h_b) U_0 psi_b,
+    normalized: ``fidelities(target)`` and ``first_record`` read it so, and
+    ``sequences()`` lists the draws trial by trial.
     """
 
     attempts: np.ndarray
     exhausted: np.ndarray
     frame: RetryFrame
-    state: np.ndarray
     images: np.ndarray
     kept: np.ndarray
-    kept_mass: np.ndarray
     draws: list[np.ndarray]
 
-    @cached_property
-    def finals(self) -> np.ndarray:
-        """Each success's state, ``U_0 (psi * sqrt(h)) / sqrt(success mass)``
-        for its history h, read per entry through ``frame.branches``."""
-        # Trial-major, the layout of the kept states whose product with U_0
-        # the pinned outputs were recorded from; divided in place, so that
-        # no more than two complex arrays of the batch's size are ever held.
-        kept_states = self.state * np.sqrt(self.kept.T)[:, self.frame.branches]
-        kept_states /= np.sqrt(self.kept_mass)[:, None]
-        return self.frame.success @ kept_states.T
-
-    def _draw_order(self) -> np.ndarray:
-        """Each draw's place when the draws are listed trial by trial."""
+    def sequences(self) -> list[tuple[int, ...]]:
+        """Outcome sequence of every trial, in attempt order."""
         # Attempt k's live trials are those with more than k attempts, in
         # trial order: listed trial by trial, a stable sort by attempt puts
         # every (attempt, trial) pair where it was drawn.
         starts = np.cumsum(self.attempts) - self.attempts
         step = np.arange(int(self.attempts.sum())) - np.repeat(starts, self.attempts)
-        return np.argsort(step, kind="stable")
-
-    @cached_property
-    def trial_log(self) -> np.ndarray:
-        return np.repeat(np.arange(self.attempts.size), self.attempts)[self._draw_order()]
-
-    @cached_property
-    def outcome_log(self) -> np.ndarray:
-        return self.frame.reachable.take(np.concatenate([np.arange(0), *self.draws]))
-
-    def sequences(self) -> list[tuple[int, ...]]:
-        """Outcome sequence of every trial, in attempt order."""
-        flat = np.empty_like(self.outcome_log)
-        flat[self._draw_order()] = self.outcome_log
+        drawn = self.frame.reachable.take(np.concatenate([np.arange(0), *self.draws]))
+        flat = np.empty_like(drawn)
+        flat[np.argsort(step, kind="stable")] = drawn
         flat = flat.tolist()
         ends = np.cumsum(self.attempts).tolist()
         return [tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
@@ -382,9 +355,8 @@ class BatchRun:
         # Trial 0 leads every attempt it is live in.
         labels = self.frame.reachable.tolist()
         outcomes = tuple([labels[draws[0]] for draws in self.draws[:attempts]])
-        # The same state as ``finals[:, 0]`` normalized, to rounding, from a
-        # (branches,) product rather than the register-wide rebuild: 3.3
-        # against 8-9 us a run.
+        # The final whose fidelity ``fidelities`` reads, from a (branches,)
+        # product.
         amps = np.sqrt(self.kept[:, 0]) @ self.images
         # Gates are unitary only to within UNITARY_ATOL, so a final's norm
         # can miss 1 by more than a StateVector's NORM_ATOL: it is
@@ -499,17 +471,16 @@ def run_batch(
     ``rng``, in trial order, scaled by its column's total, so a single trial
     draws exactly as a per-trial loop would (``qcore.draw_outcomes``).
     Failure o multiplies a trial's history by ``frame.weights[o]``; a
-    success keeps its history and its success mass, the product's row for
-    outcome 0, and its attempt count.  The attempt moves its data along one
-    axis: ``take`` gathers the failures' mass rows and, when some trial
-    succeeds, the live histories; each success's history and mass are
+    success keeps its history and its attempt count.  The attempt moves its
+    data along one axis: ``take`` gathers the failures' mass rows and, when
+    some trial succeeds, the live histories; each success's history is
     scattered row by row.  The loop ends once no trial is live.  One loop
     serves every width and branch count.
 
-    The run returns its record, not its states: the histories, the success
-    masses and each attempt's draws, logged as indices into
-    ``frame.reachable``.  ``BatchRun`` derives the fidelities, the finals and
-    the trial and outcome logs from them when they are read.
+    The run returns its record, not its states: the start state's branch
+    images, the histories and each attempt's draws, logged as indices into
+    ``frame.reachable``.  ``BatchRun`` reads the fidelities, the outcome
+    sequences and trial 0's final from them.
 
     The norms are checked where they are exact.  Before the first attempt
     the input state's norm must be 1 and the frame's masses must sum to 1
@@ -519,8 +490,7 @@ def run_batch(
     every live total to be positive, so a NaN or all-zero trial raises
     ``ValueError``.  Once the smallest live total falls below
     ``RESCALE_BELOW`` (2**-600), every live history is scaled back up by a
-    power of two, which is exact: it changes no draw and no final
-    bit.  A batch over ``MAX_BATCH_ENTRIES`` entries, trials times register
+    power of two, which is exact: it changes no draw.  A batch over ``MAX_BATCH_ENTRIES`` entries, trials times register
     amplitudes plus reachable outcomes, raises ``MemoryError`` before it
     allocates anything.
     """
@@ -544,9 +514,8 @@ def run_batch(
     # in place: ``np.ones`` takes about twice as long for one trial.
     history = np.empty((branches, trials))
     history.fill(1.0)
-    # Each success keeps its history and its success mass.
+    # Each success keeps its history.
     kept = np.empty_like(history)
-    kept_mass = np.empty(trials)
     attempts = np.empty(trials, dtype=np.intp)
     alive = np.arange(trials)
     log = []
@@ -562,7 +531,7 @@ def run_batch(
                 # Written so that a NaN total fails the check as well.
                 if not low > 0.0:
                     raise ValueError(f"a live state's total mass is {low}, not positive")
-                # Powers of two scale exactly, so no draw and no final moves.
+                # Powers of two scale exactly, so no draw moves.
                 scale = np.ldexp(1.0, -np.frexp(cdf[-1])[1])
                 history = history * scale
                 cdf = cdf * scale
@@ -578,7 +547,6 @@ def run_batch(
                 # slice-and-index forms cost several times more.
                 for row, kept_row in zip(history, kept):
                     kept_row[ended] = row.take(done)
-                kept_mass[ended] = cdf[0].take(done)
                 alive = alive[failed]
                 if not alive.size:
                     break
@@ -596,19 +564,18 @@ def run_batch(
         exhausted[alive] = True
         attempts[alive] = max_attempts
         kept[:, alive] = np.nan
-        kept_mass[alive] = 1.0
-    return BatchRun(attempts, exhausted, frame, start.state, start.images, kept, kept_mass, log)
+    return BatchRun(attempts, exhausted, frame, start.images, kept, log)
 
 
 class _CheckedStart(NamedTuple):
-    """A start state checked on a frame: its ``key``, its bytes, and the
-    ``state`` they hold, so that a caller's later change to its array
-    reaches no record; the frame's cumulative ``rows`` scaled by its branch
-    masses; and its branch ``images`` U_0 psi_b, psi_b being the state on
-    branch b's entries and zero elsewhere, one row per branch.  Read-only."""
+    """A start state checked on a frame: its bytes as ``key``; the
+    frame's cumulative ``rows`` scaled by its branch masses; and its branch
+    ``images`` U_0 psi_b, psi_b being the state on branch b's entries and
+    zero elsewhere, one row per branch.  Read-only.  A record keeps the
+    images, not the caller's array, so no later change to that array
+    reaches it."""
 
     key: bytes
-    state: np.ndarray
     rows: np.ndarray
     images: np.ndarray
 
@@ -628,7 +595,7 @@ def _checked_start(frame: RetryFrame, state: np.ndarray) -> _CheckedStart:
         images = ((np.arange(masses.size)[:, None] == frame.branches) * state) @ frame.success.T
         rows.setflags(write=False)
         images.setflags(write=False)
-        entry = _CheckedStart(key, np.frombuffer(key, dtype=np.complex128), rows, images)
+        entry = _CheckedStart(key, rows, images)
         frame.__dict__["_start"] = entry
     return entry
 

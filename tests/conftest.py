@@ -285,11 +285,22 @@ def measure_ancillas(
     return outcome, qcore.StateVector(s.num_qubits, collapsed.reshape(-1)), prob
 
 
+def record_finals(batch: rus.BatchRun) -> np.ndarray:
+    """Each trial's final read off a ``rus.BatchRun`` record as a column:
+    sum_b sqrt(h_b) U_0 psi_b over the branch images, normalized, NaN where
+    exhausted."""
+    finals = batch.images.T @ np.sqrt(batch.kept)
+    # Complex division flags the NaN columns of exhausted trials as invalid.
+    with np.errstate(invalid="ignore"):
+        return finals / np.linalg.norm(finals, axis=0)
+
+
 class KernelRun(NamedTuple):
-    """The results of a ``conftest`` batch kernel, read as a
-    ``rus.BatchRun`` is: every attempt's trial and outcome in draw order,
-    each trial's attempts, whether it exhausted the cap, and its final as a
-    column, NaN where exhausted."""
+    """The results of a ``conftest`` batch kernel: each trial's attempts,
+    whether it exhausted the cap and its final as a column, NaN where
+    exhausted, and every attempt's trial and outcome in draw order.  It
+    answers ``sequences()`` and ``fidelities(target)`` as a
+    ``rus.BatchRun`` does."""
 
     attempts: np.ndarray
     exhausted: np.ndarray
@@ -302,19 +313,24 @@ class KernelRun(NamedTuple):
         return [tuple(self.outcome_log[self.trial_log == trial].tolist())
                 for trial in range(self.attempts.size)]
 
+    def fidelities(self, target: np.ndarray) -> np.ndarray:
+        """Each trial's |<target|final>|^2, its final normalized, NaN where
+        exhausted."""
+        overlaps = np.abs(np.conj(target) @ self.finals) ** 2
+        return overlaps / np.sum(np.abs(self.finals) ** 2, axis=0)
+
 
 def dense_batch_run(
     attempt, start: np.ndarray, trials: int, rng: qcore.RngStream,
     max_attempts: int = rus.DEFAULT_MAX_ATTEMPTS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> KernelRun:
     """Run ``trials`` copies of a per-trial loop in the batch engine's draw order.
 
     ``attempt(amps, rng)`` performs one attempt on one trial and returns
     ``(outcome, amps)``. Every round steps the live trials in trial order,
     each drawing its own uniform; Philox's ``rng.random(n)`` equals n scalar
-    draws, so this is the order in which ``rus.run_batch`` draws. Returns
-    ``(trial_log, outcome_log, finals)`` laid out as ``rus.BatchRun`` reads
-    them, with NaN finals for exhausted trials.
+    draws, so this is the order in which ``rus.run_batch`` draws. Exhausted
+    trials have NaN finals.
     """
     states = [np.asarray(start)] * trials
     finals = np.full((start.shape[0], trials), np.nan, dtype=complex)
@@ -333,7 +349,11 @@ def dense_batch_run(
             else:
                 still.append(trial)
         alive = still
-    return np.array(trial_log, dtype=int), np.array(outcome_log, dtype=int), finals
+    trial_log = np.array(trial_log, dtype=int)
+    exhausted = np.zeros(trials, dtype=bool)
+    exhausted[alive] = True
+    return KernelRun(np.bincount(trial_log, minlength=trials), exhausted, finals,
+                     trial_log, np.array(outcome_log, dtype=int))
 
 
 def undo_gates(spec: rus.RusSpec) -> np.ndarray:
@@ -527,10 +547,10 @@ def reference_run_batch(
 
 
 def _single_run(attempt, start, rng, max_attempts) -> tuple[tuple[int, ...], np.ndarray]:
-    _, outcomes, finals = dense_batch_run(attempt, start, 1, rng, max_attempts)
-    if outcomes[-1] != 0:
+    run = dense_batch_run(attempt, start, 1, rng, max_attempts)
+    if run.exhausted[0]:
         raise rus.MaxAttemptsExceeded(f"no success outcome within {max_attempts} attempts")
-    return tuple(outcomes.tolist()), finals[:, 0]
+    return run.sequences()[0], run.finals[:, 0]
 
 
 def dense_attempt(c: rus.RusCircuit):
@@ -686,7 +706,7 @@ def history_fidelities(
     want = _history_weights(cc, cfg, batch)[0]
     ideal = conditional_start(cfg)
     ideal[1::2] = cfg.beta * (cc.base.spec.target.mat @ cfg.psi1.amps)
-    got = np.abs(ideal.conj() @ batch.finals[:, ~batch.exhausted]) ** 2
+    got = np.abs(ideal.conj() @ record_finals(batch)[:, ~batch.exhausted]) ** 2
     np.testing.assert_allclose(got, want, rtol=0, atol=atol)
     return want
 

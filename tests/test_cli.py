@@ -233,13 +233,15 @@ class TestSimulate:
 # pi3:2:neg and fp:1e-3 when composed columns took their closed form
 # (TestComposeOracle bounds what moved), pi3:2:neg when the cube-law
 # recursion moved to Python scalars (TestCubeLawOracle bounds what moved),
-# and none when runs began to carry branch masses (TestKernelOracle bounds
+# none when runs began to carry branch masses (TestKernelOracle bounds
+# what moved), and none, standard:1 and exhausted when simulate began to
+# read its fidelities off the branch histories (TestKernelOracle bounds
 # what moved).
 OUTPUT_PINS = {
     "none":
-        "7100421b02c44d63706e6e13c10e1897907aed4ff907157cccc5d51e80b61ef2",
+        "ee43e6bb8a7a7a52e2abd0b184b9927f39aeb38c17ecbf395459e6efc85fa5be",
     "standard:1":
-        "80237c9cba6f8a22e9123aa67d8589ac4dedcc1133d4a2997ff7debc334b1736",
+        "67c06ec9b5e1e957368e80dbee7e019f6d638f43615825726e7ba31fc8b8489f",
     "deterministic":
         "aec12b6ff41baab6a3897238eb6d7bcd42e9f38204d577f72feba77892ed066e",
     "pi3:2:neg":
@@ -247,7 +249,7 @@ OUTPUT_PINS = {
     "fp:1e-3":
         "1385440083d8c415bd75bb0cec5f66ec79a24396b804a4911cbef9f481a7b936",
     "exhausted":
-        "3fe4808bb144d7fc07092812a6e27e271b844f1b22ed4a12e94f9e1a946257a7",
+        "fe114a3a669387af45a75332da44a24d29bc276d6fcf2b62a098d1cf178e898e",
     "figure fig2":
         "039cf41ef6f149a8333b9a8df082159ecb4cc596cc6323608a97c0c2dd11dc58",
     "tcost":
@@ -511,6 +513,10 @@ class TestKernelOracle:
         # Branch masses moved none: 21 fidelity cells in runs.csv and
         # mean_fidelity and min_fidelity in summary.csv, by at most 6.7e-16,
         # with the same outcome sequences.
+        # Fidelities read off the branch histories moved none, standard:1
+        # and exhausted: 33, 39 and 34 fidelity cells in runs.csv and
+        # min_fidelity, mean_fidelity, and both in summary.csv, by at most
+        # 4.4e-16, with the same outcome sequences.
         spec = _write_spec(tmp_path, lambda0=0.2)
         code = cli.main(_pinned_argv(spec, case, tmp_path / "kernel"))
         # The normalized kernel runs on the frame read off the columns.

@@ -315,8 +315,7 @@ class TestMonteCarlo:
         assert (est.exhausted > 0) == (max_attempts == 1)
         assert est.mean == float(sample.mean())
         assert est.std_error == float(sample.std(ddof=1) / math.sqrt(sample.size))
-        finals = batch.finals[:, done]
-        overlaps = np.abs(ideal.conj() @ finals) ** 2 / np.sum(np.abs(finals) ** 2, axis=0)
+        overlaps = np.abs(ideal.conj() @ conftest.record_finals(batch)[:, done]) ** 2
         np.testing.assert_allclose(sample, overlaps, rtol=0, atol=1e-15)
         np.testing.assert_allclose(sample, conftest.history_fidelities(cc, cfg, batch),
                                    rtol=0, atol=1e-12)

@@ -24,7 +24,7 @@ ROWS = BATCHES + [
     "fp:L=5 m=1", "fp:L=32 m=1", "fp:L=64 m=1", "fp:L=128 m=1",
     "inverse m=1", "inverse m=4", "inverse composed m=4",
     "dense m=4", "dense m=6", "dense m=8", "synthesized matrix m=8",
-    "conditional build m=4", "conditional runs m=4",
+    "conditional build m=4", "conditional runs m=4", "simulate batch m=3",
     "figure fig1-left", "figure fig1-right", "figure fig3",
     "tcost strategies", "figure fig2", "figure figd1",
     "criterion 07 m=1", "criterion 07 m=4",

@@ -353,10 +353,11 @@ class TestBatch:
                               max_attempts=3)
         assert 0 < batch.exhausted.sum() < 200
         assert np.all(batch.attempts[batch.exhausted] == 3)
-        assert np.all(np.isnan(batch.finals[:, batch.exhausted]))
+        finals = conftest.record_finals(batch)
+        assert np.all(np.isnan(finals[:, batch.exhausted]))
         expect = circ.spec.target.mat @ psi.amps
         for seq, attempts, exhausted, final in zip(
-            batch.sequences(), batch.attempts, batch.exhausted, batch.finals.T
+            batch.sequences(), batch.attempts, batch.exhausted, finals.T
         ):
             assert len(seq) == attempts
             assert (0 not in seq) if exhausted else seq.index(0) == attempts - 1
@@ -366,16 +367,15 @@ class TestBatch:
 
     def test_an_unreachable_success_exhausts_every_trial(self):
         # With lambda0 = 0 the success row is all zero, so no draw ends a
-        # trial: each takes the cap, and no log holds outcome 0.
+        # trial: each takes the cap, and no sequence holds outcome 0.
         circ = rus.build_rus_unitary(_spec(1, [0.0, 1.0], trivial=True))
         psi = qcore.random_state(1, qcore.rng_stream(3))
         batch = rus.run_batch(circ.frame, psi.amps, 5, qcore.rng_stream(4), max_attempts=4)
         assert batch.exhausted.all()
         np.testing.assert_array_equal(batch.attempts, 4)
-        assert batch.outcome_log.size == 20 and 0 not in batch.outcome_log
-        np.testing.assert_array_equal(np.bincount(batch.trial_log), 4)
         assert batch.sequences() == [(1, 1, 1, 1)] * 5
-        assert np.isnan(batch.finals).all()
+        assert np.isnan(conftest.record_finals(batch)).all()
+        assert np.isnan(batch.fidelities(psi.amps)).all()
         with pytest.raises(rus.MaxAttemptsExceeded):
             batch.first_record()
         with pytest.raises(rus.MaxAttemptsExceeded):
@@ -394,9 +394,8 @@ class TestSingleTrialRecord:
                             lambda state: checks.append(state))
         record = batch.first_record()
         assert checks == []
-        final = batch.finals[:, 0]
-        np.testing.assert_allclose(record.final_state.amps, final / np.linalg.norm(final),
-                                   rtol=0, atol=1e-15)
+        final = conftest.record_finals(batch)[:, 0]
+        np.testing.assert_allclose(record.final_state.amps, final, rtol=0, atol=1e-15)
         assert record.final_state.num_qubits == final.size.bit_length() - 1
         assert not record.final_state.amps.flags.writeable
         assert record.outcomes == batch.sequences()[0]
@@ -428,12 +427,14 @@ class TestSingleTrialRecord:
         # An equal array is served until it is mutated.
         state = cfg.pair.copy()
         batch = rus.run_batch(cc.frame, state, 1, rng)
+        images = batch.images.copy()
         assert len(checked) == 3
         state *= 1j
-        # The record keeps its own start, which the caller's change misses.
-        np.testing.assert_array_equal(batch.state, cfg.pair)
         rus.run_batch(cc.frame, state, 1, rng)
         assert len(checked) == 4
+        # The record keeps its own images, which neither the caller's change
+        # nor the start that replaced its entry reaches.
+        np.testing.assert_array_equal(batch.images, images)
         state[0] *= 2.0
         with pytest.raises(ValueError, match="state norm"):
             rus.run_batch(cc.frame, state, 1, rng)
@@ -480,13 +481,12 @@ class TestWideBatches:
     def test_agrees_with_dense_trials(self, kind, m, width):
         frame, _, start, attempt = _batch_case(kind, m)
         batch = rus.run_batch(frame, start, width, qcore.rng_stream(m), 6)
-        trial_log, outcome_log, finals = conftest.dense_batch_run(
-            attempt, start, width, qcore.rng_stream(m), 6
-        )
-        assert np.array_equal(batch.trial_log, trial_log)
-        assert np.array_equal(batch.outcome_log, outcome_log)
-        assert np.array_equal(np.isnan(batch.finals), np.isnan(finals))
-        np.testing.assert_allclose(batch.finals, finals, rtol=0, atol=1e-14)
+        ref = conftest.dense_batch_run(attempt, start, width, qcore.rng_stream(m), 6)
+        assert batch.sequences() == ref.sequences()
+        np.testing.assert_array_equal(batch.exhausted, ref.exhausted)
+        finals = conftest.record_finals(batch)
+        assert np.array_equal(np.isnan(finals), np.isnan(ref.finals))
+        np.testing.assert_allclose(finals, ref.finals, rtol=0, atol=1e-14)
         if width == 300 and kind in ("plain", "distorted"):
             assert 0 < batch.exhausted.sum() < width
 
@@ -494,8 +494,8 @@ class TestWideBatches:
 def _final_tolerance(attempts: np.ndarray) -> np.ndarray:
     """How far a trial's final may sit from ``conftest.reference_run_batch``'s.
 
-    ``rus.run_batch`` rebuilds each final in closed form, within 2e-16 of
-    W_0 psi in the deep plain runs.  The reference multiplies by diagonals
+    A record's final (``conftest.record_finals``) is the closed form, within
+    2e-16 of W_0 psi in the deep plain runs.  The reference multiplies by diagonals
     read off the columns, whose entries round apart by an ulp or so, and
     its finals drift from the closed form in step with the attempts: by at
     most 1.9e-16 per attempt over 3,000 to 7,000 attempts.
@@ -511,14 +511,15 @@ def _assert_matches_reference(frame, diagonal, start, trials, seed,
     the normalized one too, with finals equal to rounding."""
     batch = rus.run_batch(frame, start, trials, qcore.rng_stream(seed), max_attempts)
     done = ~batch.exhausted
-    assert np.isnan(batch.finals[:, ~done]).all()
+    finals = conftest.record_finals(batch)
+    assert np.isnan(finals[:, ~done]).all()
+    sequences = batch.sequences()
     for kernel in (conftest.state_run_batch, conftest.reference_run_batch):
         ref = kernel(diagonal, start, trials, qcore.rng_stream(seed), max_attempts)
-        np.testing.assert_array_equal(batch.trial_log, ref.trial_log)
-        np.testing.assert_array_equal(batch.outcome_log, ref.outcome_log)
+        assert sequences == ref.sequences()
         np.testing.assert_array_equal(batch.attempts, ref.attempts)
         np.testing.assert_array_equal(batch.exhausted, ref.exhausted)
-    error = np.abs(batch.finals - ref.finals).max(axis=0)[done]
+    error = np.abs(finals - ref.finals).max(axis=0)[done]
     assert np.all(error <= _final_tolerance(batch.attempts[done]))
     return batch
 
@@ -544,7 +545,7 @@ class TestUnnormalizedStates:
         # times over.
         assert _deepest_log2_mass(circ.spec.lambdas, batch) < -4 * 1074
         expect = circ.spec.target.mat @ psi.amps
-        assert np.abs(batch.finals - expect[:, None]).max() <= 1e-15
+        assert np.abs(conftest.record_finals(batch) - expect[:, None]).max() <= 1e-15
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_deep_conditional_runs_rescale(self, m):
@@ -563,7 +564,8 @@ class TestUnnormalizedStates:
         assert not batch.exhausted.any()
         assert max(_deepest_log2_mass(gammas, batch),
                    _deepest_log2_mass(base.spec.lambdas, batch)) < -1074
-        assert np.abs(batch.finals - conftest.history_states(cc, cfg, batch)).max() <= 1e-15
+        want = conftest.history_states(cc, cfg, batch)
+        assert np.abs(conftest.record_finals(batch) - want).max() <= 1e-15
         conftest.history_fidelities(cc, cfg, batch)
 
     @pytest.mark.parametrize("width", [1, 7, 3_000])
@@ -633,7 +635,7 @@ class TestClosedFormFinals:
         done = ~batch.exhausted
         assert done.any()
         expect = circ.spec.target.mat @ psi
-        assert np.abs(batch.finals[:, done] - expect[:, None]).max() <= 1e-15
+        assert np.abs(conftest.record_finals(batch)[:, done] - expect[:, None]).max() <= 1e-15
 
     @pytest.mark.parametrize("width", [1, 7, 3_000])
     @pytest.mark.parametrize("control", list(CONTROLS))
@@ -658,7 +660,7 @@ class TestClosedFormFinals:
         done = ~batch.exhausted
         assert done.any()
         want = conftest.history_states(cc, cfg, batch)
-        assert np.abs(batch.finals[:, done] - want).max() <= 1e-15
+        assert np.abs(conftest.record_finals(batch)[:, done] - want).max() <= 1e-15
         conftest.history_fidelities(cc, cfg, batch)
 
 
@@ -698,6 +700,11 @@ class TestBatchMemory:
         assert 10**8 * 4 > rus.MAX_BATCH_ENTRIES
 
 
+def _drawn(batch: rus.BatchRun) -> set[int]:
+    """Every outcome any trial of ``batch`` drew."""
+    return {outcome for seq in batch.sequences() for outcome in seq}
+
+
 class TestZeroMassOutcomes:
     @pytest.mark.parametrize(
         "lambdas", [[0.4, 0.0, 0.35, 0.25], [0.3, 0.2, 0.0, 0.1, 0.0, 0.2, 0.1, 0.1]]
@@ -708,7 +715,7 @@ class TestZeroMassOutcomes:
         psi = qcore.random_state(1, qcore.rng_stream(8))
         batch = rus.run_batch(circ.frame, psi.amps, 10_000, qcore.rng_stream(9))
         zero = np.flatnonzero(np.array(lambdas) == 0.0)
-        assert not np.isin(batch.outcome_log, zero).any()
+        assert not _drawn(batch) & set(zero.tolist())
         assert not np.isin(circ.frame.reachable, zero).any()
         assert not batch.exhausted.any()
 
@@ -722,8 +729,7 @@ class TestZeroMassOutcomes:
         batch = rus.run_batch(
             cc.frame, conftest.conditional_start(cfg), 10_000, qcore.rng_stream(11)
         )
-        assert 1 not in batch.outcome_log
-        assert set(np.unique(batch.outcome_log)) == {0, 2, 3}
+        assert _drawn(batch) == {0, 2, 3}
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_idle_branch_only_succeeds(self, m):
@@ -742,9 +748,9 @@ class TestZeroMassOutcomes:
         batch = rus.run_batch(
             cc.frame, conftest.conditional_start(cfg), 10_000, qcore.rng_stream(13)
         )
-        np.testing.assert_array_equal(batch.outcome_log, 0)
+        assert batch.sequences() == [(0,)] * 10_000
         np.testing.assert_array_equal(batch.attempts, 1)
-        assert np.isfinite(batch.finals).all()
+        assert np.isfinite(conftest.record_finals(batch)).all()
 
 
 class TestInverse:
@@ -808,8 +814,8 @@ class TestInverse:
         psi = qcore.random_state(1, rng).amps
         runs = [rus.run_batch(c.frame, psi, 50, qcore.rng_stream(5))
                 for c in (inv, conftest.ColumnsCircuit(inv.spec, adjoint))]
-        assert np.array_equal(runs[0].outcome_log, runs[1].outcome_log)
-        np.testing.assert_allclose(runs[0].finals, runs[1].finals, rtol=0, atol=1e-12)
+        assert runs[0].sequences() == runs[1].sequences()
+        np.testing.assert_allclose(*map(conftest.record_finals, runs), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("protocol", ["standard:2", "deterministic", "pi3:3", "fp"])
