@@ -53,11 +53,11 @@ RESCALE_BELOW = 2.0**-600
 # 8-byte floats per branch at once (the live history, its outcome's mass
 # row, their product and the kept history), and its 8-byte attempt count,
 # and the package's frames have one branch per two amplitudes.  An outcome
-# entry holds each attempt's float cumulative
-# masses and their rescaled copy (8 bytes each) and the comparison of every
-# row but the last with the uniforms (1 byte), 17 bytes at most.  So 2**25
-# entries cap a batch at about 1 GiB.  The draws, one byte per trial and
-# attempt, grow with the attempt cap instead.
+# entry holds each attempt's float cumulative masses and their rescaled copy
+# (8 bytes each) and the comparison of every row but the last with the
+# uniforms (1 byte), 17 bytes at most.  So 2**25 entries cap a batch at
+# about 1 GiB.  The draws, one byte per trial and attempt, grow with the
+# attempt cap instead.
 MAX_BATCH_ENTRIES = 2**25
 
 # A plain circuit's register entries share one branch.
@@ -490,9 +490,10 @@ def run_batch(
     every live total to be positive, so a NaN or all-zero trial raises
     ``ValueError``.  Once the smallest live total falls below
     ``RESCALE_BELOW`` (2**-600), every live history is scaled back up by a
-    power of two, which is exact: it changes no draw.  A batch over ``MAX_BATCH_ENTRIES`` entries, trials times register
-    amplitudes plus reachable outcomes, raises ``MemoryError`` before it
-    allocates anything.
+    power of two, which is exact: it changes no draw.  A batch over
+    ``MAX_BATCH_ENTRIES`` entries, trials times register amplitudes plus
+    reachable outcomes, raises ``MemoryError`` before it allocates
+    anything.
     """
     register = frame.success.shape[1]
     state = np.asarray(state, dtype=np.complex128)

@@ -494,11 +494,12 @@ class TestWideBatches:
 def _final_tolerance(attempts: np.ndarray) -> np.ndarray:
     """How far a trial's final may sit from ``conftest.reference_run_batch``'s.
 
-    A record's final (``conftest.record_finals``) is the closed form, within
-    2e-16 of W_0 psi in the deep plain runs.  The reference multiplies by diagonals
-    read off the columns, whose entries round apart by an ulp or so, and
-    its finals drift from the closed form in step with the attempts: by at
-    most 1.9e-16 per attempt over 3,000 to 7,000 attempts.
+    A record's final (``conftest.record_finals``) is the closed form,
+    within 2e-16 of W_0 psi in the deep plain runs.  The reference
+    multiplies by diagonals read off the columns, whose entries round apart
+    by an ulp or so, and its finals drift from the closed form in step with
+    the attempts: by at most 1.9e-16 per attempt over 3,000 to 7,000
+    attempts.
     """
     return 1e-15 + 3e-16 * attempts
 
